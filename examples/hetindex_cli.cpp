@@ -13,7 +13,7 @@
 ///   query     AND query                    (works on batch, live, cluster dirs)
 ///   search    query-language search        (--k, --deadline-ms, ...; the
 ///             arguments form one expression, e.g. 'fast "inverted files"
-///             AND gpu' — docs/QUERIES.md; --mode is a deprecated shim)
+///             AND gpu' — docs/QUERIES.md)
 ///   serve     thread-pooled serving bench  (--threads, --queue, --repeat,
 ///             ...; reports tail latency per query class)
 ///   phrase    exact-phrase query           (any dir flavor, via the AST)
@@ -526,20 +526,6 @@ Expected<OpenedBackend> open_backend(const std::string& dir) {
   return out;
 }
 
-/// Legacy --mode shim: the equivalent AST root for callers still spelling
-/// a query as flat terms plus a mode name. nullopt on an unknown name.
-std::optional<Query> mode_query(const std::string& name,
-                                std::vector<std::string> terms) {
-  if (name == "ranked") return Query::bag(std::move(terms));
-  if (name == "conjunctive") return Query::conjunction(std::move(terms));
-  if (name == "disjunctive") return Query::disjunction(std::move(terms));
-  return std::nullopt;
-}
-
-bool known_mode(const std::string& name) {
-  return name == "ranked" || name == "conjunctive" || name == "disjunctive";
-}
-
 int cmd_query(int argc, char** argv, bool phrase) {
   ArgParser args(phrase ? "phrase" : "query", "<index_dir> <term...>", {});
   if (!args.parse(argc, argv)) return args.help_requested() ? 0 : 2;
@@ -581,9 +567,6 @@ int cmd_search(int argc, char** argv) {
   ArgParser args(
       "search", "<index_dir> <query...>",
       {{"k", true, "results to return (default 10)"},
-       {"mode", true,
-        "(deprecated) ranked | conjunctive | disjunctive — treats the "
-        "arguments as flat terms instead of the query language"},
        {"deadline-ms", true, "per-query deadline in ms (default none)"},
        {"exhaustive", false, "use the exhaustive scorer (no MaxScore)"}});
   if (!args.parse(argc, argv)) return args.help_requested() ? 0 : 2;
@@ -594,31 +577,17 @@ int cmd_search(int argc, char** argv) {
   auto opened = open_backend(args.positionals()[0]);
   if (!opened.has_value()) return report_error(opened.error());
 
-  QueryRequest request;
-  if (args.has("mode")) {
-    // Legacy shim: flat terms combined by the named mode.
-    std::vector<std::string> terms;
-    for (std::size_t i = 1; i < args.positionals().size(); ++i) {
-      terms.push_back(normalize_term(args.positionals()[i]));
-    }
-    auto legacy = mode_query(args.str("mode"), std::move(terms));
-    if (!legacy) {
-      std::fprintf(stderr, "unknown --mode '%s'\n", args.str("mode").c_str());
-      return 2;
-    }
-    request.query = std::move(*legacy);
-  } else {
-    // The query language (docs/QUERIES.md): the remaining arguments joined
-    // form one expression, e.g.  search idx 'fast "inverted files" AND gpu'
-    std::string text;
-    for (std::size_t i = 1; i < args.positionals().size(); ++i) {
-      if (!text.empty()) text += ' ';
-      text += args.positionals()[i];
-    }
-    auto parsed = parse_query(text);
-    if (!parsed.has_value()) return report_error(parsed.error());
-    request.query = std::move(parsed).value();
+  // The query language (docs/QUERIES.md): the remaining arguments joined
+  // form one expression, e.g.  search idx 'fast "inverted files" AND gpu'
+  std::string text;
+  for (std::size_t i = 1; i < args.positionals().size(); ++i) {
+    if (!text.empty()) text += ' ';
+    text += args.positionals()[i];
   }
+  auto parsed = parse_query(text);
+  if (!parsed.has_value()) return report_error(parsed.error());
+  QueryRequest request;
+  request.query = std::move(parsed).value();
   request.k = static_cast<std::size_t>(args.num("k", 10));
   request.exhaustive = args.has("exhaustive");
   if (args.has("deadline-ms")) {
@@ -660,9 +629,6 @@ int cmd_serve(int argc, char** argv) {
       {{"threads", true, "executor threads (default 4)"},
        {"queue", true, "admission queue capacity (default 64)"},
        {"k", true, "results per query (default 10)"},
-       {"mode", true,
-        "(deprecated) ranked | conjunctive | disjunctive — treats each line "
-        "as flat terms instead of the query language"},
        {"deadline-ms", true, "per-query deadline in ms (default none)"},
        {"repeat", true, "passes over the query set (default 1)"},
        {"metrics", false, "dump Prometheus metrics at the end"}});
@@ -674,14 +640,7 @@ int cmd_serve(int argc, char** argv) {
   auto opened = open_backend(args.positionals()[0]);
   if (!opened.has_value()) return report_error(opened.error());
 
-  const bool legacy_mode = args.has("mode");
-  if (legacy_mode && !known_mode(args.str("mode"))) {
-    std::fprintf(stderr, "unknown --mode '%s'\n", args.str("mode").c_str());
-    return 2;
-  }
-
-  // One query per input line in the query language (docs/QUERIES.md);
-  // under the deprecated --mode, lines are whitespace-separated raw terms.
+  // One query per input line in the query language (docs/QUERIES.md).
   std::vector<Query> queries;
   {
     std::ifstream file;
@@ -698,27 +657,13 @@ int cmd_serve(int argc, char** argv) {
     std::string line;
     while (std::getline(in, line)) {
       if (line.find_first_not_of(" \t") == std::string::npos) continue;
-      if (legacy_mode) {
-        std::vector<std::string> terms;
-        std::size_t pos = 0;
-        while (pos < line.size()) {
-          const std::size_t ws = line.find_first_of(" \t", pos);
-          const std::string word = line.substr(pos, ws - pos);
-          if (!word.empty()) terms.push_back(normalize_term(word));
-          if (ws == std::string::npos) break;
-          pos = ws + 1;
-        }
-        if (terms.empty()) continue;
-        queries.push_back(*mode_query(args.str("mode"), std::move(terms)));
-      } else {
-        auto parsed = parse_query(line);
-        if (!parsed.has_value()) {
-          std::fprintf(stderr, "bad query '%s': %s\n", line.c_str(),
-                       parsed.error().message.c_str());
-          return 1;
-        }
-        queries.push_back(std::move(parsed).value());
+      auto parsed = parse_query(line);
+      if (!parsed.has_value()) {
+        std::fprintf(stderr, "bad query '%s': %s\n", line.c_str(),
+                     parsed.error().message.c_str());
+        return 1;
       }
+      queries.push_back(std::move(parsed).value());
     }
   }
   if (queries.empty()) {

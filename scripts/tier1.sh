@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the plain Release build + full test suite, then two
+# Tier-1 verification: the plain Release build + full test suite (plus the
+# hetbench benchmark tree and its harness self-test), then two
 # sanitizer legs over the concurrency- and memory-critical tests:
 #   - ThreadSanitizer on the threaded pipeline/observability/segment/live/
 #     search/cluster tests (metric emission from parser threads, shared
@@ -63,6 +64,12 @@ leg_begin
 cmake -B build -S .
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
+# The benchmark compiles against the public request/response types, so it
+# is built (and its harness self-test run) here too: an API change that
+# breaks hetbench fails tier-1 instead of the next benchmark run.
+cmake -B build-hetbench -S hetbench
+cmake --build build-hetbench -j "$(nproc)"
+ctest --test-dir build-hetbench --output-on-failure
 leg_end "build+ctest"
 
 if [[ "$run_tsan" == 1 ]]; then

@@ -5,8 +5,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "live/tombstones.hpp"
-#include "postings/boolean_ops.hpp"
+#include "search/executor.hpp"
 #include "search/topk.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
@@ -66,98 +65,6 @@ void merge_hits(std::vector<ScoredDoc>& hits, std::size_t k) {
   });
   if (hits.size() > k) hits.resize(k);
 }
-
-/// Central evaluator of the term-routed strategy: the Searcher's recursive
-/// decoded evaluator re-expressed over owner-fetched postings (same
-/// postings_and/or folds, same phrase_join/near_join verification), so
-/// central answers are bit-identical to a single-node build of the union
-/// corpus. One extra state an in-process Searcher never sees: a leaf whose
-/// owner shard never answered. Such a leaf evaluates to "unavailable"
-/// (nullopt) and is skipped where its fold allows — the identity in an
-/// AND (the historical weakened-intersection partial), nothing in an OR,
-/// the whole constraint in a phrase/NEAR (an unverifiable constraint
-/// cannot admit docs) — and the caller flags the response kShardPartial.
-struct RoutedEval {
-  const std::unordered_map<std::string, std::shared_ptr<const QueryPostings>>& fetched;
-  const Deadline& deadline;
-  bool deadline_cut = false;
-
-  Expected<std::optional<QueryPostings>> eval(const QueryNode& node) {
-    switch (node.op) {
-      case QueryOp::kTerm: {
-        const auto it = fetched.find(node.term);
-        if (it == fetched.end()) return std::optional<QueryPostings>{};  // owner down
-        QueryPostings out;  // null value = known-absent term: empty list
-        if (it->second != nullptr) {
-          out.doc_ids = it->second->doc_ids;
-          out.tfs = it->second->tfs;
-        }
-        return std::optional<QueryPostings>(std::move(out));
-      }
-      case QueryOp::kBag:
-      case QueryOp::kOr: {
-        std::optional<QueryPostings> acc;
-        for (const auto& child : node.children) {
-          if (past(deadline)) {  // partial union: a valid subset, flagged
-            deadline_cut = true;
-            break;
-          }
-          auto part = eval(child);
-          if (!part.has_value()) return part.error();
-          if (!part.value()) continue;  // unavailable: contributes nothing
-          acc = acc ? postings_or(*acc, *part.value()) : std::move(*part.value());
-        }
-        return acc;  // nullopt when every child was unavailable
-      }
-      case QueryOp::kAnd: {
-        std::optional<QueryPostings> acc;
-        for (const auto& child : node.children) {
-          if (past(deadline)) {
-            // A prefix intersection is a SUPERSET of the truth — the one
-            // degradation shape that would hand out wrong docs. Return
-            // nothing instead (same rule as the single-node evaluator).
-            if (acc) {
-              acc->doc_ids.clear();
-              acc->tfs.clear();
-            }
-            deadline_cut = true;
-            break;
-          }
-          auto part = eval(child);
-          if (!part.has_value()) return part.error();
-          if (!part.value()) continue;  // unavailable: skipped, intersection weakened
-          acc = acc ? postings_and(*acc, *part.value()) : std::move(*part.value());
-          if (acc->doc_ids.empty()) break;  // settled: no doc can re-enter
-        }
-        return acc;
-      }
-      case QueryOp::kPhrase:
-      case QueryOp::kNear: {
-        std::vector<const QueryPostings*> refs;
-        refs.reserve(node.terms.size());
-        bool absent = false;
-        for (const auto& term : node.terms) {
-          const auto it = fetched.find(term);
-          if (it == fetched.end()) return std::optional<QueryPostings>{};
-          if (it->second == nullptr) {
-            absent = true;  // known-absent term: the constraint matches nothing
-            break;
-          }
-          if (it->second->positions.empty() && !it->second->doc_ids.empty()) {
-            return Error{ErrorCode::kInvalidArgument,
-                         "phrase/NEAR query requires a positional index"};
-          }
-          refs.push_back(it->second.get());
-        }
-        if (absent) return std::optional<QueryPostings>(QueryPostings{});
-        return std::optional<QueryPostings>(node.op == QueryOp::kPhrase
-                                                ? phrase_join(refs)
-                                                : near_join(refs, node.window));
-      }
-    }
-    return std::optional<QueryPostings>(QueryPostings{});
-  }
-};
 
 }  // namespace
 
@@ -284,10 +191,7 @@ Expected<std::shared_ptr<const QueryPostings>> ShardRouter::fetch_with_failover(
 
 Expected<QueryResponse> ShardRouter::search(const QueryRequest& request,
                                             const Deadline deadline) const {
-  // Resolve the AST once (legacy terms/mode requests convert here) and
-  // thread it through whichever strategy routes the query.
-  const Query query = effective_query(request);
-  if (query.empty()) {
+  if (request.query.empty()) {
     return Error{ErrorCode::kInvalidArgument, "query has no terms"};
   }
   if (request.scatter != nullptr) {
@@ -300,14 +204,14 @@ Expected<QueryResponse> ShardRouter::search(const QueryRequest& request,
   }
   ins_->queries.add();
   return partitioner_->strategy() == PartitionStrategy::kTerm
-             ? term_routed_search(request, query, deadline)
-             : scatter_search(request, query, deadline);
+             ? term_routed_search(request, deadline)
+             : scatter_search(request, deadline);
 }
 
 Expected<QueryResponse> ShardRouter::scatter_search(const QueryRequest& request,
-                                                    const Query& query,
                                                     const Deadline deadline) const {
   const WallTimer total_timer;
+  const Query& query = request.query;
   const auto shard_count = static_cast<std::uint32_t>(shards_.size());
   std::vector<ShardState> state(shard_count);
   const QueryClass qclass = query.query_class();
@@ -351,12 +255,11 @@ Expected<QueryResponse> ShardRouter::scatter_search(const QueryRequest& request,
   // Phase 2: fan out. Every eligible shard's first-choice replica gets the
   // sub-request concurrently (each replica runs its own admission pool);
   // failover retries are sequential per shard, bounded by the same slice.
-  // Sub-requests carry the resolved AST: each shard executes the full tree
+  // Sub-requests carry the AST: each shard executes the full tree
   // (phrase/NEAR verification included) over its own documents — doc/block
   // partitions hold every doc's postings and positions whole.
   const Deadline exec_deadline = carve(deadline, options_.shard_budget_fraction);
   QueryRequest sub = request;
-  sub.query = query;
   sub.timeout = std::chrono::microseconds{0};  // the absolute deadline rules
   sub.use_result_cache = false;  // scatter stats are not in the cache key
   sub.scatter = scatter;
@@ -454,9 +357,9 @@ Expected<QueryResponse> ShardRouter::scatter_search(const QueryRequest& request,
 }
 
 Expected<QueryResponse> ShardRouter::term_routed_search(const QueryRequest& request,
-                                                        const Query& query,
                                                         const Deadline deadline) const {
   const WallTimer total_timer;
+  const Query& query = request.query;
   const Deadline exec_deadline = carve(deadline, options_.shard_budget_fraction);
   const std::vector<std::string> terms = query.collect_terms();
 
@@ -519,65 +422,51 @@ Expected<QueryResponse> ShardRouter::term_routed_search(const QueryRequest& requ
   const auto snap = shards_[0]->shared_writer()->snapshot();
   const TombstoneSet* excluded = snap->tombstones();
 
-  const WallTimer score_timer;
   const QueryNode& root = query.root();
   if (root.op == QueryOp::kTerm || root.op == QueryOp::kBag) {
-    // Central exhaustive scoring, leaf order (== legacy request-term
-    // order) — the single-node accumulation sequence, so scores are
-    // bit-identical to the union index (and to its MaxScore executor,
-    // which re-sums canonically).
-    const auto tokens = snap->token_stats();
-    const std::uint64_t n_docs = snap->doc_count();
-    const double avgdl =
-        tokens.live_docs == 0
-            ? 1e-9
-            : std::max(static_cast<double>(tokens.token_sum) /
-                           static_cast<double>(tokens.live_docs),
-                       1e-9);
+    // Central MaxScore over the owner-fetched lists — the Searcher's pruned
+    // entry, whose canonical re-sum keeps scores bit-identical to the union
+    // index. A term whose owner is down contributes nothing (kShardPartial).
+    const WallTimer score_timer;
     DocLengthIndex lengths;
-    for (const auto& seg : snap->segments()) {
-      const DocMap* map = seg->doc_map();
-      if (map != nullptr) lengths.add_range(map->base(), map->doc_count(), map);
-    }
-    if (snap->memtable() != nullptr) {
-      lengths.add_range(snap->memtable()->doc_base(), snap->memtable()->doc_count(),
-                        snap->memtable());
-    }
-    std::unordered_map<std::uint32_t, double> scores;
-    bool deadline_cut = false;
+    lengths.add_snapshot(*snap);
+    std::vector<TopkTermInput> inputs;
     for (std::size_t t = 0; t < terms.size(); ++t) {
-      if (!term_ok[t]) continue;  // owner down: term skipped, kShardPartial
-      if (past(deadline)) {
-        deadline_cut = true;
-        break;
-      }
+      if (!term_ok[t]) continue;
       const auto& postings = fetched[terms[t]];
       if (postings == nullptr || postings->doc_ids.empty()) continue;
-      const double idf = bm25_idf(postings->doc_ids.size(), n_docs);
-      for (std::size_t i = 0; i < postings->doc_ids.size(); ++i) {
-        const std::uint32_t doc = postings->doc_ids[i];
-        if (excluded != nullptr && excluded->contains(doc)) continue;
-        const double tf = postings->tfs[i];
-        const double dl = lengths.token_count(doc);
-        scores[doc] += bm25_contribution(idf, tf, dl, avgdl, request.bm25);
-      }
+      inputs.push_back(topk_input(t, make_decoded_cursor(postings), postings->doc_ids.size(),
+                                  snap->doc_count(),
+                                  *std::max_element(postings->tfs.begin(), postings->tfs.end()),
+                                  request.bm25));
     }
-    response.hits.reserve(scores.size());
-    for (const auto& [doc, score] : scores) response.hits.push_back({doc, score});
-    merge_hits(response.hits, request.k);
-    if (deadline_cut) response.degradation = Degradation::kDeadlinePartial;
+    auto topk = maxscore_topk(std::move(inputs), request.k, request.bm25, lengths,
+                              std::max(snap->average_doc_tokens(), 1e-9), deadline, excluded);
+    response.hits = std::move(topk.hits);
+    if (topk.degraded) response.degradation = Degradation::kDeadlinePartial;
+    response.timings.score_seconds = score_timer.seconds();
   } else {
-    // Every other root — AND/OR trees, phrase, NEAR — runs the recursive
-    // central evaluator (tf semantics of query_ast.hpp) and ranks by
-    // (tf desc, doc id asc), exactly like the single-node decoded path.
-    // Tombstones filtered at rank, like the single-node candidate filter.
-    RoutedEval ev{fetched, deadline};
-    auto acc = ev.eval(root);
-    if (!acc.has_value()) return acc.error();
-    if (acc.value()) response.hits = rank_by_tf(*acc.value(), request.k, excluded);
-    if (ev.deadline_cut) response.degradation = Degradation::kDeadlinePartial;
+    // Every other root runs the shared cursor-tree executor over decoded
+    // cursors on the fetched lists; a leaf whose owner never answered is
+    // "unavailable" and dropped by the executor's rules.
+    const auto open = [&](const std::string& term, bool) {
+      ExecLeaf leaf;
+      const auto it = fetched.find(term);
+      if (it == fetched.end()) {
+        leaf.unavailable = true;
+      } else if (it->second != nullptr && !it->second->doc_ids.empty()) {
+        leaf.cursor = make_decoded_cursor(it->second);
+      }
+      return leaf;
+    };
+    const LeafSource leaves{open, /*bloom=*/{}};
+    auto result = execute_query(root, leaves, request.k, deadline, excluded);
+    if (!result.has_value()) return result.error();
+    response.hits = std::move(result->hits);
+    if (result->degraded) response.degradation = Degradation::kDeadlinePartial;
+    response.timings.lookup_seconds += result->lookup_seconds;
+    response.timings.score_seconds = result->score_seconds;
   }
-  response.timings.score_seconds = score_timer.seconds();
   response.timings.total_seconds = total_timer.seconds();
 
   if (!all_terms) {

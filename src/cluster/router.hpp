@@ -23,12 +23,15 @@
 /// Term-partitioned clusters route differently: each query leaf term's
 /// postings are fetched from the shard owning hash(term) — one whole-list
 /// fetch per distinct AST leaf, in Query::collect_terms() order — and the
-/// router evaluates centrally: BM25 in leaf order for a ranked root
-/// (per-shard partial score sums would not re-add bit-identically, whole
-/// postings lists do), and the recursive AST evaluator for boolean/
-/// positional roots. Fetched lists carry positions, so phrase/NEAR
-/// verification runs at the router with the same phrase_join/near_join
-/// primitives the single-node decoded evaluator uses.
+/// router evaluates centrally on the same executors a Searcher uses, over
+/// decoded cursors on the fetched lists: Block-Max MaxScore for a ranked
+/// root (per-shard partial score sums would not re-add bit-identically,
+/// whole postings lists do), and the cursor-tree executor
+/// (search/executor.hpp) for boolean/positional roots. Fetched lists carry
+/// positions, so phrase/NEAR verification runs at the router. A leaf whose
+/// owner did not answer is "unavailable": an AND or OR drops it, a
+/// PHRASE/NEAR holding it drops the whole constraint, a ranked root scores
+/// without it — and the response is flagged kShardPartial.
 ///
 /// Document/block partitions need no special phrase handling: every doc's
 /// postings (and positions) live whole on its shard, so each shard
@@ -122,13 +125,11 @@ class ShardRouter final : public SearchBackend {
     QueryResponse response;
   };
 
-  /// Both strategies receive the resolved AST (effective_query of the
-  /// request) so legacy flat requests route identically to AST ones.
   [[nodiscard]] Expected<QueryResponse> scatter_search(
-      const QueryRequest& request, const Query& query,
+      const QueryRequest& request,
       std::optional<std::chrono::steady_clock::time_point> deadline) const;
   [[nodiscard]] Expected<QueryResponse> term_routed_search(
-      const QueryRequest& request, const Query& query,
+      const QueryRequest& request,
       std::optional<std::chrono::steady_clock::time_point> deadline) const;
 
   /// Replica indices of `shard` in health order: non-demoted first (by

@@ -1,7 +1,7 @@
 #pragma once
 /// \file cache.hpp
-/// Sharded LRU cache behind the Searcher: decoded postings and finished
-/// query results both live in one of these. Sharding by key hash keeps the
+/// Sharded LRU cache behind the Searcher's finished query results.
+/// Sharding by key hash keeps the
 /// per-shard critical section (a hash probe plus a list splice) from
 /// serializing concurrent queries — with S shards, two requests collide
 /// only when their keys land in the same shard.

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "search/types.hpp"
 #include "util/check.hpp"
 
 namespace hetindex {
@@ -361,9 +360,8 @@ Query Query::bag(std::vector<std::string> terms) {
 }
 
 /// Unlike group_node(), the boolean factories keep a single-term group
-/// instead of collapsing it to the bare term: QueryMode::kConjunctive and
-/// kDisjunctive historically ranked by summed tf (no DocMap needed), so a
-/// one-term legacy request must keep its boolean class through the shim.
+/// instead of collapsing it to the bare term: a one-term AND/OR ranks by
+/// summed tf (no DocMap needed), not by BM25 like the bare term would.
 Query Query::conjunction(std::vector<std::string> terms) {
   if (terms.empty()) return Query();
   QueryNode n;
@@ -448,21 +446,6 @@ Expected<Query> parse_query(std::string_view text) {
   auto root = parser.parse();
   if (!root) return root.error();
   return Query::from_node(std::move(*root));
-}
-
-Query effective_query(const QueryRequest& request) {
-  if (!request.query.empty()) return request.query;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  // One-release shim: the deprecated flat fields map onto the AST shapes
-  // that reproduce their historical semantics exactly.
-  switch (request.mode) {
-    case QueryMode::kConjunctive: return Query::conjunction(request.terms);
-    case QueryMode::kDisjunctive: return Query::disjunction(request.terms);
-    case QueryMode::kRanked:
-    default: return Query::bag(request.terms);
-  }
-#pragma GCC diagnostic pop
 }
 
 }  // namespace hetindex

@@ -2,12 +2,10 @@
 /// \file query_ast.hpp
 /// The structured query language of the serving tier: a small AST of
 /// term / bag / AND / OR / PHRASE / NEAR-k nodes, plus a string parser.
-/// This replaced the flat `terms` vector + `QueryMode` enum pair in
-/// QueryRequest — an enum could say *how* one list of terms combines, but
-/// not express `fast "inverted files" AND gpu`, and every new operator
-/// (phrase, proximity) would have demanded another enum value plus another
-/// parallel field. The AST makes the operator structure first-class and
-/// lets the cluster tier route and verify per node.
+/// The AST makes the operator structure first-class — a flat term list
+/// plus a mode enum could say *how* one list of terms combines, but not
+/// express `fast "inverted files" AND gpu` — and every backend executes
+/// the tree directly (search/executor.hpp).
 ///
 /// Grammar (loosest to tightest binding; uppercase AND/OR/NEAR are
 /// operators, anything else is a term and is normalized — lowercased and
@@ -30,9 +28,9 @@
 ///     tf = number of such anchors.
 ///   - AND: docs in every operand, tf = sum of operand tfs.
 ///   - OR / bag under a boolean operator: docs in any operand, tf = sum.
-///   - bag at the root: ranked BM25 (the historical kRanked mode).
+///   - bag at the root: ranked BM25.
 /// Ranking: a bag root ranks by BM25; every other root ranks by
-/// (tf desc, doc id asc), matching the historical boolean modes.
+/// (tf desc, doc id asc).
 
 #include <cstdint>
 #include <string>
@@ -97,19 +95,18 @@ constexpr const char* query_class_name(QueryClass c) {
 
 /// A parsed query: an immutable AST behind a value type. Build one with
 /// parse_query() or the factories; an empty Query (default-constructed)
-/// makes a QueryRequest fall back to its deprecated terms/mode fields for
-/// one release.
+/// has no terms and is rejected by every backend.
 class Query {
  public:
   Query() = default;
 
   /// A single term (ranked at the root).
   [[nodiscard]] static Query term(std::string t);
-  /// Ranked bag-of-words — the historical QueryMode::kRanked.
+  /// Ranked bag-of-words.
   [[nodiscard]] static Query bag(std::vector<std::string> terms);
-  /// AND of plain terms — the historical QueryMode::kConjunctive.
+  /// AND of plain terms (a single term keeps the AND: ranked by tf).
   [[nodiscard]] static Query conjunction(std::vector<std::string> terms);
-  /// OR of plain terms — the historical QueryMode::kDisjunctive.
+  /// OR of plain terms (a single term keeps the OR: ranked by tf).
   [[nodiscard]] static Query disjunction(std::vector<std::string> terms);
   /// Exact phrase; terms in phrase order.
   [[nodiscard]] static Query phrase(std::vector<std::string> terms);
@@ -151,13 +148,5 @@ class Query {
 /// (kInvalidArgument): empty query, unbalanced parens or quotes, empty
 /// phrase, NEAR over non-term operands, mixed NEAR windows, NEAR/0.
 [[nodiscard]] Expected<Query> parse_query(std::string_view text);
-
-struct QueryRequest;  // search/types.hpp
-
-/// The request's AST: `request.query` when set, else the deprecated
-/// terms/mode pair converted to the equivalent AST (bag / AND-of-terms /
-/// OR-of-terms). Every backend resolves the request through this one
-/// function, so legacy requests keep working for one release.
-[[nodiscard]] Query effective_query(const QueryRequest& request);
 
 }  // namespace hetindex

@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "live/tombstones.hpp"
-#include "postings/boolean_ops.hpp"
 #include "postings/cursor.hpp"
+#include "search/executor.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -21,8 +21,6 @@ struct Searcher::Instruments {
   obs::Counter& degraded;
   obs::Counter& result_hits;
   obs::Counter& result_misses;
-  obs::Counter& postings_hits;
-  obs::Counter& postings_misses;
   obs::Counter& stats_recomputes;
   obs::Counter& blocks_skipped;
   obs::Counter& blooms_rejected;
@@ -35,8 +33,6 @@ struct Searcher::Instruments {
         degraded(m.counter("search_degraded_total")),
         result_hits(m.counter("search_result_cache_hits_total")),
         result_misses(m.counter("search_result_cache_misses_total")),
-        postings_hits(m.counter("search_postings_cache_hits_total")),
-        postings_misses(m.counter("search_postings_cache_misses_total")),
         stats_recomputes(m.counter("search_stats_recomputes_total")),
         blocks_skipped(m.counter("search_blocks_skipped_total")),
         blooms_rejected(m.counter("search_blooms_rejected_total")),
@@ -75,21 +71,6 @@ std::string normalize_query(const Query& query, const QueryRequest& request) {
 
 bool past(const std::optional<std::chrono::steady_clock::time_point>& deadline) {
   return deadline && std::chrono::steady_clock::now() >= *deadline;
-}
-
-/// Driver docs between deadline checks in the cursor intersection (a clock
-/// read per doc would dominate small lists).
-constexpr std::uint64_t kIntersectDeadlineStride = 256;
-
-/// True when `root` executes on the cursor-intersection engine: a bare
-/// PHRASE/NEAR, or an AND whose operands are all plain terms or positional
-/// groups. Anything nesting OR/bag falls back to the decoded evaluator.
-bool flat_conjunction(const QueryNode& root) {
-  if (root.op == QueryOp::kPhrase || root.op == QueryOp::kNear) return true;
-  if (root.op != QueryOp::kAnd) return false;
-  return std::all_of(root.children.begin(), root.children.end(), [](const QueryNode& c) {
-    return c.op == QueryOp::kTerm || c.op == QueryOp::kPhrase || c.op == QueryOp::kNear;
-  });
 }
 
 }  // namespace
@@ -147,7 +128,6 @@ Searcher::Searcher(SearchSource source, SearcherOptions options)
       provider_(std::move(source.provider_)),
       metrics_(std::make_unique<obs::MetricsRegistry>()),
       ins_(std::make_unique<Instruments>(*metrics_)),
-      postings_cache_(options.postings_cache_entries, options.cache_shards),
       result_cache_(options.result_cache_entries, options.cache_shards) {
   HET_CHECK_MSG(!source.null_source_, "Searcher requires a non-null snapshot source");
 }
@@ -175,14 +155,7 @@ std::shared_ptr<const Searcher::Stats> Searcher::stats_for(
     // collection exactly as a fresh batch build of the survivors would.
     stats->n_docs = snap->doc_count();
     stats->avgdl = std::max(snap->average_doc_tokens(), 1e-9);
-    for (const auto& seg : snap->segments()) {
-      const DocMap* map = seg->doc_map();
-      if (map != nullptr) stats->lengths.add_range(map->base(), map->doc_count(), map);
-    }
-    const MemtableView* memtable = snap->memtable();
-    if (memtable != nullptr) {
-      stats->lengths.add_range(memtable->doc_base(), memtable->doc_count(), memtable);
-    }
+    stats->lengths.add_snapshot(*snap);
     stats->pin = snap;
   } else {
     stats->n_docs = docs_->doc_count();
@@ -191,24 +164,6 @@ std::shared_ptr<const Searcher::Stats> Searcher::stats_for(
   }
   stats_ = std::move(stats);
   return stats_;
-}
-
-std::shared_ptr<const QueryPostings> Searcher::fetch_postings(
-    const std::shared_ptr<const LiveSnapshot>& snap, std::uint64_t snapshot_id,
-    const std::string& term) const {
-  const std::string key = snapshot_key(snapshot_id, term);
-  if (auto cached = postings_cache_.get(key)) {
-    ins_->postings_hits.add();
-    return *cached;  // may be null: cached "absent" verdict
-  }
-  ins_->postings_misses.add();
-  auto looked_up = snap != nullptr ? snap->lookup(term) : index_->lookup(term);
-  std::shared_ptr<const QueryPostings> postings;
-  if (looked_up) {
-    postings = std::make_shared<const QueryPostings>(std::move(*looked_up));
-  }
-  postings_cache_.put(key, postings);
-  return postings;
 }
 
 std::optional<std::uint32_t> Searcher::term_max_tf(
@@ -229,250 +184,11 @@ BloomChain Searcher::term_bloom_chain(const std::shared_ptr<const LiveSnapshot>&
   return snap != nullptr ? snap->bloom_chain(term) : index_->bloom_chain(term);
 }
 
-std::optional<QueryPostings> Searcher::lookup_positional(
-    const std::shared_ptr<const LiveSnapshot>& snap, const std::string& term) const {
-  // LiveSnapshot::lookup always decodes positions when the parts carry
-  // them; the batch index has a dedicated positional entry point.
-  return snap != nullptr ? snap->lookup(term) : index_->lookup_positional(term);
-}
-
-/// Recursive decoded evaluator for nested trees — the general engine
-/// behind any shape the flat cursor path cannot take (OR roots, AND over
-/// OR groups, ...). Returns RAW doc/tf lists (tombstones filtered by the
-/// caller at ranking). tf semantics match query_ast.hpp: sums across
-/// boolean operands, match counts for positional groups.
-Expected<QueryPostings> Searcher::eval_node(
-    const QueryNode& node, const std::shared_ptr<const LiveSnapshot>& snap,
-    std::uint64_t snapshot_id,
-    const std::optional<std::chrono::steady_clock::time_point>& deadline,
-    bool& degraded) const {
-  switch (node.op) {
-    case QueryOp::kTerm: {
-      QueryPostings out;
-      const auto postings = fetch_postings(snap, snapshot_id, node.term);
-      if (postings != nullptr) {
-        out.doc_ids = postings->doc_ids;
-        out.tfs = postings->tfs;
-      }
-      return out;
-    }
-    case QueryOp::kBag:
-    case QueryOp::kOr: {
-      // Union, tfs summed on overlap. A deadline mid-fold leaves a partial
-      // union — a valid subset, flagged degraded.
-      QueryPostings acc;
-      bool first = true;
-      for (const auto& child : node.children) {
-        if (past(deadline)) {
-          degraded = true;
-          break;
-        }
-        auto part = eval_node(child, snap, snapshot_id, deadline, degraded);
-        if (!part.has_value()) return part.error();
-        if (first) {
-          acc = std::move(part).value();
-          first = false;
-        } else {
-          acc = postings_or(acc, part.value());
-        }
-      }
-      return acc;
-    }
-    case QueryOp::kAnd: {
-      QueryPostings acc;
-      bool first = true;
-      for (const auto& child : node.children) {
-        if (past(deadline)) {
-          // A prefix intersection is a SUPERSET of the truth — the one
-          // degradation shape that would hand out wrong docs. Return
-          // nothing instead (the empty set is always a valid subset).
-          acc.doc_ids.clear();
-          acc.tfs.clear();
-          degraded = true;
-          break;
-        }
-        auto part = eval_node(child, snap, snapshot_id, deadline, degraded);
-        if (!part.has_value()) return part.error();
-        if (first) {
-          acc = std::move(part).value();
-          first = false;
-        } else {
-          acc = postings_and(acc, part.value());
-        }
-        if (acc.doc_ids.empty()) break;  // settled: no doc can re-enter
-      }
-      return acc;
-    }
-    case QueryOp::kPhrase:
-    case QueryOp::kNear: {
-      std::vector<QueryPostings> lists(node.terms.size());
-      std::vector<const QueryPostings*> refs;
-      refs.reserve(node.terms.size());
-      for (std::size_t t = 0; t < node.terms.size(); ++t) {
-        auto looked_up = lookup_positional(snap, node.terms[t]);
-        if (!looked_up) return QueryPostings{};  // absent term: no matches
-        if (looked_up->positions.empty() && !looked_up->doc_ids.empty()) {
-          return Error{ErrorCode::kInvalidArgument,
-                       "phrase/NEAR query requires a positional index"};
-        }
-        lists[t] = std::move(*looked_up);
-        refs.push_back(&lists[t]);
-      }
-      return node.op == QueryOp::kPhrase ? phrase_join(refs)
-                                         : near_join(refs, node.window);
-    }
-  }
-  return QueryPostings{};
-}
-
-/// The conjunctive cursor engine: document-level intersection over every
-/// leaf term (rarest list drives, Bloom chains reject candidates before
-/// any follower seek), then positional verification of each PHRASE/NEAR
-/// constraint on the survivors only. Returns tombstone-filtered doc/tf
-/// pairs; tf = Σ plain-term tfs + Σ positional match counts.
-Expected<QueryPostings> Searcher::eval_conjunction(
-    const QueryNode& root, const std::shared_ptr<const LiveSnapshot>& snap,
-    const std::optional<std::chrono::steady_clock::time_point>& deadline,
-    const TombstoneSet* excluded, bool& degraded) const {
-  // Constraints: the AND's direct children, or the bare PHRASE/NEAR root.
-  std::vector<const QueryNode*> constraints;
-  if (root.op == QueryOp::kAnd) {
-    for (const auto& child : root.children) constraints.push_back(&child);
-  } else {
-    constraints.push_back(&root);
-  }
-  // Flat leaf terms (collect_terms() order) + each constraint's span.
-  struct Span {
-    std::size_t begin = 0;
-    std::size_t count = 0;
-  };
-  std::vector<std::string> terms;
-  std::vector<Span> spans(constraints.size());
-  bool positional = false;
-  for (std::size_t c = 0; c < constraints.size(); ++c) {
-    spans[c].begin = terms.size();
-    if (constraints[c]->op == QueryOp::kTerm) {
-      terms.push_back(constraints[c]->term);
-    } else {
-      positional = true;
-      terms.insert(terms.end(), constraints[c]->terms.begin(),
-                   constraints[c]->terms.end());
-    }
-    spans[c].count = terms.size() - spans[c].begin;
-  }
-
-  QueryPostings acc;
-  std::vector<std::unique_ptr<PostingsCursor>> cursors;
-  cursors.reserve(terms.size());
-  bool all_present = true;
-  for (const auto& term : terms) {
-    cursors.push_back(open_term_cursor(snap, term, positional));
-    if (cursors.back() == nullptr) all_present = false;
-  }
-  // Any absent term empties the whole conjunction outright (a null cursor
-  // covers both an unknown term and an empty list).
-  if (!all_present || cursors.empty()) return acc;
-
-  // Rarest list drives; followers answer seeks rarest-first so the
-  // cheapest refutation runs before the expensive common lists.
-  std::size_t driver_idx = 0;
-  for (std::size_t i = 1; i < cursors.size(); ++i) {
-    if (cursors[i]->size() < cursors[driver_idx]->size()) driver_idx = i;
-  }
-  std::vector<std::size_t> followers;
-  followers.reserve(cursors.size() - 1);
-  for (std::size_t i = 0; i < cursors.size(); ++i) {
-    if (i != driver_idx) followers.push_back(i);
-  }
-  std::sort(followers.begin(), followers.end(), [&](std::size_t a, std::size_t b) {
-    return cursors[a]->size() < cursors[b]->size();
-  });
-
-  // Bloom chains of the follower terms. The driver enumerates its own
-  // list, so its filter could never reject anything. Chains can only turn
-  // a would-be miss into a skipped seek (no false negatives), so results
-  // are bit-identical with filters off — only the rejected counter moves.
-  std::vector<BloomChain> chains(cursors.size());
-  for (const std::size_t i : followers) chains[i] = term_bloom_chain(snap, terms[i]);
-
-  PostingsCursor& driver = *cursors[driver_idx];
-  bool dead_end = false;  // some follower exhausted: no more matches
-  std::uint64_t steps = 0;
-  std::uint64_t rejected = 0;
-  DocTermPositions tp;
-  for (driver.seek(0); driver.valid() && !dead_end; driver.next()) {
-    if (++steps % kIntersectDeadlineStride == 0 && past(deadline)) {
-      // Prefix of the true result: a valid subset, flagged.
-      degraded = true;
-      break;
-    }
-    const std::uint32_t d = driver.docid();
-    if (excluded != nullptr && excluded->contains(d)) continue;
-    // Bloom rejection BEFORE any follower seek: one definite "absent"
-    // saves every remaining seek and the block decodes behind them.
-    bool maybe = true;
-    for (const std::size_t i : followers) {
-      if (!chains[i].may_contain(d)) {
-        maybe = false;
-        ++rejected;
-        break;
-      }
-    }
-    if (!maybe) continue;
-    bool all = true;
-    for (const std::size_t i : followers) {
-      cursors[i]->seek(d);
-      if (!cursors[i]->valid()) {
-        all = false;
-        dead_end = true;
-        break;
-      }
-      if (cursors[i]->docid() != d) {
-        all = false;
-        break;
-      }
-    }
-    if (!all) continue;
-    // Document-level intersection survived; verify the positional
-    // constraints on this candidate only and assemble the doc's tf.
-    std::uint32_t tf_sum = 0;
-    bool ok = true;
-    for (std::size_t c = 0; c < constraints.size() && ok; ++c) {
-      const Span span = spans[c];
-      if (constraints[c]->op == QueryOp::kTerm) {
-        tf_sum += cursors[span.begin]->tf();
-        continue;
-      }
-      tp.assign(span.count, {});
-      for (std::size_t j = 0; j < span.count; ++j) {
-        if (!cursors[span.begin + j]->current_positions(tp[j])) {
-          return Error{ErrorCode::kInvalidArgument,
-                       "phrase/NEAR query requires a positional index"};
-        }
-      }
-      const std::uint32_t count = constraints[c]->op == QueryOp::kPhrase
-                                      ? phrase_match_count(tp)
-                                      : near_match_count(tp, constraints[c]->window);
-      if (count == 0) ok = false;
-      tf_sum += count;
-    }
-    if (ok) {
-      acc.doc_ids.push_back(d);
-      acc.tfs.push_back(tf_sum);
-    }
-  }
-  std::uint64_t skipped = 0;
-  for (const auto& c : cursors) skipped += c->blocks_skipped();
-  ins_->blocks_skipped.add(skipped);
-  if (rejected != 0) ins_->blooms_rejected.add(rejected);
-  return acc;
-}
-
 Expected<QueryResponse> Searcher::search(
     const QueryRequest& request,
     std::optional<std::chrono::steady_clock::time_point> deadline) const {
   const WallTimer total_timer;
-  const Query query = effective_query(request);
+  const Query& query = request.query;
   if (query.empty()) {
     return Error{ErrorCode::kInvalidArgument, "query has no terms"};
   }
@@ -535,13 +251,13 @@ Expected<QueryResponse> Searcher::search(
     const double avgdl =
         scatter != nullptr ? std::max(scatter->avgdl, 1e-9) : stats->avgdl;
     if (request.exhaustive) {
-      // Baseline engine: full decode cache-first, hash-map accumulation in
-      // query term order — the historical bm25_query.
+      // Baseline engine: full decode, hash-map accumulation in query term
+      // order — the historical bm25_query, kept as the pruned path's oracle.
       const WallTimer lookup_timer;
-      std::vector<std::shared_ptr<const QueryPostings>> lists;
+      std::vector<std::optional<QueryPostings>> lists;
       lists.reserve(terms.size());
       for (const auto& term : terms) {
-        lists.push_back(fetch_postings(snap, snapshot_id, term));
+        lists.push_back(snap != nullptr ? snap->lookup(term) : index_->lookup(term));
       }
       response.timings.lookup_seconds = lookup_timer.seconds();
       const WallTimer score_timer;
@@ -552,7 +268,7 @@ Expected<QueryResponse> Searcher::search(
           break;
         }
         const auto& postings = lists[t];
-        if (postings == nullptr || postings->doc_ids.empty()) continue;
+        if (!postings.has_value() || postings->doc_ids.empty()) continue;
         const double idf = bm25_idf(
             scatter != nullptr ? scatter->term_dfs[t] : postings->doc_ids.size(),
             n_docs);
@@ -575,36 +291,21 @@ Expected<QueryResponse> Searcher::search(
       response.hits = std::move(ranked);
       response.timings.score_seconds = score_timer.seconds();
     } else {
-      // Pruned engine: lazy block cursors (outside the postings cache —
-      // caching a decoded list is exactly the work block-max skipping
-      // avoids) driving MaxScore.
+      // Pruned engine: lazy block cursors driving Block-Max MaxScore.
       const WallTimer lookup_timer;
-      std::vector<std::unique_ptr<PostingsCursor>> cursors;
-      cursors.reserve(terms.size());
-      for (const auto& term : terms) {
-        cursors.push_back(open_term_cursor(snap, term));
-      }
-      response.timings.lookup_seconds = lookup_timer.seconds();
-      const WallTimer score_timer;
       std::vector<TopkTermInput> inputs;
       inputs.reserve(terms.size());
       for (std::size_t t = 0; t < terms.size(); ++t) {
-        if (cursors[t] == nullptr) continue;
-        TopkTermInput input;
-        input.term_index = t;
+        auto cursor = open_term_cursor(snap, terms[t]);
+        if (cursor == nullptr) continue;
         // df from the cursor's skip data — the same integer the decoded
         // list's length would give, so idf matches exhaustive exactly.
-        input.idf = bm25_idf(
-            scatter != nullptr ? scatter->term_dfs[t] : cursors[t]->size(), n_docs);
-        const auto max_tf = term_max_tf(snap, terms[t]);
-        // The bound pairs the (possibly global) idf with the local
-        // max_tf: contributions below use the same idf, so the bound
-        // still over-covers and pruning stays exact.
-        input.upper_bound = max_tf ? bm25_upper_bound(input.idf, *max_tf, request.bm25)
-                                   : bm25_loose_bound(input.idf, request.bm25);
-        input.cursor = std::move(cursors[t]);
-        inputs.push_back(std::move(input));
+        const std::uint64_t df = scatter != nullptr ? scatter->term_dfs[t] : cursor->size();
+        inputs.push_back(topk_input(t, std::move(cursor), df, n_docs,
+                                    term_max_tf(snap, terms[t]), request.bm25));
       }
+      response.timings.lookup_seconds = lookup_timer.seconds();
+      const WallTimer score_timer;
       auto topk = maxscore_topk(std::move(inputs), request.k, request.bm25,
                                 stats->lengths, avgdl, deadline, excluded);
       response.hits = std::move(topk.hits);
@@ -612,27 +313,25 @@ Expected<QueryResponse> Searcher::search(
       ins_->blocks_skipped.add(topk.blocks_skipped);
       response.timings.score_seconds = score_timer.seconds();
     }
-  } else if (flat_conjunction(root)) {
-    // AND / PHRASE / NEAR over plain terms and positional groups: the
-    // cursor-intersection engine with Bloom rejection and per-candidate
-    // positional verification. Tombstones filtered at the driver.
-    const WallTimer score_timer;
-    bool degraded = false;
-    auto acc = eval_conjunction(root, snap, deadline, excluded, degraded);
-    if (!acc.has_value()) return acc.error();
-    if (degraded) response.degradation = Degradation::kDeadlinePartial;
-    response.hits = rank_by_tf(acc.value(), request.k, /*excluded=*/nullptr);
-    response.timings.score_seconds = score_timer.seconds();
   } else {
-    // General nested trees (OR roots, AND over OR groups, ...): the
-    // recursive decoded evaluator, ranked by (tf desc, doc id asc).
-    const WallTimer score_timer;
-    bool degraded = false;
-    auto acc = eval_node(root, snap, snapshot_id, deadline, degraded);
-    if (!acc.has_value()) return acc.error();
-    if (degraded) response.degradation = Degradation::kDeadlinePartial;
-    response.hits = rank_by_tf(acc.value(), request.k, excluded);
-    response.timings.score_seconds = score_timer.seconds();
+    // Every boolean/positional shape — AND, OR, PHRASE, NEAR, nested to
+    // any depth — runs on the cursor-tree executor over index or
+    // snapshot cursors, ranked by (tf desc, doc id asc).
+    const LeafSource leaves{
+        [&](const std::string& term, bool with_positions) {
+          ExecLeaf leaf;
+          leaf.cursor = open_term_cursor(snap, term, with_positions);
+          return leaf;
+        },
+        [&](const std::string& term) { return term_bloom_chain(snap, term); }};
+    auto result = execute_query(root, leaves, request.k, deadline, excluded);
+    if (!result.has_value()) return result.error();
+    response.hits = std::move(result->hits);
+    if (result->degraded) response.degradation = Degradation::kDeadlinePartial;
+    ins_->blocks_skipped.add(result->blocks_skipped);
+    if (result->blooms_rejected != 0) ins_->blooms_rejected.add(result->blooms_rejected);
+    response.timings.lookup_seconds = result->lookup_seconds;
+    response.timings.score_seconds = result->score_seconds;
   }
   response.timings.total_seconds = total_timer.seconds();
 

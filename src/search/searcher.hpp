@@ -3,19 +3,20 @@
 /// The one query facade. A Searcher binds a corpus view — a batch
 /// InvertedIndex + DocMap, a pinned LiveSnapshot, or a provider that
 /// follows a live writer — and answers QueryRequests of every Query AST
-/// shape (search/query_ast.hpp) through the SearchBackend interface,
-/// sharing across requests everything the old free functions re-derived
-/// per call:
+/// shape (search/query_ast.hpp) through the SearchBackend interface.
+/// Two executors, picked by the root operator:
+///
+///   term / bag root    ranked BM25 top-k: Block-Max MaxScore over lazy
+///                      block cursors (search/topk.hpp), or the exhaustive
+///                      decode-and-accumulate oracle when the request asks
+///   any other root     the cursor-tree executor (search/executor.hpp):
+///                      AND / OR / PHRASE / NEAR at any nesting depth
+///
+/// Shared across requests:
 ///
 ///   collection stats   N and avgdl computed once per snapshot (guarded by
 ///                      a snapshot-id check, not per query — the
 ///                      search_stats_recomputes_total counter proves it)
-///   decoded postings   sharded LRU keyed on (snapshot id, term) — used by
-///                      the decoded modes (exhaustive ranked, disjunctive);
-///                      the cursor modes (pruned ranked, conjunctive) open
-///                      lazy block cursors instead, because caching a fully
-///                      decoded list is exactly the work block-max skipping
-///                      exists to avoid
 ///   finished results   sharded LRU keyed on (snapshot id, normalized
 ///                      query); never stores degraded responses
 ///
@@ -84,9 +85,8 @@ class SearchSource {
 };
 
 struct SearcherOptions {
-  std::size_t postings_cache_entries = 4096;  ///< decoded lists retained
-  std::size_t result_cache_entries = 1024;    ///< finished queries retained
-  std::size_t cache_shards = 8;               ///< lock granularity of both caches
+  std::size_t result_cache_entries = 1024;  ///< finished queries retained
+  std::size_t cache_shards = 8;             ///< lock granularity of the cache
   /// Test AND/PHRASE/NEAR candidates against per-list Bloom chains (`.blm`
   /// sidecars) before seeking follower cursors. Filters are one-way exact,
   /// so toggling this never changes results — only decode work (the
@@ -114,10 +114,9 @@ class Searcher : public SearchBackend {
 
   /// Answers one request against an absolute deadline that may predate
   /// this call — SearchService passes the deadline computed at submit time
-  /// so queue wait counts against the budget. The request's Query AST
-  /// (effective_query: `request.query`, falling back to the deprecated
-  /// terms/mode pair) picks the executor; the response's `classified`
-  /// reports the derived QueryClass. Errors: kInvalidArgument (empty
+  /// so queue wait counts against the budget. The root of `request.query`
+  /// picks the executor; the response's `classified` reports the derived
+  /// QueryClass. Errors: kInvalidArgument (empty
   /// query, malformed scatter stats, phrase/NEAR over a non-positional
   /// index, ranked without a DocMap), kDeadlineExceeded (expired on
   /// entry).
@@ -146,9 +145,6 @@ class Searcher : public SearchBackend {
 
   [[nodiscard]] std::shared_ptr<const Stats> stats_for(
       const std::shared_ptr<const LiveSnapshot>& snap, std::uint64_t snapshot_id) const;
-  [[nodiscard]] std::shared_ptr<const QueryPostings> fetch_postings(
-      const std::shared_ptr<const LiveSnapshot>& snap, std::uint64_t snapshot_id,
-      const std::string& term) const;
   [[nodiscard]] std::optional<std::uint32_t> term_max_tf(
       const std::shared_ptr<const LiveSnapshot>& snap, const std::string& term) const;
   [[nodiscard]] std::unique_ptr<PostingsCursor> open_term_cursor(
@@ -158,20 +154,6 @@ class Searcher : public SearchBackend {
   /// rejects) when filters are disabled by options or absent on disk.
   [[nodiscard]] BloomChain term_bloom_chain(
       const std::shared_ptr<const LiveSnapshot>& snap, const std::string& term) const;
-  /// Positional lookup over the bound view (uncached — positional lists
-  /// are only pulled for the phrase/NEAR fallback evaluator).
-  [[nodiscard]] std::optional<QueryPostings> lookup_positional(
-      const std::shared_ptr<const LiveSnapshot>& snap, const std::string& term) const;
-  /// Recursive decoded evaluator for nested trees (see searcher.cpp).
-  [[nodiscard]] Expected<QueryPostings> eval_node(
-      const QueryNode& node, const std::shared_ptr<const LiveSnapshot>& snap,
-      std::uint64_t snapshot_id,
-      const std::optional<std::chrono::steady_clock::time_point>& deadline,
-      bool& degraded) const;
-  [[nodiscard]] Expected<QueryPostings> eval_conjunction(
-      const QueryNode& root, const std::shared_ptr<const LiveSnapshot>& snap,
-      const std::optional<std::chrono::steady_clock::time_point>& deadline,
-      const TombstoneSet* excluded, bool& degraded) const;
 
   SearcherOptions options_;
 
@@ -186,10 +168,6 @@ class Searcher : public SearchBackend {
   mutable std::shared_mutex stats_mu_;
   mutable std::shared_ptr<const Stats> stats_;  // current snapshot's stats
 
-  /// Values are shared_ptrs to immutable data; a null postings pointer is
-  /// a cached "term absent" verdict (negative caching).
-  mutable ShardedLruCache<std::string, std::shared_ptr<const QueryPostings>>
-      postings_cache_;
   mutable ShardedLruCache<std::string, std::shared_ptr<const std::vector<ScoredDoc>>>
       result_cache_;
 };

@@ -5,26 +5,11 @@
 #include <queue>
 
 #include "live/memtable.hpp"
+#include "live/segment_set.hpp"
 #include "live/tombstones.hpp"
 #include "util/check.hpp"
 
 namespace hetindex {
-
-std::vector<ScoredDoc> rank_by_tf(const QueryPostings& postings, std::size_t k,
-                                  const TombstoneSet* excluded) {
-  std::vector<ScoredDoc> hits;
-  hits.reserve(postings.doc_ids.size());
-  for (std::size_t i = 0; i < postings.doc_ids.size(); ++i) {
-    if (excluded != nullptr && excluded->contains(postings.doc_ids[i])) continue;
-    hits.push_back({postings.doc_ids[i], static_cast<double>(postings.tfs[i])});
-  }
-  std::sort(hits.begin(), hits.end(), [](const ScoredDoc& a, const ScoredDoc& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.doc_id < b.doc_id;
-  });
-  if (hits.size() > k) hits.resize(k);
-  return hits;
-}
 
 namespace {
 
@@ -67,6 +52,15 @@ void DocLengthIndex::add_range(std::uint32_t base, std::uint32_t count,
   ranges_.push_back({base, count, nullptr, memtable});
 }
 
+void DocLengthIndex::add_snapshot(const LiveSnapshot& snap) {
+  for (const auto& seg : snap.segments()) {
+    const DocMap* map = seg->doc_map();
+    if (map != nullptr) add_range(map->base(), map->doc_count(), map);
+  }
+  const MemtableView* memtable = snap.memtable();
+  if (memtable != nullptr) add_range(memtable->doc_base(), memtable->doc_count(), memtable);
+}
+
 double DocLengthIndex::token_count(std::uint32_t doc) const {
   // Last range with base <= doc.
   const auto it = std::upper_bound(
@@ -92,6 +86,18 @@ double bm25_upper_bound(double idf, std::uint32_t max_tf, const Bm25Params& para
 
 double bm25_loose_bound(double idf, const Bm25Params& params) {
   return idf * (params.k1 + 1.0);  // the tf → ∞ limit
+}
+
+TopkTermInput topk_input(std::size_t term_index, std::unique_ptr<PostingsCursor> cursor,
+                         std::uint64_t df, std::uint64_t n_docs,
+                         std::optional<std::uint32_t> max_tf, const Bm25Params& params) {
+  TopkTermInput input;
+  input.term_index = term_index;
+  input.cursor = std::move(cursor);
+  input.idf = bm25_idf(df, n_docs);
+  input.upper_bound = max_tf ? bm25_upper_bound(input.idf, *max_tf, params)
+                             : bm25_loose_bound(input.idf, params);
+  return input;
 }
 
 TopkResult maxscore_topk(

@@ -35,6 +35,7 @@
 
 namespace hetindex {
 
+class LiveSnapshot;  // live/segment_set.hpp
 class MemtableView;  // live/memtable.hpp
 class TombstoneSet;  // live/tombstones.hpp
 
@@ -55,6 +56,9 @@ class DocLengthIndex {
   void add_range(std::uint32_t base, std::uint32_t count, const DocMap* map);
   /// The live snapshot's memtable range (docs above every segment).
   void add_range(std::uint32_t base, std::uint32_t count, const MemtableView* memtable);
+  /// Every segment's doc map plus the memtable of one live snapshot (the
+  /// snapshot must outlive this index).
+  void add_snapshot(const LiveSnapshot& snap);
   /// Indexed tokens of `doc`; 0 when no range covers it.
   [[nodiscard]] double token_count(std::uint32_t doc) const;
 
@@ -86,13 +90,13 @@ double bm25_upper_bound(double idf, std::uint32_t max_tf, const Bm25Params& para
 /// Loose fallback bound (tf → ∞) for terms without a max_tf sidecar.
 double bm25_loose_bound(double idf, const Bm25Params& params);
 
-/// Top-k by summed tf (the boolean modes' relevance signal), doc id
-/// breaking ties. `excluded` drops tombstoned docs (live-tier deletes).
-/// Shared by the Searcher's conjunctive/disjunctive modes and the
-/// ShardRouter's term-routed boolean scoring — bit-identity between the
-/// two depends on ranking through the same code.
-std::vector<ScoredDoc> rank_by_tf(const QueryPostings& postings, std::size_t k,
-                                  const TombstoneSet* excluded);
+/// One term's MaxScore input: idf from (df, n_docs); the score bound from
+/// `max_tf`, or the loose idf·(k1+1) cap when none is known. A global
+/// (router-injected) df may pair with a local max_tf: contributions use the
+/// same idf, so the bound still over-covers and pruning stays exact.
+TopkTermInput topk_input(std::size_t term_index, std::unique_ptr<PostingsCursor> cursor,
+                         std::uint64_t df, std::uint64_t n_docs,
+                         std::optional<std::uint32_t> max_tf, const Bm25Params& params);
 
 struct TopkResult {
   std::vector<ScoredDoc> hits;  ///< score desc, doc id asc, at most k

@@ -1,7 +1,7 @@
 #pragma once
 /// \file types.hpp
 /// Value types of the search serving API: one QueryRequest in, one
-/// QueryResponse out, whatever the mode. These replaced the scattered
+/// QueryResponse out, whatever the query shape. These replaced the scattered
 /// per-style entry points (the since-removed bm25_query and
 /// conjunctive_query free functions) — a caller builds a request, hands it
 /// to a Searcher or SearchService, and gets back hits plus the execution
@@ -17,29 +17,6 @@
 #include "search/query_ast.hpp"
 
 namespace hetindex {
-
-/// How the terms of the deprecated flat request form combine. Superseded
-/// by the Query AST (query_ast.hpp), whose root operator expresses the
-/// same three shapes plus phrase/proximity; kept one release so legacy
-/// QueryRequest::mode call sites keep compiling.
-enum class QueryMode {
-  kRanked,       ///< BM25 top-k, any matching term contributes (default)
-  kConjunctive,  ///< docs containing every term, ranked by summed tf
-  kDisjunctive,  ///< docs containing any term, ranked by summed tf
-};
-
-/// Stable lowercase identifier for logs and CLI flags. Total: any
-/// out-of-range value (a stale serialized int, a miscast) reads as
-/// "unknown" instead of falling off the switch. Names match
-/// query_class_name() for the three classes both can express.
-constexpr const char* query_mode_name(QueryMode mode) {
-  switch (mode) {
-    case QueryMode::kRanked: return "ranked";
-    case QueryMode::kConjunctive: return "conjunctive";
-    case QueryMode::kDisjunctive: return "disjunctive";
-    default: return "unknown";
-  }
-}
 
 /// How complete a response is. PR 4 conflated every partial answer in one
 /// `degraded` bool; the cluster tier needs to distinguish "the deadline cut
@@ -72,8 +49,7 @@ constexpr const char* degradation_name(Degradation d) {
 struct ScatterStats {
   std::uint64_t n_docs = 0;            ///< live documents, cluster-wide
   double avgdl = 0;                    ///< global mean tokens per live doc
-  /// Raw df per query leaf term, parallel to Query::collect_terms() order
-  /// (for a legacy flat request that order equals the terms vector).
+  /// Raw df per query leaf term, parallel to Query::collect_terms() order.
   std::vector<std::uint64_t> term_dfs;
 };
 
@@ -83,20 +59,9 @@ struct ScatterStats {
 /// the factories don't — see normalize_term); duplicates are honored, not
 /// deduplicated — a repeated term scores twice, matching the historical
 /// bm25_query behaviour.
-// The pragma region silences the deprecation warnings GCC raises while
-// synthesizing QueryRequest's own special members (they copy the
-// deprecated fields); uses at call sites still warn.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 struct QueryRequest {
-  /// The structured query. When empty (default-constructed), backends fall
-  /// back to the deprecated terms/mode pair below via effective_query() —
-  /// a one-release shim.
+  /// The structured query; an empty Query is rejected (kInvalidArgument).
   Query query;
-  [[deprecated("build a Query AST (QueryRequest::query) instead")]]
-  std::vector<std::string> terms;
-  [[deprecated("the Query AST root expresses the mode; see query_ast.hpp")]]
-  QueryMode mode = QueryMode::kRanked;
   std::size_t k = 10;
   /// Execution budget; zero means no deadline. The clock starts when the
   /// request enters the system (SearchService::submit), so queue wait
@@ -104,13 +69,13 @@ struct QueryRequest {
   /// with kDeadlineExceeded; one that hits mid-execution degrades to an
   /// approximate top-k (QueryResponse::degraded).
   std::chrono::microseconds timeout{0};
-  Bm25Params bm25;  ///< ranked mode only
+  Bm25Params bm25;  ///< ranked (bag/term root) queries only
   /// Forces the exhaustive scorer (full decode + hash-map accumulation)
   /// instead of the Block-Max MaxScore early-termination executor. The two
   /// return identical rankings; exhaustive exists as the correctness
   /// baseline (the equivalence suite diffs the two bit-for-bit).
   bool exhaustive = false;
-  /// Opt out of the query-result cache (postings caching still applies).
+  /// Opt out of the query-result cache.
   bool use_result_cache = true;
   /// Router-supplied global stats for ranked sub-requests (see
   /// ScatterStats). Null for ordinary single-node queries. Requests
@@ -118,18 +83,17 @@ struct QueryRequest {
   /// part of the cache key, and a cached local-stats answer would be wrong.
   std::shared_ptr<const ScatterStats> scatter;
 };
-#pragma GCC diagnostic pop
 
 /// Where the wall time of one request went, in seconds.
 struct QueryTimings {
   double total_seconds = 0;   ///< entry to response
-  double lookup_seconds = 0;  ///< postings fetch/decode (including cache hits)
-  double score_seconds = 0;   ///< scoring, merging, ranking
+  double lookup_seconds = 0;  ///< opening cursors / fetching postings lists
+  double score_seconds = 0;   ///< cursor draining, scoring, ranking
 };
 
 /// One answered query.
 struct QueryResponse {
-  std::vector<ScoredDoc> hits;  ///< ranked per mode, at most k
+  std::vector<ScoredDoc> hits;  ///< ranked per query class, at most k
   QueryTimings timings;
   /// How complete the answer is (see Degradation). Anything but kComplete
   /// means hits are a valid but possibly incomplete subset; degraded

@@ -496,6 +496,75 @@ TEST(ClusterFailover, SheddingClassifiesShedPartialAndDemotes) {
   EXPECT_GE(snapshot.counter("cluster_replica_demotions_total"), 1u);
 }
 
+TEST(ClusterFailover, TermOwnerDownDropsUnavailableLeaves) {
+  // Term partitioning with one owner shard down: each unavailable-leaf rule
+  // of the shared executor, checked against the union oracle answering the
+  // query with the dropped parts already removed.
+  auto stack = make_twins(PartitionStrategy::kTerm, 3, 1, 0x7D0, 10000, /*positional=*/true);
+  const auto router = stack.cluster->make_router();
+  const auto oracle =
+      Searcher::open(SearchSource::live(
+                         [w = &*stack.unioned] { return w->snapshot(); }))
+          .value();
+  // Frequent terms first, so the reduced queries still match documents.
+  const auto snap = stack.unioned->snapshot();
+  std::vector<std::pair<std::size_t, std::string>> by_df;
+  for (const auto& t : stack.vocab) by_df.emplace_back(snap->lookup(t)->doc_ids.size(), t);
+  std::sort(by_df.begin(), by_df.end(), std::greater<>());
+  const std::string down = by_df[0].second;
+  const std::uint32_t down_shard = *router->partitioner().term_shard(down);
+  std::vector<std::string> up;
+  for (const auto& entry : by_df) {
+    if (up.size() < 2 && *router->partitioner().term_shard(entry.second) != down_shard) {
+      up.push_back(entry.second);
+    }
+  }
+  ASSERT_EQ(up.size(), 2u);
+  stack.cluster->shard(down_shard).replica(0).set_down(true);
+
+  struct Case {
+    Query routed;
+    std::optional<Query> expected;  // nullopt: nothing can match
+    const char* rule;
+  };
+  const Case cases[] = {
+      {Query::conjunction({up[0], down}), Query::conjunction({up[0]}),
+       "AND drops the leaf"},
+      {Query::disjunction({up[0], down}), Query::disjunction({up[0]}),
+       "OR drops the leaf"},
+      {Query::and_of({Query::term(up[0]), Query::phrase({up[1], down})}),
+       Query::conjunction({up[0]}), "PHRASE with the leaf is dropped whole"},
+      {Query::and_of({Query::term(up[0]), Query::near({down, up[1]}, 4)}),
+       Query::conjunction({up[0]}), "NEAR with the leaf is dropped whole"},
+      {Query::and_of({Query::term(up[0]),
+                      Query::or_of({Query::term(down), Query::phrase({down, up[1]})})}),
+       Query::conjunction({up[0]}), "a group with every operand dropped is dropped"},
+      {Query::phrase({up[0], down}), std::nullopt, "an unavailable root matches nothing"},
+  };
+  for (const auto& c : cases) {
+    QueryRequest request;
+    request.query = c.routed;
+    request.k = 50;
+    request.use_result_cache = false;
+    const auto got = router->search(request);
+    ASSERT_TRUE(got.has_value()) << c.rule << ": " << got.error().to_string();
+    EXPECT_EQ(got.value().degradation, Degradation::kShardPartial) << c.rule;
+    if (!c.expected.has_value()) {
+      EXPECT_TRUE(got.value().hits.empty()) << c.rule;
+      continue;
+    }
+    request.query = *c.expected;
+    const auto want = oracle->search(request);
+    ASSERT_TRUE(want.has_value()) << c.rule;
+    EXPECT_FALSE(want.value().hits.empty()) << c.rule;
+    ASSERT_EQ(got.value().hits.size(), want.value().hits.size()) << c.rule;
+    for (std::size_t i = 0; i < want.value().hits.size(); ++i) {
+      EXPECT_EQ(got.value().hits[i].doc_id, want.value().hits[i].doc_id) << c.rule;
+      EXPECT_EQ(got.value().hits[i].score, want.value().hits[i].score) << c.rule;
+    }
+  }
+}
+
 TEST(ClusterRouter, RejectsCallerSuppliedScatterStats) {
   auto stack = make_twins(PartitionStrategy::kDocument, 2, 1, 0x5CA7);
   const auto router = stack.cluster->make_router();

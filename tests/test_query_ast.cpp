@@ -1,19 +1,25 @@
-// Query AST and operator tests (docs/QUERIES.md): grammar and precedence,
+// Query AST and executor tests (docs/QUERIES.md): grammar and precedence,
 // canonical-form round trips through parse_query/to_string, randomized
 // phrase/NEAR equivalence against a naive positional-join oracle over
 // batch and live indexes (memtable-resident docs, deletes, and
 // post-compaction state), Bloom-filter on/off bit-identity with the
-// search_blooms_rejected_total counter, and the deprecated terms/mode
-// request shim. The TSan and ASan tier-1 legs both run this file.
+// search_blooms_rejected_total counter, a nested-tree oracle (random
+// AND/OR/PHRASE/NEAR trees on batch, live and every cluster strategy,
+// diffed against decoded-list folds), block skipping under nested trees,
+// and the executor's deadline rule. The TSan and ASan tier-1 legs both
+// run this file.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/hetindex.hpp"
@@ -123,9 +129,8 @@ TEST(QueryFactories, EmptyInputsYieldTheEmptyQuery) {
 }
 
 TEST(QueryFactories, SingleTermBooleanKeepsItsClass) {
-  // QueryMode::kConjunctive / kDisjunctive historically ranked by summed
-  // tf without a DocMap, so a one-term legacy request must not collapse
-  // into the BM25-ranked class through the shim.
+  // A one-term AND/OR ranks by summed tf without a DocMap, so it must not
+  // collapse into the BM25-ranked class of the bare term.
   EXPECT_EQ(Query::conjunction({"alpha"}).query_class(), QueryClass::kConjunctive);
   EXPECT_EQ(Query::disjunction({"alpha"}).query_class(), QueryClass::kDisjunctive);
   EXPECT_EQ(Query::bag({"alpha"}).query_class(), QueryClass::kRanked);
@@ -531,51 +536,359 @@ TEST(BloomIdentity, ConjunctionsBitIdenticalWithFiltersOff) {
             0u);
 }
 
-// ------------------------------------------------- deprecated shim parity
+// ------------------------------------------------- nested-tree oracle
 
-TEST(LegacyShim, DeprecatedTermsAndModeMatchTheAstForms) {
-  TempDir corpus_dir("shcorpus");
-  TempDir index_dir("shindex");
-  const auto corpus = make_corpus(corpus_dir.path(), 64 << 10, 0x5A1);
+using PostingsFetch = std::function<std::optional<QueryPostings>(const std::string&)>;
+
+/// The decoded-list reference evaluator: whole lists folded with
+/// postings_and / postings_or, positional groups through phrase_join /
+/// near_join. It shares no code with the cursor-tree executor. Returns raw
+/// doc/tf pairs; tombstones are dropped at ranking.
+QueryPostings oracle_eval(const QueryNode& node, const PostingsFetch& fetch) {
+  switch (node.op) {
+    case QueryOp::kTerm: {
+      QueryPostings out;
+      if (auto p = fetch(node.term)) {
+        out.doc_ids = std::move(p->doc_ids);
+        out.tfs = std::move(p->tfs);
+      }
+      return out;
+    }
+    case QueryOp::kPhrase:
+    case QueryOp::kNear: {
+      std::vector<QueryPostings> lists;
+      for (const auto& term : node.terms) {
+        auto p = fetch(term);
+        if (!p.has_value()) return {};
+        lists.push_back(std::move(*p));
+      }
+      std::vector<const QueryPostings*> refs;
+      for (const auto& list : lists) refs.push_back(&list);
+      return node.op == QueryOp::kPhrase ? phrase_join(refs) : near_join(refs, node.window);
+    }
+    default: {
+      QueryPostings acc = oracle_eval(node.children.front(), fetch);
+      for (std::size_t i = 1; i < node.children.size(); ++i) {
+        const QueryPostings part = oracle_eval(node.children[i], fetch);
+        acc = node.op == QueryOp::kAnd ? postings_and(acc, part) : postings_or(acc, part);
+      }
+      return acc;
+    }
+  }
+}
+
+std::vector<ScoredDoc> oracle_hits(const Query& query, const PostingsFetch& fetch,
+                                   const TombstoneSet* dead, std::size_t k) {
+  const QueryPostings all = oracle_eval(query.root(), fetch);
+  std::vector<ScoredDoc> hits;
+  for (std::size_t i = 0; i < all.doc_ids.size(); ++i) {
+    if (dead != nullptr && dead->contains(all.doc_ids[i])) continue;
+    hits.push_back({all.doc_ids[i], static_cast<double>(all.tfs[i])});
+  }
+  std::sort(hits.begin(), hits.end(), [](const ScoredDoc& a, const ScoredDoc& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return a.doc_id < b.doc_id;
+  });
+  if (hits.size() > k) hits.resize(k);
+  return hits;
+}
+
+std::vector<std::string> normalized_tokens(const std::string& body) {
+  std::vector<std::string> out;
+  std::string token;
+  for (const char c : body + ' ') {
+    if (c == ' ' || c == '\n' || c == '\t') {
+      auto norm = normalize_term(token);
+      if (!norm.empty()) out.push_back(std::move(norm));
+      token.clear();
+    } else {
+      token += c;
+    }
+  }
+  return out;
+}
+
+/// Leaf material for random trees: a small pool of real document tokens
+/// (so leaves repeat and conjunctions meet), adjacent token runs (so
+/// phrases match), and a term no document holds.
+struct TreeVocab {
+  std::vector<std::string> terms;
+  std::vector<std::vector<std::string>> runs;
+};
+
+constexpr const char* kAbsentTerm = "zzqnotaterm";
+
+TreeVocab tree_vocab(std::mt19937& rng, const std::vector<Document>& docs) {
+  TreeVocab v;
+  while (v.runs.size() < 12) {
+    const auto tokens = normalized_tokens(docs[rng() % docs.size()].body);
+    if (tokens.size() < 3) continue;
+    for (int i = 0; i < 3; ++i) v.terms.push_back(tokens[rng() % tokens.size()]);
+    const std::size_t at = rng() % (tokens.size() - 2);
+    v.runs.push_back({tokens[at], tokens[at + 1]});
+    if (rng() % 3 == 0) v.runs.back().push_back(tokens[at + 2]);
+  }
+  v.terms.push_back(kAbsentTerm);
+  v.runs.push_back({v.terms.front(), kAbsentTerm});
+  return v;
+}
+
+Query random_tree(std::mt19937& rng, const TreeVocab& v, int depth) {
+  const auto term = [&] { return v.terms[rng() % v.terms.size()]; };
+  const std::uint32_t choice = rng() % (depth > 0 ? 6 : 3);
+  switch (choice) {
+    case 0: return Query::term(term());
+    case 1: return Query::phrase(v.runs[rng() % v.runs.size()]);
+    case 2: {
+      auto terms = rng() % 2 ? v.runs[rng() % v.runs.size()]
+                             : std::vector<std::string>{term(), term()};
+      return Query::near(std::move(terms), 1 + rng() % 6);
+    }
+    default: {
+      std::vector<Query> children;
+      const std::size_t n = 2 + rng() % 2;
+      for (std::size_t i = 0; i < n; ++i) children.push_back(random_tree(rng, v, depth - 1));
+      if (rng() % 4 == 0) children.push_back(children.front());  // duplicate subtree
+      return choice == 5 ? Query::or_of(std::move(children))
+                         : Query::and_of(std::move(children));
+    }
+  }
+}
+
+/// Random AND/OR-rooted trees of depth up to 3.
+std::vector<Query> nested_trees(std::uint32_t seed, const std::vector<Document>& docs,
+                                std::size_t count) {
+  std::mt19937 rng(seed);
+  const TreeVocab vocab = tree_vocab(rng, docs);
+  std::vector<Query> trees;
+  for (std::size_t i = 0; i < count; ++i) {
+    std::vector<Query> children = {random_tree(rng, vocab, 2), random_tree(rng, vocab, 2)};
+    trees.push_back(i % 2 == 0 ? Query::or_of(std::move(children))
+                               : Query::and_of(std::move(children)));
+  }
+  return trees;
+}
+
+/// Diffs every tree through `backend` against the oracle; returns the total
+/// hit count so callers can assert the workload matched something.
+std::size_t expect_trees_match_oracle(const SearchBackend& backend,
+                                      const std::vector<Query>& trees,
+                                      const PostingsFetch& fetch, const TombstoneSet* dead,
+                                      const std::string& label) {
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < trees.size(); ++i) {
+    QueryRequest request;
+    request.query = trees[i];
+    request.k = i % 3 == 0 ? 10 : 1000;  // shallow k checks the tie order too
+    request.use_result_cache = false;
+    const std::string what = label + " '" + trees[i].to_string() + "'";
+    const auto r = backend.search(request);
+    EXPECT_TRUE(r.has_value()) << what << ": " << r.error().to_string();
+    if (!r.has_value()) continue;
+    EXPECT_EQ(r.value().degradation, Degradation::kComplete) << what;
+    expect_hits_equal(r.value().hits, oracle_hits(trees[i], fetch, dead, request.k), what);
+    total += r.value().hits.size();
+  }
+  return total;
+}
+
+TEST_F(BatchPositionalFixture, NestedTreesMatchDecodedOracle) {
+  const auto index = InvertedIndex::open(index_dir_->path(), {}).value();
+  const auto searcher = Searcher::open(SearchSource::batch(index)).value();
+  const auto hits = expect_trees_match_oracle(
+      *searcher, nested_trees(0x7E1, corpus_->docs, 120),
+      [&index](const std::string& term) { return index.lookup_positional(term); },
+      /*dead=*/nullptr, "batch");
+  EXPECT_GT(hits, 0u);
+}
+
+TEST(LivePositional, NestedTreesMatchDecodedOracle) {
+  TempDir corpus_dir("ncorpus");
+  TempDir live_dir("nlive");
+  const auto corpus = make_corpus(corpus_dir.path(), 96 << 10, 0x7E2);
+  IndexWriterOptions opts;
+  opts.flush_threshold_bytes = 0;
+  opts.background_compaction = false;
+  opts.parser.record_positions = true;
+  auto w = IndexWriter::open(live_dir.path(), opts).value();
+  std::mt19937 rng(0x7E2);
+  std::vector<std::uint32_t> live_ids;
+  for (std::size_t i = 0; i < corpus.docs.size(); ++i) {
+    live_ids.push_back(w.add_document(corpus.docs[i].url, corpus.docs[i].body));
+    const auto roll = rng() % 11;
+    if (roll == 0 && i + 8 < corpus.docs.size()) {  // keep a memtable tail
+      ASSERT_TRUE(w.flush().has_value());
+    } else if (roll == 1) {
+      const std::size_t victim = rng() % live_ids.size();
+      ASSERT_TRUE(w.delete_document(live_ids[victim]).has_value());
+      live_ids.erase(live_ids.begin() + static_cast<std::ptrdiff_t>(victim));
+    }
+  }
+  const auto snap = w.snapshot();
+  ASSERT_GT(snap->segments().size(), 1u);
+  ASSERT_NE(snap->memtable(), nullptr);
+  const auto searcher = Searcher::open(SearchSource::snapshot(snap)).value();
+  const auto hits = expect_trees_match_oracle(
+      *searcher, nested_trees(0x7E3, corpus.docs, 120),
+      [&snap](const std::string& term) { return snap->lookup(term); }, snap->tombstones(),
+      "live");
+  EXPECT_GT(hits, 0u);
+}
+
+class NestedClusterOracle : public ::testing::TestWithParam<PartitionStrategy> {};
+
+TEST_P(NestedClusterOracle, NestedTreesMatchDecodedOracle) {
+  // The cluster and a single-node twin take the same operations, so global
+  // ids coincide and the twin's decoded lists feed the oracle.
+  TempDir corpus_dir("ccorpus");
+  TempDir cluster_dir("cluster");
+  TempDir union_dir("union");
+  const auto corpus = make_corpus(corpus_dir.path(), 64 << 10, 0x7E4);
+  IndexWriterOptions wopts;
+  wopts.flush_threshold_bytes = 0;
+  wopts.background_compaction = false;
+  wopts.parser.record_positions = true;
+  ClusterOptions copts;
+  copts.strategy = GetParam();
+  copts.shards = 3;
+  copts.block_docs = 8;
+  copts.writer = wopts;
+  auto cluster = Cluster::open(cluster_dir.path(), copts).value();
+  auto unioned = IndexWriter::open(union_dir.path(), wopts).value();
+  std::mt19937 rng(0x7E4);
+  std::vector<std::uint32_t> live_ids;
+  for (const auto& doc : corpus.docs) {
+    const std::uint32_t id = cluster.add_document(doc.url, doc.body);
+    ASSERT_EQ(id, unioned.add_document(doc.url, doc.body));
+    live_ids.push_back(id);
+    const auto roll = rng() % 13;
+    if (roll == 0) {
+      ASSERT_TRUE(cluster.flush().has_value());
+      ASSERT_TRUE(unioned.flush().has_value());
+    } else if (roll == 1) {
+      const std::size_t victim = rng() % live_ids.size();
+      ASSERT_TRUE(cluster.delete_document(live_ids[victim]).has_value());
+      ASSERT_TRUE(unioned.delete_document(live_ids[victim]).has_value());
+      live_ids.erase(live_ids.begin() + static_cast<std::ptrdiff_t>(victim));
+    }
+  }
+  const auto router = cluster.make_router();
+  const auto snap = unioned.snapshot();
+  const auto hits = expect_trees_match_oracle(
+      *router, nested_trees(0x7E5, corpus.docs, 60),
+      [&snap](const std::string& term) { return snap->lookup(term); }, snap->tombstones(),
+      partition_strategy_name(GetParam()));
+  EXPECT_GT(hits, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllStrategies, NestedClusterOracle,
+                         ::testing::Values(PartitionStrategy::kDocument,
+                                           PartitionStrategy::kTerm,
+                                           PartitionStrategy::kBlock),
+                         [](const auto& info) {
+                           return std::string(partition_strategy_name(info.param));
+                         });
+
+// ------------------------------------------ skipping and deadline rule
+
+/// Dictionary terms of a batch index with their document frequencies,
+/// most frequent first.
+std::vector<std::pair<std::size_t, std::string>> terms_by_df(const InvertedIndex& index) {
+  std::vector<std::pair<std::size_t, std::string>> out;
+  index.for_each_term([&](std::string_view t) {
+    out.emplace_back(index.lookup(t)->doc_ids.size(), std::string(t));
+  });
+  std::sort(out.begin(), out.end(), std::greater<>());
+  return out;
+}
+
+TEST(NestedSkipping, RareAndCommonDisjunctionSkipsBlocks) {
+  TempDir corpus_dir("kcorpus");
+  TempDir index_dir("kindex");
+  const auto corpus = make_corpus(corpus_dir.path(), 1 << 20, 0x5C1);
   IndexBuilder builder;
   builder.parsers(1).cpu_indexers(1).emit_segment(true);
   builder.build(corpus.files, index_dir.path());
   const auto index = InvertedIndex::open(index_dir.path(), {}).value();
-  const auto docs = DocMap::open(doc_map_path(index_dir.path()));
-  const auto searcher = Searcher::open(SearchSource::batch(index, docs)).value();
-
-  std::vector<std::string> vocab;
-  index.for_each_term([&vocab](std::string_view t) { vocab.emplace_back(t); });
-  ASSERT_GT(vocab.size(), 2u);
-  const std::vector<std::string> terms = {vocab[0], vocab[vocab.size() / 2]};
-
-  struct ModeShim {
-    QueryMode mode;
-    Query (*make)(std::vector<std::string>);
-  };
-  const ModeShim shims[] = {{QueryMode::kRanked, &Query::bag},
-                            {QueryMode::kConjunctive, &Query::conjunction},
-                            {QueryMode::kDisjunctive, &Query::disjunction}};
-  for (const auto& shim : shims) {
-    QueryRequest legacy;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    legacy.terms = terms;
-    legacy.mode = shim.mode;
-#pragma GCC diagnostic pop
-    legacy.use_result_cache = false;
-    QueryRequest modern;
-    modern.query = shim.make(terms);
-    modern.use_result_cache = false;
-    const auto a = searcher->search(legacy);
-    const auto b = searcher->search(modern);
-    ASSERT_TRUE(a.has_value()) << a.error().to_string();
-    ASSERT_TRUE(b.has_value()) << b.error().to_string();
-    EXPECT_EQ(a.value().query_class(), b.value().query_class());
-    expect_hits_equal(a.value().hits, b.value().hits,
-                      std::string("shim ") + query_mode_name(shim.mode));
+  const auto by_df = terms_by_df(index);
+  ASSERT_GE(by_df.size(), 2u);
+  const std::string& common_a = by_df[0].second;
+  const std::string& common_b = by_df[1].second;
+  ASSERT_GT(by_df[1].first, 2 * kPostingsBlockSize);
+  // A rare term found only past both common lists' first blocks: when it
+  // drives, seeking the OR's cursors must pass those blocks undecoded.
+  const std::uint32_t past = std::max(index.lookup(common_a)->doc_ids[kPostingsBlockSize],
+                                      index.lookup(common_b)->doc_ids[kPostingsBlockSize]);
+  std::string rare;
+  for (auto it = by_df.rbegin(); it != by_df.rend() && rare.empty(); ++it) {
+    if (index.lookup(it->second)->doc_ids.front() > past) rare = it->second;
   }
+  ASSERT_FALSE(rare.empty());
+
+  const auto searcher = Searcher::open(SearchSource::batch(index)).value();
+  QueryRequest request;
+  request.query =
+      Query::and_of({Query::term(rare), Query::disjunction({common_a, common_b})});
+  request.k = 1000;
+  const auto r = searcher->search(request);
+  ASSERT_TRUE(r.has_value()) << r.error().to_string();
+  expect_hits_equal(
+      r.value().hits,
+      oracle_hits(request.query, [&](const std::string& t) { return index.lookup(t); },
+                  nullptr, request.k),
+      "nested skip");
+  EXPECT_GT(searcher->metrics().snapshot().counter("search_blocks_skipped_total"), 0u);
 }
 
+TEST(ExecutorDeadline, OrRootDeadlineReturnsFlaggedSubset) {
+  TempDir corpus_dir("dcorpus");
+  TempDir live_dir("dlive");
+  const auto corpus = make_corpus(corpus_dir.path(), 1 << 20, 0xDEAD);
+  IndexWriterOptions opts;
+  opts.flush_threshold_bytes = 0;
+  opts.background_compaction = false;
+  auto w = IndexWriter::open(live_dir.path(), opts).value();
+  for (const auto& doc : corpus.docs) w.add_document(doc.url, doc.body);
+  ASSERT_TRUE(w.flush().has_value());
+  const auto snap = w.snapshot();
+
+  // The most frequent terms: their union covers nearly every document.
+  std::vector<std::pair<std::size_t, std::string>> by_df;
+  snap->for_each_term([&](std::string_view t) {
+    by_df.emplace_back(snap->lookup(t)->doc_ids.size(), std::string(t));
+    return true;
+  });
+  std::sort(by_df.begin(), by_df.end(), std::greater<>());
+  std::vector<std::string> commons;
+  for (std::size_t i = 0; i < 8 && i < by_df.size(); ++i) commons.push_back(by_df[i].second);
+
+  QueryRequest request;
+  request.query = Query::disjunction(commons);
+  request.k = 1 << 20;  // the whole answer, so a partial one must be a subset
+  request.use_result_cache = false;
+  const auto full = Searcher::open(SearchSource::snapshot(snap)).value()->search(request);
+  ASSERT_TRUE(full.has_value());
+  ASSERT_EQ(full.value().degradation, Degradation::kComplete);
+  ASSERT_GT(full.value().hits.size(), 256u);  // the drain reaches a clock check
+
+  // The provider runs after the entry deadline check, so a provider slower
+  // than the budget expires the deadline mid-drain, deterministically.
+  const auto slow = Searcher::open(SearchSource::live([snap] {
+                      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                      return snap;
+                    })).value();
+  const auto partial =
+      slow->search(request, std::chrono::steady_clock::now() + std::chrono::milliseconds(5));
+  ASSERT_TRUE(partial.has_value()) << partial.error().to_string();
+  EXPECT_EQ(partial.value().degradation, Degradation::kDeadlinePartial);
+  EXPECT_LT(partial.value().hits.size(), full.value().hits.size());
+  std::map<std::uint32_t, double> truth;
+  for (const auto& hit : full.value().hits) truth[hit.doc_id] = hit.score;
+  for (const auto& hit : partial.value().hits) {
+    const auto it = truth.find(hit.doc_id);
+    ASSERT_NE(it, truth.end()) << "doc " << hit.doc_id << " is not in the full answer";
+    EXPECT_EQ(it->second, hit.score) << "doc " << hit.doc_id;
+  }
+}
 }  // namespace
 }  // namespace hetindex

@@ -1,5 +1,5 @@
 // Tests for boolean retrieval operators and index verification. Query-level
-// conjunction goes through the Searcher facade (QueryMode::kConjunctive) —
+// conjunction goes through the Searcher facade (an AND Query AST) —
 // the old conjunctive_query free function is gone.
 
 #include <gtest/gtest.h>

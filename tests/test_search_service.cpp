@@ -3,7 +3,8 @@
 // randomized corpora (batch and live backends, with and without
 // score-bound sidecars; tests/test_block_max.cpp extends this across
 // merges and skip-table variants), the per-snapshot collection-stats
-// cache (the recompute counter must stay flat across queries),
+// cache (the recompute counter must stay flat across queries), per-class
+// lookup/score timings,
 // result-cache hits and implicit invalidation across snapshot changes,
 // admission control (shed when the queue saturates, reject when a
 // deadline expires while queued), the max-tf and block-index sidecar
@@ -267,6 +268,7 @@ TEST(LiveServe, StatsRecomputeOnlyOnSnapshotChange) {
   IndexWriterOptions opts;
   opts.flush_threshold_bytes = 0;
   opts.background_compaction = false;
+  opts.parser.record_positions = true;  // phrase/NEAR classes below
   auto w = IndexWriter::open(live_dir.path(), opts).value();
   for (std::size_t i = 0; i < corpus.docs.size() / 2; ++i) {
     w.add_document(corpus.docs[i].url, corpus.docs[i].body);
@@ -276,15 +278,33 @@ TEST(LiveServe, StatsRecomputeOnlyOnSnapshotChange) {
   const auto searcher_ptr =
       Searcher::open(SearchSource::live([&w] { return w.snapshot(); })).value();
   const Searcher& searcher = *searcher_ptr;
-  std::string term;
-  w.snapshot()->for_each_term([&term](std::string_view t) {
-    term = std::string(t);
-    return false;
+  std::vector<std::string> terms;
+  w.snapshot()->for_each_term([&terms](std::string_view t) {
+    terms.emplace_back(t);
+    return terms.size() < 2;
   });
+  ASSERT_EQ(terms.size(), 2u);
   QueryRequest request;
-  request.query = Query::term(term);
+  request.query = Query::term(terms[0]);
   request.use_result_cache = false;
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(searcher.search(request).has_value());
+  EXPECT_EQ(searcher.metrics().snapshot().counter("search_stats_recomputes_total"), 1u);
+
+  // Every query class reports where its time went: opening cursors counts
+  // as lookup, and the two layers fit inside the total.
+  for (const Query& query : {Query::bag(terms), Query::conjunction(terms),
+                             Query::disjunction(terms), Query::phrase(terms),
+                             Query::near(terms, 3)}) {
+    QueryRequest timed;
+    timed.query = query;
+    timed.use_result_cache = false;
+    const auto r = searcher.search(timed);
+    ASSERT_TRUE(r.has_value()) << r.error().to_string();
+    const auto& t = r.value().timings;
+    const char* klass = query_class_name(query.query_class());
+    EXPECT_GT(t.lookup_seconds, 0.0) << klass;
+    EXPECT_LE(t.lookup_seconds + t.score_seconds, t.total_seconds) << klass;
+  }
   EXPECT_EQ(searcher.metrics().snapshot().counter("search_stats_recomputes_total"), 1u);
 
   for (std::size_t i = corpus.docs.size() / 2; i < corpus.docs.size(); ++i) {
@@ -345,25 +365,6 @@ TEST(LiveServe, ResultCacheHitsAndInvalidatesAcrossSnapshots) {
   ASSERT_TRUE(bypass.has_value());
   EXPECT_FALSE(bypass.value().from_cache);
   EXPECT_EQ(searcher.metrics().snapshot().counter("search_result_cache_hits_total"), 1u);
-}
-
-TEST_F(BatchServeFixture, PostingsCacheServesRepeatedTerms) {
-  const auto index = InvertedIndex::open(index_dir_->path(), {}).value();
-  const auto docs = DocMap::open(doc_map_path(index_dir_->path()));
-  const auto searcher_ptr = Searcher::open(SearchSource::batch(index, docs)).value();
-  const Searcher& searcher = *searcher_ptr;
-  QueryRequest request;
-  // Disjunctive mode: a decoded mode — the cursor modes (pruned ranked,
-  // conjunctive) deliberately bypass this cache.
-  request.query = Query::disjunction({batch_vocabulary(index).front(), "zzzznope"});
-  request.use_result_cache = false;  // isolate the postings cache
-  ASSERT_TRUE(searcher.search(request).has_value());
-  ASSERT_TRUE(searcher.search(request).has_value());
-  const auto snapshot = searcher.metrics().snapshot();
-  // Second pass hits for both terms — including the negative "absent"
-  // verdict for the unknown one.
-  EXPECT_EQ(snapshot.counter("search_postings_cache_misses_total"), 2u);
-  EXPECT_EQ(snapshot.counter("search_postings_cache_hits_total"), 2u);
 }
 
 // ------------------------------------------------ deadlines and admission
