@@ -52,10 +52,9 @@ int main() {
   const auto report = builder.build(coll.paths(), index_dir);
   const auto index = InvertedIndex::open(index_dir, {}).value();
   const auto docs = DocMap::open(doc_map_path(index_dir));
-  std::printf("corpus: %llu docs, %llu terms; skip tables: %s\n\n",
+  std::printf("corpus: %llu docs, %llu terms\n\n",
               static_cast<unsigned long long>(report.documents),
-              static_cast<unsigned long long>(report.terms),
-              index.has_block_index() ? "present" : "ABSENT (no pruning)");
+              static_cast<unsigned long long>(report.terms));
 
   // Skew the workload toward frequent terms: that is where block skipping
   // pays (long lists, low per-posting value).

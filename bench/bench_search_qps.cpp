@@ -121,11 +121,10 @@ int main() {
   const auto report = builder.build(coll.paths(), index_dir);
   const auto index = InvertedIndex::open(index_dir, {}).value();
   const auto docs = DocMap::open(doc_map_path(index_dir));
-  std::printf("corpus: %llu docs, %llu terms; score bounds: %s; %u hardware "
+  std::printf("corpus: %llu docs, %llu terms; %u hardware "
               "threads (thread rows flatten when the pool exceeds them)\n\n",
               static_cast<unsigned long long>(report.documents),
               static_cast<unsigned long long>(report.terms),
-              index.has_score_bounds() ? "sidecar" : "loose",
               std::thread::hardware_concurrency());
 
   const auto workload = make_workload(index, 256);

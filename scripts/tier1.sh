@@ -8,8 +8,9 @@
 #     deletes and compaction, the SearchService pool racing the live
 #     writer, and the ShardRouter fan-out racing shard writers)
 #   - ASan+UBSan on the binary-format and serving tests (run files,
-#     segments, query path, MaxScore executor and caches) to catch
-#     overruns and UB in the decoders and the mmap reader. This tree is
+#     segments, query path, MaxScore executor and caches) and the property
+#     tests (LzFuzz, the decoder fuzz test) to catch overruns and UB in the
+#     decoders and the mmap reader. This tree is
 #     configured with HETINDEX_IO_URING=OFF so the Env-routed pread
 #     fallback of the ingest readahead path (io/async_reader.hpp) stays
 #     exercised under ASan even on io_uring-capable kernels
@@ -87,8 +88,8 @@ if [[ "$run_asan" == 1 ]]; then
   cmake -B build-asan -S . -DHETINDEX_SANITIZE=address -DHETINDEX_IO_URING=OFF \
         -DHETINDEX_BUILD_BENCH=OFF -DHETINDEX_BUILD_EXAMPLES=OFF \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build-asan -j "$(nproc)" --target test_segment test_postings test_codec test_query_ops test_query_ast test_live test_search_service test_block_max test_cluster test_ingest_faults
-  ctest --test-dir build-asan --output-on-failure -R '^(test_segment|test_postings|test_codec|test_query_ops|test_query_ast|test_live|test_search_service|test_block_max|test_cluster|test_ingest_faults)$'
+  cmake --build build-asan -j "$(nproc)" --target test_segment test_postings test_codec test_query_ops test_query_ast test_live test_search_service test_block_max test_cluster test_ingest_faults test_property
+  ctest --test-dir build-asan --output-on-failure -R '^(test_segment|test_postings|test_codec|test_query_ops|test_query_ast|test_live|test_search_service|test_block_max|test_cluster|test_ingest_faults|test_property)$'
   leg_end "asan"
 fi
 

@@ -436,9 +436,7 @@ Expected<QueryResponse> ShardRouter::term_routed_search(const QueryRequest& requ
       const auto& postings = fetched[terms[t]];
       if (postings == nullptr || postings->doc_ids.empty()) continue;
       inputs.push_back(topk_input(t, make_decoded_cursor(postings), postings->doc_ids.size(),
-                                  snap->doc_count(),
-                                  *std::max_element(postings->tfs.begin(), postings->tfs.end()),
-                                  request.bm25));
+                                  snap->doc_count(), request.bm25));
     }
     auto topk = maxscore_topk(std::move(inputs), request.k, request.bm25, lengths,
                               std::max(snap->average_doc_tokens(), 1e-9), deadline, excluded);

@@ -2,8 +2,9 @@
 /// \file env.hpp
 /// The filesystem seam every durable artifact goes through. All writes,
 /// syncs, renames and unlinks issued by the library (segment writers, doc
-/// maps, sidecars, the MANIFEST commit protocol, recovery cleanup) call the
-/// process-current Env instead of POSIX directly, which buys two things:
+/// maps, tombstone generations, the MANIFEST commit protocol, recovery
+/// cleanup) call the process-current Env instead of POSIX directly, which
+/// buys two things:
 ///
 ///  1. One place to get the durability discipline right — full-write loops
 ///     that survive EINTR and partial writes, fsync with structured errors

@@ -235,10 +235,12 @@ bool Memtable::read_postings(std::string_view term, std::uint32_t limit,
 }
 
 std::vector<MemtableBlockRef> Memtable::cursor_blocks(std::string_view term,
-                                                      std::uint32_t limit) const {
+                                                      std::uint32_t limit,
+                                                      std::uint32_t& max_tf) const {
   std::vector<MemtableBlockRef> blocks;
   const TermNode* node = find_node(term);
   if (node == nullptr) return blocks;
+  max_tf = node->max_tf.load(std::memory_order_relaxed);
   for (const PostChunk* chunk = node->head; chunk != nullptr;
        chunk = chunk->next.load(std::memory_order_acquire)) {
     const std::uint32_t n = chunk->count.load(std::memory_order_acquire);
@@ -286,16 +288,19 @@ bool MemtableView::lookup(std::string_view term, QueryPostings& out) const {
                             mt_->positional() ? &out.positions : nullptr);
 }
 
-std::vector<MemtableBlockRef> MemtableView::cursor_blocks(std::string_view term) const {
-  return mt_->cursor_blocks(term, doc_limit());
-}
-
-std::optional<std::uint32_t> MemtableView::max_tf(std::string_view term) const {
-  const Memtable::TermNode* node = mt_->find_node(term);
-  if (node == nullptr || !Memtable::node_visible(node, doc_limit())) {
-    return std::nullopt;
+std::unique_ptr<PostingsCursor> MemtableView::open_cursor(std::string_view term,
+                                                         bool with_positions) const {
+  if (with_positions) {
+    auto decoded = std::make_shared<QueryPostings>();
+    if (!lookup(term, *decoded)) return nullptr;
+    return make_decoded_cursor(std::move(decoded));
   }
-  return node->max_tf.load(std::memory_order_relaxed);
+  std::uint32_t max_tf = 0;
+  auto blocks = mt_->cursor_blocks(term, doc_limit(), max_tf);
+  if (blocks.empty()) return nullptr;
+  // The pin keeps the arena alive past a flush that resets the writer's
+  // buffer while this cursor is outstanding.
+  return make_memtable_cursor(std::move(blocks), max_tf, mt_);
 }
 
 std::uint32_t MemtableView::doc_tokens(std::uint32_t doc) const {

@@ -140,9 +140,11 @@ class Memtable {
                      std::vector<std::uint32_t>& docs,
                      std::vector<std::uint32_t>& tfs,
                      std::vector<std::uint32_t>* positions) const;
-  /// Chunk-per-block borrowed refs for the cursor layer; empty = absent.
+  /// Chunk-per-block borrowed refs for the cursor layer, plus the term's
+  /// running max tf in `max_tf`; empty = absent.
   [[nodiscard]] std::vector<MemtableBlockRef> cursor_blocks(std::string_view term,
-                                                            std::uint32_t limit) const;
+                                                            std::uint32_t limit,
+                                                            std::uint32_t& max_tf) const;
   /// Visible term nodes in ascending term order.
   [[nodiscard]] std::vector<const TermNode*> sorted_visible_nodes(std::uint32_t limit) const;
 
@@ -190,12 +192,14 @@ class MemtableView {
   /// Appends the term's postings (raw — tombstones are the search layer's
   /// concern, like LiveSnapshot::lookup). False when absent from the view.
   bool lookup(std::string_view term, QueryPostings& out) const;
-  /// Borrowed block refs for make_memtable_cursor; empty when absent.
-  [[nodiscard]] std::vector<MemtableBlockRef> cursor_blocks(std::string_view term) const;
-  /// Max tf of the term within the view — an upper bound suitable for
-  /// score-bound pruning (may overshoot by in-flight occurrences, never
-  /// undershoots). nullopt when the term is absent.
-  [[nodiscard]] std::optional<std::uint32_t> max_tf(std::string_view term) const;
+  /// Block cursor over the term's postings (raw, like lookup()); nullptr
+  /// when absent. Borrows the arena's chunks and pins the arena; its
+  /// max_tf() is the term's running maximum, which may overshoot by
+  /// in-flight occurrences but never undershoots. `with_positions`
+  /// materializes a positional decoded cursor instead: position chunks do
+  /// not align with posting chunks, so borrowed refs cannot carry them.
+  [[nodiscard]] std::unique_ptr<PostingsCursor> open_cursor(std::string_view term,
+                                                            bool with_positions) const;
   /// Token count of a document in [doc_base, doc_limit).
   [[nodiscard]] std::uint32_t doc_tokens(std::uint32_t doc) const;
   /// Doc metadata, shaped like a DocMap row. Memtable docs have no segment
@@ -214,9 +218,6 @@ class MemtableView {
                                const std::vector<std::uint32_t>& docs,
                                const std::vector<std::uint32_t>& tfs,
                                const std::vector<std::uint32_t>& positions)>& fn) const;
-
-  /// Keeps the arena alive from inside a PostingsCursor.
-  [[nodiscard]] std::shared_ptr<const void> pin() const { return mt_; }
 
  private:
   std::shared_ptr<const Memtable> mt_;

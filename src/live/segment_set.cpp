@@ -32,33 +32,9 @@ Expected<std::shared_ptr<LiveSegment>> LiveSegment::open(const std::string& dir,
   std::string map_path = live_docmap_path(dir, segment_id);
   std::optional<DocMap> map;
   if (file_exists(map_path)) map = DocMap::open(map_path);
-  auto seg = std::shared_ptr<LiveSegment>(
+  return std::shared_ptr<LiveSegment>(
       new LiveSegment(segment_id, doc_base, doc_count, std::move(reader).value(),
                       std::move(map), std::move(seg_path), std::move(map_path)));
-  // Sidecars are optional — a segment written before either format existed
-  // serves without tight bounds / block skipping — but a sidecar that is
-  // present yet corrupt fails the open instead of silently degrading.
-  auto bounds = read_max_tf_sidecar(seg->seg_path_, seg->reader_.term_count());
-  if (bounds.has_value()) {
-    seg->max_tfs_ = std::move(bounds).value();
-  } else if (bounds.error().code != ErrorCode::kNotFound) {
-    return bounds.error();
-  }
-  auto blocks = read_block_index_sidecar(seg->seg_path_, seg->reader_.term_count());
-  if (blocks.has_value()) {
-    auto consistent = validate_block_index(seg->reader_, blocks.value());
-    if (!consistent.has_value()) return consistent.error();
-    seg->block_index_ = std::move(blocks).value();
-  } else if (blocks.error().code != ErrorCode::kNotFound) {
-    return blocks.error();
-  }
-  auto blooms = read_bloom_sidecar(seg->seg_path_, seg->reader_.term_count());
-  if (blooms.has_value()) {
-    seg->blooms_ = std::move(blooms).value();
-  } else if (blooms.error().code != ErrorCode::kNotFound) {
-    return blooms.error();
-  }
-  return seg;
 }
 
 LiveSegment::~LiveSegment() {
@@ -68,9 +44,6 @@ LiveSegment::~LiveSegment() {
   // crash harness sees the unlinks in the write trace. The mapping is
   // closed by the member destructors running after this body.
   (void)io::env().remove_file(seg_path_);
-  (void)io::env().remove_file(max_tf_sidecar_path(seg_path_));
-  (void)io::env().remove_file(block_index_sidecar_path(seg_path_));
-  (void)io::env().remove_file(bloom_sidecar_path(seg_path_));
   (void)io::env().remove_file(map_path_);
 }
 
@@ -154,25 +127,6 @@ double LiveSnapshot::average_doc_tokens() const {
                                     static_cast<double>(stats.live_docs);
 }
 
-std::optional<std::uint32_t> LiveSnapshot::max_tf(std::string_view term) const {
-  std::optional<std::uint32_t> best;
-  for (const auto& seg : segments_) {
-    const auto ordinal = seg->reader().find(term);
-    if (!ordinal) continue;
-    const auto* tfs = seg->max_tfs();
-    // One sidecar-less segment holding the term invalidates the bound —
-    // better no bound than one that can wrongly prune.
-    if (tfs == nullptr) return std::nullopt;
-    const std::uint32_t tf = (*tfs)[static_cast<std::size_t>(*ordinal)];
-    best = best ? std::max(*best, tf) : tf;
-  }
-  if (memtable_ != nullptr) {
-    const auto mem = memtable_->max_tf(term);
-    if (mem) best = best ? std::max(*best, *mem) : *mem;
-  }
-  return best;
-}
-
 std::optional<QueryPostings> LiveSnapshot::lookup(std::string_view term) const {
   QueryPostings out;
   bool found = false;
@@ -197,40 +151,16 @@ std::unique_ptr<PostingsCursor> LiveSnapshot::open_cursor(std::string_view term,
   for (const auto& seg : segments_) {
     const auto ordinal = seg->reader().find(term);
     if (!ordinal) continue;
-    const auto m = seg->reader().meta(*ordinal);
-    if (m.count == 0) continue;
-    const auto* skip = seg->block_index();
-    if (skip != nullptr) {
-      const auto blob = seg->reader().raw_blob(m);
-      const auto rows = skip->blocks(*ordinal);
-      // The pin keeps the mapping alive even if compaction obsoletes the
-      // segment while a cursor is outstanding. Positions come for free:
-      // the segment cursor re-decodes its current block on demand.
-      parts.push_back(
-          make_segment_cursor(blob.first, blob.second, rows.first, rows.second, seg));
-    } else {
-      auto decoded = std::make_shared<QueryPostings>();
-      seg->reader().decode(m, decoded->doc_ids, decoded->tfs,
-                           with_positions ? &decoded->positions : nullptr);
-      parts.push_back(make_decoded_cursor(std::move(decoded)));
-    }
+    const auto blob = seg->reader().raw_blob(seg->reader().meta(*ordinal));
+    const auto rows = seg->reader().skip_rows(*ordinal);
+    // The pin keeps the mapping alive even if compaction obsoletes the
+    // segment while a cursor is outstanding. Positions come for free: the
+    // segment cursor re-decodes its current block on demand.
+    parts.push_back(make_segment_cursor(blob.first, blob.second, rows.data(), rows.size(), seg));
   }
   if (memtable_ != nullptr) {
-    if (with_positions) {
-      // Position chunks do not align with posting chunk boundaries, so the
-      // borrowed block refs below cannot carry them — materialize the
-      // memtable part instead (it is bounded by the flush threshold).
-      auto decoded = std::make_shared<QueryPostings>();
-      if (memtable_->lookup(term, *decoded)) {
-        parts.push_back(make_decoded_cursor(std::move(decoded)));
-      }
-    } else {
-      auto blocks = memtable_->cursor_blocks(term);
-      if (!blocks.empty()) {
-        // The pin keeps the memtable arena alive past a flush that resets
-        // the writer's buffer while this cursor is outstanding.
-        parts.push_back(make_memtable_cursor(std::move(blocks), memtable_->pin()));
-      }
+    if (auto part = memtable_->open_cursor(term, with_positions)) {
+      parts.push_back(std::move(part));
     }
   }
   if (parts.empty()) return nullptr;
@@ -242,19 +172,8 @@ BloomChain LiveSnapshot::bloom_chain(std::string_view term) const {
   BloomChain chain;
   for (const auto& seg : segments_) {
     if (seg->doc_count() == 0) continue;
-    const BloomSidecar* blooms = seg->blooms();
-    if (blooms == nullptr) continue;  // uncovered range: the chain passes it
-    const auto ordinal = seg->reader().find(term);
-    if (!ordinal) {
-      // The segment covers the range but holds no list for the term: any
-      // candidate inside it is definitely absent. An all-zero filter would
-      // say the same; an explicit empty-ordinal link is cheaper, but the
-      // BloomChain contract keys rejection on the sidecar, so just skip —
-      // conjunctions still drop these docs at the follower seek.
-      continue;
-    }
-    chain.add_link({seg->doc_base(), seg->doc_base() + seg->doc_count() - 1, blooms,
-                    *ordinal});
+    chain.add_link({seg->doc_base(), seg->doc_base() + seg->doc_count() - 1, &seg->reader(),
+                    seg->reader().find(term)});
   }
   return chain;
 }

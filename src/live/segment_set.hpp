@@ -53,24 +53,6 @@ class LiveSegment {
   [[nodiscard]] const DocMap* doc_map() const {
     return doc_map_ ? &*doc_map_ : nullptr;
   }
-  /// Per-term max term frequency from the segment's score-bound sidecar
-  /// (written by flush, propagated by compaction); nullptr when the segment
-  /// predates the sidecar format.
-  [[nodiscard]] const std::vector<std::uint32_t>* max_tfs() const {
-    return max_tfs_.empty() ? nullptr : &max_tfs_;
-  }
-  /// The segment's block skip table (.bmx sidecar, validated at open);
-  /// nullptr when the segment predates the sidecar format.
-  [[nodiscard]] const BlockIndex* block_index() const {
-    return block_index_ ? &*block_index_ : nullptr;
-  }
-  /// The segment's Bloom rejection filters (.blm sidecar); nullptr when
-  /// the segment predates the format or a concat merge dropped it (the
-  /// caller degrades to no rejection).
-  [[nodiscard]] const BloomSidecar* blooms() const {
-    return blooms_ ? &*blooms_ : nullptr;
-  }
-
   /// Marks the backing files for deletion when the last reference drops
   /// (called by compaction after the replacement commit).
   void mark_obsolete() { obsolete_.store(true, std::memory_order_release); }
@@ -85,9 +67,6 @@ class LiveSegment {
   std::uint32_t doc_count_;
   SegmentReader reader_;
   std::optional<DocMap> doc_map_;
-  std::vector<std::uint32_t> max_tfs_;     // by term ordinal; empty = no sidecar
-  std::optional<BlockIndex> block_index_;  // skip tables; nullopt = no sidecar
-  std::optional<BloomSidecar> blooms_;     // rejection filters; nullopt = no sidecar
   std::string seg_path_;
   std::string map_path_;
   std::atomic<bool> obsolete_{false};
@@ -157,14 +136,6 @@ class LiveSnapshot {
   /// carries token counts.
   [[nodiscard]] double average_doc_tokens() const;
 
-  /// Max term frequency of `term` across segments and memtable — a BM25
-  /// score-bound ingredient, valid because max over concatenated postings
-  /// is the max of per-part maxima. Deliberately NOT tombstone-filtered: a
-  /// too-high bound only weakens pruning, never correctness. nullopt when
-  /// the term is absent or any segment holding it lacks a sidecar (a
-  /// partial max would under-cover).
-  [[nodiscard]] std::optional<std::uint32_t> max_tf(std::string_view term) const;
-
   /// Postings of `term` across every segment plus the memtable, globally
   /// doc-id sorted (all parts hold disjoint ascending doc ranges, memtable
   /// last). RAW — tombstoned docs included; the search layer filters.
@@ -174,14 +145,12 @@ class LiveSnapshot {
   /// Block-level cursor over `term` across every segment plus the
   /// memtable, globally doc-id ordered; nullptr when no part knows the
   /// term. RAW, like lookup() — so size() (the df) agrees between the
-  /// pruned and exhaustive executors. Segments with a skip table serve
-  /// zero-copy block cursors (each pinning its segment); segments without
-  /// decode once; the memtable serves borrowed block refs pinning the
-  /// arena.
+  /// pruned and exhaustive executors. Segments serve zero-copy block
+  /// cursors (each pinning its segment); the memtable serves borrowed
+  /// block refs pinning the arena.
   ///
   /// `with_positions` asks for current_positions() support on every part:
-  /// skip-table segment cursors serve positions natively (lazy per-block
-  /// re-decode); sidecar-less segments then decode positionally up front;
+  /// segment cursors serve positions natively (lazy per-block re-decode);
   /// the memtable part is materialized as a positional decoded cursor
   /// (its position chunks do not align with posting chunk boundaries, so
   /// borrowed block refs cannot carry them).
@@ -189,11 +158,10 @@ class LiveSnapshot {
       std::string_view term, bool with_positions = false) const;
 
   /// The term's Bloom rejection chain across this snapshot's segments
-  /// (postings/bloom.hpp): one link per sidecar-bearing segment holding
-  /// the term, in ascending doc order. Segments without a sidecar and the
-  /// memtable range are simply uncovered — the chain passes those docs.
-  /// Empty chain = never rejects. Borrows the snapshot; must not outlive
-  /// it.
+  /// (postings/bloom.hpp): one link per segment, in ascending doc order. A
+  /// segment holding no list for the term rejects every doc it covers; the
+  /// memtable range is uncovered and passes. Borrows the snapshot; must
+  /// not outlive it.
   [[nodiscard]] BloomChain bloom_chain(std::string_view term) const;
 
   /// Range-narrowed lookup: segments whose doc range misses

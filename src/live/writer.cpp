@@ -67,22 +67,16 @@ struct RewriteStats {
 
 /// The reclaiming counterpart of merge_segments: a k-way term merge that
 /// decodes every list, drops postings of tombstoned documents (and their
-/// positions), and re-encodes the survivors. Slower than the §III.F byte
-/// concatenation — used only when the window still carries dead postings.
-/// Writes the merged segment plus all three sidecars (.maxtf, .bmx, .blm)
-/// durably; terms whose every posting is dead vanish from the output.
-/// Inputs must share one codec and be given in ascending disjoint doc-id
-/// order. (The concat merge cannot carry `.blm` forward — see
-/// postings/bloom.hpp — so the rewrite path is where merged segments
-/// regain their filters.)
+/// positions), and re-encodes the survivors with fresh skip rows and Bloom
+/// filters. Slower than the §III.F byte concatenation — used only when the
+/// window still carries dead postings. Terms whose every posting is dead
+/// vanish from the output. Inputs must be given in ascending disjoint
+/// doc-id order.
 Expected<RewriteStats> rewrite_segments(const std::vector<const SegmentReader*>& inputs,
                                         const TombstoneSet& dead, PostingCodec codec,
-                                        BloomOptions bloom, const std::string& out_path) {
+                                        const std::string& out_path) {
   SegmentWriter writer(out_path, codec);
-  std::vector<std::uint32_t> max_tfs;
-  BloomSidecar blooms(bloom);
-  BlockIndex block_index;
-  std::vector<PostingBlockEntry> blocks;
+  std::vector<PostingBlockEntry> rows;
   std::vector<SegmentReader::TermCursor> cursors;
   cursors.reserve(inputs.size());
   for (const auto* reader : inputs) cursors.emplace_back(*reader);
@@ -131,15 +125,10 @@ Expected<RewriteStats> rewrite_segments(const std::vector<const SegmentReader*>&
     }
     if (out_docs.empty()) continue;  // every posting was dead: term vanishes
 
-    blocks.clear();
+    rows.clear();
     const auto blob = encode_postings_blocked(codec, out_docs, out_tfs,
-                                              positional ? &out_positions : nullptr, &blocks);
-    writer.add_term(term, blob.data(), blob.size(),
-                    static_cast<std::uint32_t>(out_docs.size()), out_docs.front(),
-                    out_docs.back());
-    block_index.add_term(blocks);
-    max_tfs.push_back(*std::max_element(out_tfs.begin(), out_tfs.end()));
-    blooms.add_term(out_docs.data(), out_docs.size());
+                                              positional ? &out_positions : nullptr, &rows);
+    writer.add_term(term, blob, rows, out_docs);
   }
 
   RewriteStats stats;
@@ -147,12 +136,6 @@ Expected<RewriteStats> rewrite_segments(const std::vector<const SegmentReader*>&
   auto file_bytes = writer.finalize();
   if (!file_bytes.has_value()) return file_bytes.error();
   stats.output_bytes = file_bytes.value();
-  auto sidecar = write_max_tf_sidecar(out_path, max_tfs);
-  if (!sidecar.has_value()) return sidecar.error();
-  auto skip_table = write_block_index_sidecar(out_path, block_index);
-  if (!skip_table.has_value()) return skip_table.error();
-  auto filters = write_bloom_sidecar(out_path, blooms);
-  if (!filters.has_value()) return filters.error();
   return stats;
 }
 
@@ -242,11 +225,7 @@ struct IndexWriter::State {
   Expected<bool> run_one_compaction(bool full_reclaim);
   /// Removes every on-disk artifact of an uncommitted segment attempt.
   void remove_segment_files(std::uint64_t segment_id) {
-    const std::string seg = live_segment_path(dir, segment_id);
-    (void)io::env().remove_file(seg);
-    (void)io::env().remove_file(max_tf_sidecar_path(seg));
-    (void)io::env().remove_file(block_index_sidecar_path(seg));
-    (void)io::env().remove_file(bloom_sidecar_path(seg));
+    (void)io::env().remove_file(live_segment_path(dir, segment_id));
     (void)io::env().remove_file(live_docmap_path(dir, segment_id));
   }
 };
@@ -312,8 +291,8 @@ Expected<IndexWriter> IndexWriter::open(const std::string& dir,
   }
 
   // Recovery step 3: anything on disk the manifest does not name is a
-  // leftover from a crash between sidecar write and manifest rename — drop
-  // it. Removals go through the Env so the crash harness sees (and can
+  // leftover from a crash between a segment write and the manifest rename
+  // — drop it. Removals go through the Env so the crash harness sees (and can
   // fault) them, and each one counts in recovery_dropped_files_total.
   std::vector<bool> committed_ids;  // indexed by segment id
   for (const auto& e : state->manifest.entries) {
@@ -532,35 +511,25 @@ Expected<std::uint64_t> IndexWriter::State::flush_locked() {
   // the search layer keeps filtering them, compaction reclaims them.
   const MemtableView frozen(memtable);
   SegmentWriter writer(live_segment_path(dir, segment_id), opts.codec);
-  std::vector<std::uint32_t> max_tfs;
-  BloomSidecar blooms(opts.bloom);
-  BlockIndex block_index;
-  std::vector<PostingBlockEntry> blocks;
+  std::vector<PostingBlockEntry> rows;
   frozen.for_each_term_postings([&](std::string_view term,
                                     const std::vector<std::uint32_t>& list_docs,
                                     const std::vector<std::uint32_t>& tfs,
                                     const std::vector<std::uint32_t>& positions) {
-    // Blocked encode: the skip rows drop out of the chunking, so flushed
-    // segments get the same Block-Max sidecar as batch-built ones.
-    blocks.clear();
+    // Blocked encode: the skip rows drop out of the chunking, and the
+    // Bloom filters come from the list still held decoded here.
+    rows.clear();
     const auto blob = encode_postings_blocked(
-        opts.codec, list_docs, tfs, memtable->positional() ? &positions : nullptr, &blocks);
-    writer.add_term(term, blob.data(), blob.size(),
-                    static_cast<std::uint32_t>(list_docs.size()), list_docs.front(),
-                    list_docs.back());
-    block_index.add_term(blocks);
-    // Score-bound and Bloom sidecars come for free here: the lists are
-    // still decoded.
-    max_tfs.push_back(*std::max_element(tfs.begin(), tfs.end()));
-    blooms.add_term(list_docs.data(), list_docs.size());
+        opts.codec, list_docs, tfs, memtable->positional() ? &positions : nullptr, &rows);
+    writer.add_term(term, blob, rows, list_docs);
   });
   const std::uint64_t term_count = writer.term_count();
 
   // Any failure from here to the manifest commit rolls back to a clean
   // directory: partial files removed, memtable and committed state
-  // untouched, writer still usable. Segment, sidecar and doc map are all
-  // durable (fsynced) BEFORE the commit, so a durable manifest never names
-  // data still sitting in the page cache.
+  // untouched, writer still usable. Segment and doc map are both durable
+  // (fsynced) BEFORE the commit, so a durable manifest never names data
+  // still sitting in the page cache.
   auto fail = [&](Error e) -> Expected<std::uint64_t> {
     remove_segment_files(segment_id);
     flush_failures.add();
@@ -569,13 +538,6 @@ Expected<std::uint64_t> IndexWriter::State::flush_locked() {
 
   auto file_bytes = writer.finalize();
   if (!file_bytes.has_value()) return fail(file_bytes.error());
-  auto sidecar = write_max_tf_sidecar(live_segment_path(dir, segment_id), max_tfs);
-  if (!sidecar.has_value()) return fail(sidecar.error());
-  auto skip_table =
-      write_block_index_sidecar(live_segment_path(dir, segment_id), block_index);
-  if (!skip_table.has_value()) return fail(skip_table.error());
-  auto filters = write_bloom_sidecar(live_segment_path(dir, segment_id), blooms);
-  if (!filters.has_value()) return fail(filters.error());
 
   std::vector<std::string> urls;
   std::vector<std::uint32_t> doc_tokens;
@@ -756,8 +718,8 @@ Expected<bool> IndexWriter::State::run_one_compaction(bool full_reclaim) {
   std::uint64_t out_terms = 0;
   std::uint64_t out_bytes = 0;
   if (rewrite) {
-    const auto rewritten = rewrite_segments(readers, *dead, opts.codec, opts.bloom,
-                                            live_segment_path(dir, out_id));
+    const auto rewritten =
+        rewrite_segments(readers, *dead, opts.codec, live_segment_path(dir, out_id));
     if (!rewritten.has_value()) return fail(rewritten.error());
     out_terms = rewritten.value().terms;
     out_bytes = rewritten.value().output_bytes;

@@ -52,9 +52,6 @@ struct IndexWriterOptions {
   /// false, compaction runs only via compact_now().
   bool background_compaction = true;
   PostingCodec codec = PostingCodec::kVByte;
-  /// Sizing of the per-term Bloom rejection filters (`.blm` sidecar)
-  /// written beside every flushed or rewritten segment.
-  BloomOptions bloom;
   ParserConfig parser;
 };
 

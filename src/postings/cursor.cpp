@@ -80,6 +80,7 @@ class BlockedCursorBase : public PostingsCursor {
   }
 
   [[nodiscard]] std::uint64_t size() const final { return total_docs_; }
+  [[nodiscard]] std::uint32_t max_tf() const final { return list_max_tf_; }
 
   [[nodiscard]] std::uint32_t last_doc() const final {
     HET_DCHECK(n_blocks_ > 0);
@@ -141,6 +142,7 @@ class BlockedCursorBase : public PostingsCursor {
   // Set once by subclass constructors.
   std::size_t n_blocks_ = 0;
   std::uint64_t total_docs_ = 0;
+  std::uint32_t list_max_tf_ = 0;
   // Current-block postings, owned by (or borrowed through) the subclass.
   const std::uint32_t* cur_docs_ = nullptr;
   const std::uint32_t* cur_tfs_ = nullptr;
@@ -166,7 +168,10 @@ class SegmentPostingsCursor final : public BlockedCursorBase {
                         std::shared_ptr<const void> pin)
       : blob_(blob), blob_bytes_(blob_bytes), entries_(entries), pin_(std::move(pin)) {
     n_blocks_ = entry_count;
-    for (std::size_t i = 0; i < entry_count; ++i) total_docs_ += entries[i].count;
+    for (std::size_t i = 0; i < entry_count; ++i) {
+      total_docs_ += entries[i].count;
+      list_max_tf_ = std::max(list_max_tf_, entries[i].max_tf);
+    }
     docs_scratch_.reserve(kPostingsBlockSize);
     tfs_scratch_.reserve(kPostingsBlockSize);
   }
@@ -229,6 +234,7 @@ class DecodedPostingsCursor final : public BlockedCursorBase {
     HET_CHECK(postings_->doc_ids.size() == postings_->tfs.size());
     total_docs_ = postings_->doc_ids.size();
     n_blocks_ = (total_docs_ + kPostingsBlockSize - 1) / kPostingsBlockSize;
+    for (const std::uint32_t tf : postings_->tfs) list_max_tf_ = std::max(list_max_tf_, tf);
     max_tf_cache_.assign(n_blocks_, 0);  // 0 = not yet computed (tfs are >= 1)
   }
 
@@ -293,10 +299,11 @@ class DecodedPostingsCursor final : public BlockedCursorBase {
 /// pruning works on never-flushed documents too.
 class MemtablePostingsCursor final : public BlockedCursorBase {
  public:
-  MemtablePostingsCursor(std::vector<MemtableBlockRef> blocks,
+  MemtablePostingsCursor(std::vector<MemtableBlockRef> blocks, std::uint32_t max_tf,
                          std::shared_ptr<const void> pin)
       : blocks_(std::move(blocks)), pin_(std::move(pin)) {
     n_blocks_ = blocks_.size();
+    list_max_tf_ = max_tf;
     for (const auto& b : blocks_) {
       HET_CHECK(b.count > 0);
       total_docs_ += b.count;
@@ -340,6 +347,7 @@ class ConcatPostingsCursor final : public PostingsCursor {
     for (const auto& p : parts_) {
       HET_CHECK(p != nullptr && p->valid());
       total_docs_ += p->size();
+      max_tf_ = std::max(max_tf_, p->max_tf());
     }
   }
 
@@ -382,6 +390,7 @@ class ConcatPostingsCursor final : public PostingsCursor {
   }
 
   [[nodiscard]] std::uint64_t size() const override { return total_docs_; }
+  [[nodiscard]] std::uint32_t max_tf() const override { return max_tf_; }
   [[nodiscard]] std::uint32_t last_doc() const override {
     return parts_.back()->last_doc();
   }
@@ -406,6 +415,7 @@ class ConcatPostingsCursor final : public PostingsCursor {
   std::vector<std::unique_ptr<PostingsCursor>> parts_;
   std::size_t cur_ = 0;
   std::uint64_t total_docs_ = 0;
+  std::uint32_t max_tf_ = 0;
 };
 
 }  // namespace
@@ -428,9 +438,11 @@ std::unique_ptr<PostingsCursor> make_concat_cursor(
 }
 
 std::unique_ptr<PostingsCursor> make_memtable_cursor(
-    std::vector<MemtableBlockRef> blocks, std::shared_ptr<const void> pin) {
+    std::vector<MemtableBlockRef> blocks, std::uint32_t max_tf,
+    std::shared_ptr<const void> pin) {
   HET_CHECK(!blocks.empty());
-  return std::make_unique<MemtablePostingsCursor>(std::move(blocks), std::move(pin));
+  return std::make_unique<MemtablePostingsCursor>(std::move(blocks), max_tf,
+                                                  std::move(pin));
 }
 
 QueryPostings materialize_cursor(PostingsCursor& cursor) {

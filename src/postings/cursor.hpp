@@ -7,11 +7,13 @@
 /// from the skip table alone, without decoding a posting. Every backend
 /// implements it:
 ///
-///   segment + .bmx   seeks via the skip table; skipped blocks are never
-///                    decoded (the Block-Max fast path)
-///   runs / no .bmx   a decoded list behind the same interface, with
-///                    synthetic kPostingsBlockSize-doc blocks whose maxima
-///                    are computed lazily — skips save scoring, not decode
+///   segment          seeks via the segment's skip rows; skipped blocks
+///                    are never decoded (the Block-Max fast path)
+///   decoded list     run files, positional memtable parts and lists fetched
+///                    from other shards: synthetic kPostingsBlockSize-doc
+///                    blocks whose maxima are computed lazily — skips save
+///                    scoring, not decode
+///   memtable         borrowed arena chunks, one block per chunk
 ///   live snapshot    per-segment cursors chained in doc_base order
 ///
 /// State machine: a cursor starts *shallow* at its first block — block
@@ -75,6 +77,10 @@ class PostingsCursor {
 
   /// Total postings in the list (the term's document frequency).
   [[nodiscard]] virtual std::uint64_t size() const = 0;
+  /// Largest term frequency anywhere in the list — the tf ingredient of
+  /// the term's whole-list BM25 bound (search/topk.hpp). Never below the
+  /// true maximum; the memtable's may overshoot by in-flight occurrences.
+  [[nodiscard]] virtual std::uint32_t max_tf() const = 0;
   /// Largest doc id in the whole list.
   [[nodiscard]] virtual std::uint32_t last_doc() const = 0;
   /// Blocks passed over without ever being decoded/entered — the quantity
@@ -105,8 +111,8 @@ std::unique_ptr<PostingsCursor> make_segment_cursor(
     const std::uint8_t* blob, std::size_t blob_bytes, const PostingBlockEntry* entries,
     std::size_t entry_count, std::shared_ptr<const void> pin);
 
-/// Cursor over an already-decoded list (runs backend, segments without a
-/// skip-table sidecar, cached lists). Blocks are synthesized every
+/// Cursor over an already-decoded list (runs backend, positional memtable
+/// parts, router-fetched lists). Blocks are synthesized every
 /// kPostingsBlockSize docs; block maxima are computed on first use.
 std::unique_ptr<PostingsCursor> make_decoded_cursor(
     std::shared_ptr<const QueryPostings> postings);
@@ -128,12 +134,13 @@ struct MemtableBlockRef {
   std::uint32_t last_doc = 0;  ///< docs[count - 1]
 };
 
-/// Cursor over a memtable term: one block per memtable chunk, maxima
-/// scanned lazily like the decoded backend (the memtable has no skip
-/// sidecar). `pin` keeps the arena the refs point into alive; `blocks`
-/// must be non-empty with ascending disjoint doc ranges.
+/// Cursor over a memtable term: one block per memtable chunk, block maxima
+/// scanned lazily like the decoded backend; `max_tf` is the memtable's
+/// running per-term maximum. `pin` keeps the arena the refs point into
+/// alive; `blocks` must be non-empty with ascending disjoint doc ranges.
 std::unique_ptr<PostingsCursor> make_memtable_cursor(
-    std::vector<MemtableBlockRef> blocks, std::shared_ptr<const void> pin);
+    std::vector<MemtableBlockRef> blocks, std::uint32_t max_tf,
+    std::shared_ptr<const void> pin);
 
 /// Decodes whatever the cursor has not consumed yet into a flat list —
 /// the bridge from cursor-only backends to the decoded-list operators in

@@ -73,32 +73,6 @@ Expected<InvertedIndex> InvertedIndex::open(const std::string& dir,
     InvertedIndex idx;
     idx.segment_ = std::make_unique<SegmentReader>(std::move(segment).value());
     idx.ins_->bytes_mapped.set(static_cast<std::int64_t>(idx.segment_->mapped_bytes()));
-    // Sidecars are optional — absence (kNotFound) only costs the executor
-    // its tight bounds / block skipping — but one that is present yet
-    // truncated or corrupt must fail the open, never silently degrade.
-    auto bounds = read_max_tf_sidecar(idx.segment_->path(), idx.segment_->term_count());
-    if (bounds.has_value()) {
-      idx.max_tfs_ = std::move(bounds).value();
-    } else if (bounds.error().code != ErrorCode::kNotFound) {
-      return bounds.error();
-    }
-    auto blocks = read_block_index_sidecar(idx.segment_->path(), idx.segment_->term_count());
-    if (blocks.has_value()) {
-      // A structurally sound sidecar can still be stale (from an older
-      // segment under the same name); cross-check before letting it steer
-      // seeks over raw blobs.
-      auto consistent = validate_block_index(*idx.segment_, blocks.value());
-      if (!consistent.has_value()) return consistent.error();
-      idx.block_index_ = std::move(blocks).value();
-    } else if (blocks.error().code != ErrorCode::kNotFound) {
-      return blocks.error();
-    }
-    auto blooms = read_bloom_sidecar(idx.segment_->path(), idx.segment_->term_count());
-    if (blooms.has_value()) {
-      idx.blooms_ = std::move(blooms).value();
-    } else if (blooms.error().code != ErrorCode::kNotFound) {
-      return blooms.error();
-    }
     return idx;
   }
 
@@ -135,13 +109,6 @@ const std::vector<DictionaryEntry>& InvertedIndex::entries() const {
 
 std::uint64_t InvertedIndex::term_count() const {
   return segment_ != nullptr ? segment_->term_count() : entries_.size();
-}
-
-std::optional<std::uint32_t> InvertedIndex::max_tf(std::string_view term) const {
-  if (segment_ == nullptr || max_tfs_.empty()) return std::nullopt;
-  const auto ordinal = segment_->find(term);
-  if (!ordinal) return std::nullopt;
-  return max_tfs_[static_cast<std::size_t>(*ordinal)];
 }
 
 const DictionaryEntry* InvertedIndex::find_entry(std::string_view term) const {
@@ -212,7 +179,7 @@ std::optional<QueryPostings> InvertedIndex::lookup(std::string_view term) const 
 
 std::unique_ptr<PostingsCursor> InvertedIndex::open_cursor(std::string_view term,
                                                            bool with_positions) const {
-  if (segment_ != nullptr && block_index_.has_value()) {
+  if (segment_ != nullptr) {
     ins_->lookups.add();
     const LatencyScope latency(ins_->lookup_micros);
     const auto ordinal = segment_->find(term);
@@ -220,17 +187,15 @@ std::unique_ptr<PostingsCursor> InvertedIndex::open_cursor(std::string_view term
       ins_->misses.add();
       return nullptr;
     }
-    const auto m = segment_->meta(*ordinal);
-    if (m.count == 0) return nullptr;
-    const auto blob = segment_->raw_blob(m);
-    const auto rows = block_index_->blocks(*ordinal);
+    const auto blob = segment_->raw_blob(segment_->meta(*ordinal));
+    const auto rows = segment_->skip_rows(*ordinal);
     // Zero-copy: decode cost accrues only for the blocks the cursor enters,
     // so nothing is added to the decode counters here.
-    return make_segment_cursor(blob.first, blob.second, rows.first, rows.second,
+    return make_segment_cursor(blob.first, blob.second, rows.data(), rows.size(),
                                /*pin=*/nullptr);
   }
-  // No skip table loaded: serve the identical interface over a decoded
-  // list (lookup_impl does the lookup/miss/decode accounting). Positional
+  // Run files: serve the identical interface over a decoded list
+  // (lookup_impl does the lookup/miss/decode accounting). Positional
   // cursors decode positions with the list.
   auto decoded = lookup_impl(term, /*positional=*/with_positions);
   if (!decoded.has_value() || decoded->doc_ids.empty()) return nullptr;
@@ -243,13 +208,10 @@ std::optional<QueryPostings> InvertedIndex::lookup_positional(std::string_view t
 
 BloomChain InvertedIndex::bloom_chain(std::string_view term) const {
   BloomChain chain;
-  if (segment_ == nullptr || !blooms_.has_value()) return chain;
-  const auto ordinal = segment_->find(term);
-  if (!ordinal) return chain;
+  if (segment_ == nullptr) return chain;
   // One segment owns every doc of a batch index, so the single link covers
-  // the whole doc-id space — the filter was built over the full list and
-  // can answer for any candidate.
-  chain.add_link({0, 0xFFFFFFFFu, &*blooms_, *ordinal});
+  // the whole doc-id space.
+  chain.add_link({0, 0xFFFFFFFFu, segment_.get(), segment_->find(term)});
   return chain;
 }
 

@@ -87,13 +87,12 @@ class InvertedIndex {
   [[nodiscard]] std::optional<QueryPostings> lookup(std::string_view term) const;
 
   /// Block-level cursor over `term`'s postings (see postings/cursor.hpp);
-  /// nullptr when the term is unknown or its list is empty. Segment-backed
-  /// with a loaded skip table this is a zero-copy blob cursor that decodes
-  /// only the blocks it lands on; otherwise it wraps a decoded list. The
-  /// cursor borrows the index — it must not outlive this object.
-  /// `with_positions` asks for current_positions() support: the segment
-  /// cursor serves positions natively (lazy per-block re-decode); the
-  /// decoded fallback then materializes the positional list up front.
+  /// nullptr when the term is unknown. Segment-backed this is a zero-copy
+  /// blob cursor steered by the segment's skip rows that decodes only the
+  /// blocks it lands on (and serves positions per block on demand); the
+  /// run-file backend wraps a decoded list, positional when
+  /// `with_positions` asks for current_positions() support. The cursor
+  /// borrows the index — it must not outlive this object.
   [[nodiscard]] std::unique_ptr<PostingsCursor> open_cursor(
       std::string_view term, bool with_positions = false) const;
 
@@ -120,22 +119,9 @@ class InvertedIndex {
   /// is only valid during the call (segment terms are decoded on the fly).
   void for_each_term(const std::function<void(std::string_view)>& fn) const;
 
-  /// Per-term maximum term frequency from the score-bound sidecar
-  /// (segment backend, `index.seg.maxtf` present — see postings/segment.hpp);
-  /// nullopt for unknown terms or when no sidecar was loaded. The top-k
-  /// executor turns this into a BM25 score upper bound for early
-  /// termination, falling back to the loose idf·(k1+1) bound otherwise.
-  [[nodiscard]] std::optional<std::uint32_t> max_tf(std::string_view term) const;
-  /// True when per-term score bounds were loaded at open().
-  [[nodiscard]] bool has_score_bounds() const { return !max_tfs_.empty(); }
-  /// True when the block skip-table sidecar (`index.seg.bmx`) was loaded at
-  /// open() — the precondition for Block-Max skipping over raw blobs.
-  [[nodiscard]] bool has_block_index() const { return block_index_.has_value(); }
-  /// True when the Bloom sidecar (`index.seg.blm`) was loaded at open().
-  [[nodiscard]] bool has_blooms() const { return blooms_.has_value(); }
   /// The term's Bloom rejection chain (postings/bloom.hpp): empty — never
-  /// rejects — when no sidecar was loaded or the term is unknown. The
-  /// chain borrows this index and must not outlive it.
+  /// rejects — on the run-file backend. The chain borrows this index and
+  /// must not outlive it.
   [[nodiscard]] BloomChain bloom_chain(std::string_view term) const;
 
   /// True when serving from a compacted segment.
@@ -168,9 +154,6 @@ class InvertedIndex {
   std::vector<DictionaryEntry> entries_;  // sorted by term (run-file backend)
   std::vector<RunFile> runs_;             // ascending run id (run-file backend)
   std::unique_ptr<SegmentReader> segment_;
-  std::vector<std::uint32_t> max_tfs_;     // by term ordinal; empty = no sidecar
-  std::optional<BlockIndex> block_index_;  // skip tables; nullopt = no sidecar
-  std::optional<BloomSidecar> blooms_;     // rejection filters; nullopt = no sidecar
 };
 
 }  // namespace hetindex

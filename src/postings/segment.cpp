@@ -16,265 +16,26 @@ namespace {
 
 constexpr std::uint32_t kSegmentMagic = 0x47455348;        // "HSEG"
 constexpr std::uint32_t kSegmentFooterMagic = 0x544F4F46;  // "FOOT"
-constexpr std::uint32_t kSegmentVersion = 1;
-constexpr std::size_t kHeaderBytes = 80;
+constexpr std::uint32_t kSegmentVersion = 2;
+constexpr std::size_t kHeaderBytes = 112;
 constexpr std::size_t kFooterBytes = 16;
-constexpr std::size_t kTableRowBytes = 24;
+constexpr std::size_t kTableRowBytes = 28;
+constexpr std::size_t kSkipRowBytes = 16;
 
-constexpr std::uint32_t kMaxTfMagic = 0x46544D48;  // "HMTF"
-constexpr std::uint32_t kMaxTfVersion = 1;
-
-constexpr std::uint32_t kBlockIndexMagic = 0x584D4248;  // "HBMX"
-constexpr std::uint32_t kBlockIndexVersion = 1;
-constexpr std::size_t kBlockEntryBytes = 24;
-
-/// Removes a segment and its sidecars — the failure path of every writer
-/// (a torn sidecar would be rejected by CRC, but leaving one next to a
-/// removed segment just confuses the next open).
-void remove_segment_outputs(const std::string& seg_path) {
-  (void)io::env().remove_file(seg_path);
-  (void)io::env().remove_file(max_tf_sidecar_path(seg_path));
-  (void)io::env().remove_file(block_index_sidecar_path(seg_path));
-  (void)io::env().remove_file(bloom_sidecar_path(seg_path));
+/// vbyte_decode without the abort: false when the varint runs past `size`
+/// or overflows — the open-time dictionary pass reports that as kCorrupt.
+bool read_varint(const std::uint8_t* data, std::size_t size, std::size_t& pos,
+                 std::uint64_t& value) {
+  value = 0;
+  for (unsigned shift = 0; shift < 64 && pos < size; shift += 7) {
+    const std::uint8_t byte = data[pos++];
+    value |= static_cast<std::uint64_t>(byte & 0x7Fu) << shift;
+    if ((byte & 0x80u) == 0) return true;
+  }
+  return false;
 }
 
 }  // namespace
-
-// ------------------------------------------------------------- maxtf sidecar
-
-std::string max_tf_sidecar_path(const std::string& segment_path) {
-  return segment_path + ".maxtf";
-}
-
-Status write_max_tf_sidecar(const std::string& segment_path,
-                            const std::vector<std::uint32_t>& max_tfs) {
-  std::vector<std::uint8_t> out;
-  out.reserve(20 + 4 * max_tfs.size());
-  ByteWriter w(out);
-  w.u32(kMaxTfMagic);
-  w.u32(kMaxTfVersion);
-  w.u64(max_tfs.size());
-  for (const std::uint32_t tf : max_tfs) w.u32(tf);
-  w.u32(crc32(out.data(), out.size()));
-  return io::durable_write_file(max_tf_sidecar_path(segment_path), out);
-}
-
-Expected<std::vector<std::uint32_t>> read_max_tf_sidecar(const std::string& segment_path,
-                                                         std::uint64_t expected_terms) {
-  const std::string path = max_tf_sidecar_path(segment_path);
-  const auto corrupt = [&path](const char* what) {
-    return Error{ErrorCode::kCorrupt, std::string(what) + ": " + path};
-  };
-  if (!file_exists(path)) {
-    return Error{ErrorCode::kNotFound, "no max-tf sidecar: " + path};
-  }
-  const auto data = read_file(path);
-  if (data.size() < 20) return corrupt("max-tf sidecar too small (truncated?)");
-  if (crc32(data.data(), data.size() - 4) !=
-      ByteReader(data.data() + (data.size() - 4), 4).u32()) {
-    return corrupt("max-tf sidecar corruption (crc mismatch)");
-  }
-  ByteReader r(data.data(), data.size() - 4);
-  if (r.u32() != kMaxTfMagic) return corrupt("not a max-tf sidecar");
-  if (r.u32() != kMaxTfVersion) {
-    return Error{ErrorCode::kUnsupported, "unsupported max-tf sidecar version: " + path};
-  }
-  const std::uint64_t count = r.u64();
-  if (count != expected_terms || r.remaining() != count * 4) {
-    return corrupt("max-tf sidecar term count mismatch");
-  }
-  std::vector<std::uint32_t> max_tfs(static_cast<std::size_t>(count));
-  for (auto& tf : max_tfs) tf = r.u32();
-  return max_tfs;
-}
-
-std::vector<std::uint32_t> compute_max_tfs(const SegmentReader& reader) {
-  std::vector<std::uint32_t> max_tfs;
-  max_tfs.reserve(static_cast<std::size_t>(reader.term_count()));
-  std::vector<std::uint32_t> doc_ids, tfs;
-  for (std::uint64_t ord = 0; ord < reader.term_count(); ++ord) {
-    doc_ids.clear();
-    tfs.clear();
-    reader.decode(reader.meta(ord), doc_ids, tfs);
-    std::uint32_t mx = 0;
-    for (const std::uint32_t tf : tfs) mx = std::max(mx, tf);
-    max_tfs.push_back(mx);
-  }
-  return max_tfs;
-}
-
-// ------------------------------------------------------------- .bmx sidecar
-
-void BlockIndex::add_term(const std::vector<PostingBlockEntry>& entries) {
-  HET_CHECK_MSG(!entries.empty(), "block index terms must have blocks");
-  entries_.insert(entries_.end(), entries.begin(), entries.end());
-  begin_.push_back(entries_.size());
-}
-
-std::pair<const PostingBlockEntry*, std::size_t> BlockIndex::blocks(
-    std::uint64_t ordinal) const {
-  HET_CHECK(ordinal < term_count());
-  const std::size_t b = static_cast<std::size_t>(begin_[ordinal]);
-  const std::size_t e = static_cast<std::size_t>(begin_[ordinal + 1]);
-  return {entries_.data() + b, e - b};
-}
-
-std::uint32_t BlockIndex::term_max_tf(std::uint64_t ordinal) const {
-  const auto [entries, count] = blocks(ordinal);
-  std::uint32_t mx = 0;
-  for (std::size_t i = 0; i < count; ++i) mx = std::max(mx, entries[i].max_tf);
-  return mx;
-}
-
-std::string block_index_sidecar_path(const std::string& segment_path) {
-  return segment_path + ".bmx";
-}
-
-Status write_block_index_sidecar(const std::string& segment_path,
-                                 const BlockIndex& index) {
-  std::vector<std::uint8_t> out;
-  out.reserve(28 + 4 * index.term_count() + kBlockEntryBytes * index.total_blocks());
-  ByteWriter w(out);
-  w.u32(kBlockIndexMagic);
-  w.u32(kBlockIndexVersion);
-  w.u64(index.term_count());
-  w.u64(index.total_blocks());
-  for (std::uint64_t ord = 0; ord < index.term_count(); ++ord) {
-    w.u32(static_cast<std::uint32_t>(index.blocks(ord).second));
-  }
-  for (std::uint64_t ord = 0; ord < index.term_count(); ++ord) {
-    const auto [entries, count] = index.blocks(ord);
-    for (std::size_t i = 0; i < count; ++i) {
-      w.u64(entries[i].offset);
-      w.u32(entries[i].bytes);
-      w.u32(entries[i].last_doc);
-      w.u32(entries[i].count);
-      w.u32(entries[i].max_tf);
-    }
-  }
-  w.u32(crc32(out.data(), out.size()));
-  return io::durable_write_file(block_index_sidecar_path(segment_path), out);
-}
-
-Expected<BlockIndex> read_block_index_sidecar(const std::string& segment_path,
-                                              std::uint64_t expected_terms) {
-  const std::string path = block_index_sidecar_path(segment_path);
-  const auto corrupt = [&path](const char* what) {
-    return Error{ErrorCode::kCorrupt, std::string(what) + ": " + path};
-  };
-  if (!file_exists(path)) {
-    return Error{ErrorCode::kNotFound, "no block-index sidecar: " + path};
-  }
-  const auto data = read_file(path);
-  if (data.size() < 28) return corrupt("block-index sidecar too small (truncated?)");
-  if (crc32(data.data(), data.size() - 4) !=
-      ByteReader(data.data() + (data.size() - 4), 4).u32()) {
-    return corrupt("block-index sidecar corruption (crc mismatch)");
-  }
-  ByteReader r(data.data(), data.size() - 4);
-  if (r.u32() != kBlockIndexMagic) return corrupt("not a block-index sidecar");
-  if (r.u32() != kBlockIndexVersion) {
-    return Error{ErrorCode::kUnsupported,
-                 "unsupported block-index sidecar version: " + path};
-  }
-  const std::uint64_t term_count = r.u64();
-  const std::uint64_t total_blocks = r.u64();
-  if (term_count != expected_terms) {
-    return corrupt("block-index sidecar term count mismatch");
-  }
-  if (r.remaining() != term_count * 4 + total_blocks * kBlockEntryBytes) {
-    return corrupt("block-index sidecar truncated");
-  }
-  std::vector<std::uint32_t> counts(static_cast<std::size_t>(term_count));
-  std::uint64_t sum = 0;
-  for (auto& c : counts) {
-    c = r.u32();
-    if (c == 0) return corrupt("block-index sidecar has a blockless term");
-    sum += c;
-  }
-  if (sum != total_blocks) return corrupt("block-index sidecar block count mismatch");
-  BlockIndex index;
-  std::vector<PostingBlockEntry> term_entries;
-  for (const std::uint32_t c : counts) {
-    term_entries.clear();
-    std::uint64_t next_offset = 0;
-    std::uint32_t prev_last = 0;
-    for (std::uint32_t i = 0; i < c; ++i) {
-      PostingBlockEntry e;
-      e.offset = r.u64();
-      e.bytes = r.u32();
-      e.last_doc = r.u32();
-      e.count = r.u32();
-      e.max_tf = r.u32();
-      // Blocks tile the blob contiguously and ascend by doc id; anything
-      // else cannot have come from the writer.
-      if (e.offset != next_offset || e.bytes == 0 || e.count == 0 || e.max_tf == 0 ||
-          (i > 0 && e.last_doc <= prev_last)) {
-        return corrupt("block-index sidecar rows inconsistent");
-      }
-      next_offset = e.offset + e.bytes;
-      prev_last = e.last_doc;
-      term_entries.push_back(e);
-    }
-    index.add_term(term_entries);
-  }
-  return index;
-}
-
-BlockIndex compute_block_index(const SegmentReader& reader) {
-  BlockIndex index;
-  std::vector<PostingBlockEntry> term_entries;
-  std::vector<std::uint32_t> doc_ids, tfs;
-  for (std::uint64_t ord = 0; ord < reader.term_count(); ++ord) {
-    const auto m = reader.meta(ord);
-    const auto [blob, bytes] = reader.raw_blob(m);
-    term_entries.clear();
-    std::size_t pos = 0;
-    while (pos < bytes) {
-      doc_ids.clear();
-      tfs.clear();
-      const std::size_t consumed = decode_postings(blob, bytes, doc_ids, tfs, nullptr, pos);
-      if (doc_ids.empty()) {  // empty sub-list: header only, no block row
-        pos += consumed;
-        continue;
-      }
-      PostingBlockEntry e;
-      e.offset = pos;
-      e.bytes = static_cast<std::uint32_t>(consumed);
-      e.last_doc = doc_ids.back();
-      e.count = static_cast<std::uint32_t>(doc_ids.size());
-      e.max_tf = *std::max_element(tfs.begin(), tfs.end());
-      term_entries.push_back(e);
-      pos += consumed;
-    }
-    index.add_term(term_entries);
-  }
-  return index;
-}
-
-Status validate_block_index(const SegmentReader& reader, const BlockIndex& index) {
-  const auto corrupt = [&reader](const char* what) {
-    return Error{ErrorCode::kCorrupt,
-                 std::string(what) + ": " + block_index_sidecar_path(reader.path())};
-  };
-  if (index.term_count() != reader.term_count()) {
-    return corrupt("block-index sidecar term count mismatch");
-  }
-  for (std::uint64_t ord = 0; ord < reader.term_count(); ++ord) {
-    const auto m = reader.meta(ord);
-    const auto [entries, count] = index.blocks(ord);
-    std::uint64_t bytes = 0, postings = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      bytes += entries[i].bytes;
-      postings += entries[i].count;
-    }
-    if (bytes != m.bytes || postings != m.count ||
-        entries[count - 1].last_doc != m.max_doc) {
-      return corrupt("block-index sidecar disagrees with segment table");
-    }
-  }
-  return Unit{};
-}
 
 SegmentWriter::SegmentWriter(std::string path, PostingCodec codec,
                              std::uint32_t terms_per_block)
@@ -282,22 +43,48 @@ SegmentWriter::SegmentWriter(std::string path, PostingCodec codec,
   HET_CHECK_MSG(terms_per_block_ >= 1, "segment block size must be >= 1");
 }
 
-void SegmentWriter::add_term(std::string_view term, const std::uint8_t* blob,
-                             std::size_t blob_bytes, std::uint32_t count,
-                             std::uint32_t min_doc, std::uint32_t max_doc) {
+void SegmentWriter::add_term(std::string_view term, std::span<const std::uint8_t> blob,
+                             std::uint32_t min_doc, std::span<const PostingBlockEntry> rows,
+                             std::span<const std::uint8_t> filters) {
   HET_CHECK(!finalized_);
   HET_CHECK_MSG(term_count_ == 0 || prev_term_ < term,
                 "segment terms must be sorted and unique");
-  HET_CHECK_MSG(count > 0 && blob_bytes > 0, "segment terms must have postings");
-  HET_CHECK(min_doc <= max_doc && blob_bytes <= 0xFFFFFFFFull);
+  HET_CHECK_MSG(!rows.empty() && !blob.empty(), "segment terms must have postings");
+  HET_CHECK(blob.size() <= 0xFFFFFFFFull);
+
+  // Rows tile the blob in order and ascend by doc. Offsets are not stored:
+  // the reader re-derives them from the sizes, so a merge copies rows as is.
+  ByteWriter sw(skip_);
+  std::uint64_t next_offset = 0, count = 0;
+  std::size_t filter_bytes = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const PostingBlockEntry& row = rows[i];
+    HET_CHECK_MSG(row.offset == next_offset && row.bytes > 0 && row.count > 0 &&
+                      row.max_tf > 0 &&
+                      (i == 0 ? min_doc <= row.last_doc : rows[i - 1].last_doc < row.last_doc),
+                  "skip rows must tile the blob in doc order");
+    next_offset += row.bytes;
+    count += row.count;
+    filter_bytes += bloom_filter_bytes(row.count);
+    sw.u32(row.bytes);
+    sw.u32(row.last_doc);
+    sw.u32(row.count);
+    sw.u32(row.max_tf);
+  }
+  HET_CHECK_MSG(next_offset == blob.size() && filter_bytes == filters.size() &&
+                    count <= 0xFFFFFFFFull,
+                "skip rows and filters must cover the blob exactly");
+  const std::uint32_t max_doc = rows.back().last_doc;
 
   ByteWriter tw(table_);
   tw.u64(blobs_.size());
-  tw.u32(static_cast<std::uint32_t>(blob_bytes));
-  tw.u32(count);
+  tw.u32(static_cast<std::uint32_t>(blob.size()));
+  tw.u32(static_cast<std::uint32_t>(count));
   tw.u32(min_doc);
   tw.u32(max_doc);
-  blobs_.insert(blobs_.end(), blob, blob + blob_bytes);
+  tw.u32(static_cast<std::uint32_t>(rows.size()));
+  blobs_.insert(blobs_.end(), blob.begin(), blob.end());
+  blooms_.insert(blooms_.end(), filters.begin(), filters.end());
 
   ByteWriter dw(dict_);
   if (block_fill_ == 0) {
@@ -319,12 +106,51 @@ void SegmentWriter::add_term(std::string_view term, const std::uint8_t* blob,
   ++term_count_;
 }
 
+void SegmentWriter::add_term(std::string_view term, std::span<const std::uint8_t> blob,
+                             std::span<const PostingBlockEntry> rows,
+                             std::span<const std::uint32_t> docs) {
+  HET_CHECK_MSG(!docs.empty(), "segment terms must have postings");
+  std::vector<std::uint8_t> filters;
+  std::size_t at = 0;
+  for (const PostingBlockEntry& row : rows) {
+    HET_CHECK(at + row.count <= docs.size());
+    append_bloom_filter(docs.data() + at, row.count, filters);
+    at += row.count;
+  }
+  HET_CHECK_MSG(at == docs.size(), "skip rows must cover every posting");
+  add_term(term, blob, docs.front(), rows, filters);
+}
+
+void SegmentWriter::add_term(std::string_view term, std::span<const std::uint8_t> blob) {
+  // Every encoded block is a self-describing sub-list, so one pass of
+  // back-to-back decodes recovers each block's row from its boundaries.
+  std::vector<PostingBlockEntry> rows;
+  std::vector<std::uint32_t> docs, tfs;
+  std::size_t pos = 0;
+  while (pos < blob.size()) {
+    const std::size_t first = docs.size();
+    const std::size_t consumed =
+        decode_postings(blob.data(), blob.size(), docs, tfs, nullptr, pos);
+    HET_CHECK_MSG(docs.size() > first, "postings blobs must not hold empty blocks");
+    PostingBlockEntry row;
+    row.offset = pos;
+    row.bytes = static_cast<std::uint32_t>(consumed);
+    row.last_doc = docs.back();
+    row.count = static_cast<std::uint32_t>(docs.size() - first);
+    row.max_tf = *std::max_element(tfs.begin() + static_cast<std::ptrdiff_t>(first), tfs.end());
+    rows.push_back(row);
+    pos += consumed;
+  }
+  add_term(term, blob, rows, docs);
+}
+
 Expected<std::uint64_t> SegmentWriter::finalize() {
   HET_CHECK(!finalized_);
   finalized_ = true;
 
   std::vector<std::uint8_t> out;
-  out.reserve(kHeaderBytes + dict_.size() + table_.size() + blobs_.size() + kFooterBytes);
+  out.reserve(kHeaderBytes + dict_.size() + table_.size() + skip_.size() + blooms_.size() +
+              blobs_.size() + kFooterBytes);
   ByteWriter w(out);
   w.u32(kSegmentMagic);
   w.u32(kSegmentVersion);
@@ -335,19 +161,17 @@ Expected<std::uint64_t> SegmentWriter::finalize() {
   w.u64(term_count_);
   w.u32(term_count_ == 0 ? 0 : min_doc_);
   w.u32(term_count_ == 0 ? 0 : max_doc_);
-  const std::uint64_t dict_off = kHeaderBytes;
-  const std::uint64_t table_off = dict_off + dict_.size();
-  const std::uint64_t blob_off = table_off + table_.size();
-  w.u64(dict_off);
-  w.u64(dict_.size());
-  w.u64(table_off);
-  w.u64(table_.size());
-  w.u64(blob_off);
-  w.u64(blobs_.size());
+  // Sections back to back, each as (offset, bytes).
+  std::uint64_t at = kHeaderBytes;
+  for (const auto* section : {&dict_, &table_, &skip_, &blooms_, &blobs_}) {
+    w.u64(at);
+    w.u64(section->size());
+    at += section->size();
+  }
   HET_CHECK(out.size() == kHeaderBytes);
-  w.bytes(dict_.data(), dict_.size());
-  w.bytes(table_.data(), table_.size());
-  w.bytes(blobs_.data(), blobs_.size());
+  for (const auto* section : {&dict_, &table_, &skip_, &blooms_, &blobs_}) {
+    w.bytes(section->data(), section->size());
+  }
 
   const std::uint64_t total = out.size() + kFooterBytes;
   const std::uint32_t crc = crc32(out.data(), out.size());
@@ -359,14 +183,6 @@ Expected<std::uint64_t> SegmentWriter::finalize() {
   auto written = io::durable_write_file(path_, out);
   if (!written.has_value()) return written.error();
   return total;
-}
-
-SegmentReader SegmentReader::open(const std::string& path) {
-  auto r = try_open(path);
-  if (!r.has_value()) {
-    check_failed("SegmentReader::open", __FILE__, __LINE__, r.error().message.c_str());
-  }
-  return std::move(r).value();
 }
 
 Expected<SegmentReader> SegmentReader::try_open(const std::string& path) {
@@ -382,7 +198,7 @@ Expected<SegmentReader> SegmentReader::try_open(const std::string& path) {
   r.file_ = std::move(file).value();
   const std::uint8_t* data = r.file_.data();
   const std::size_t n = r.file_.size();
-  if (n < kHeaderBytes + kFooterBytes) return corrupt("segment file too small (truncated?)");
+  if (n < 8 + kFooterBytes) return corrupt("segment file too small (truncated?)");
 
   // Footer first: it guards everything else, including the header.
   ByteReader fr(data + (n - kFooterBytes), kFooterBytes);
@@ -396,9 +212,19 @@ Expected<SegmentReader> SegmentReader::try_open(const std::string& path) {
 
   ByteReader h(data, n - kFooterBytes);
   if (h.u32() != kSegmentMagic) return corrupt("not a hetindex segment file");
-  if (h.u32() != kSegmentVersion) {
+  const std::uint32_t version = h.u32();
+  if (version == 1) {
+    return Error{ErrorCode::kUnsupported,
+                 "segment format v1 is no longer served (v2 stores the skip table and "
+                 "Bloom filters inside the segment); upgrade a batch index with "
+                 "`hetindex_cli compact <dir>`, which re-folds index.seg from its run "
+                 "files: " +
+                     path};
+  }
+  if (version != kSegmentVersion) {
     return Error{ErrorCode::kUnsupported, "unsupported segment version: " + path};
   }
+  if (n < kHeaderBytes + kFooterBytes) return corrupt("segment file too small (truncated?)");
   const std::uint8_t codec_byte = h.u8();
   if (codec_byte > static_cast<std::uint8_t>(PostingCodec::kBitPacked)) {
     return Error{ErrorCode::kUnsupported, "unknown segment posting codec: " + path};
@@ -410,53 +236,120 @@ Expected<SegmentReader> SegmentReader::try_open(const std::string& path) {
   r.term_count_ = h.u64();
   r.min_doc_ = h.u32();
   r.max_doc_ = h.u32();
-  r.dict_off_ = h.u64();
-  r.dict_bytes_ = h.u64();
-  r.table_off_ = h.u64();
-  r.table_bytes_ = h.u64();
-  r.blob_off_ = h.u64();
-  r.blob_bytes_ = h.u64();
+  // Sections must sit back to back from the header to the footer; each
+  // size is bounded first so no sum below can wrap.
   const std::uint64_t payload_end = n - kFooterBytes;
-  if (!(r.dict_off_ == kHeaderBytes && r.table_off_ == r.dict_off_ + r.dict_bytes_ &&
-        r.blob_off_ == r.table_off_ + r.table_bytes_ &&
-        r.blob_off_ + r.blob_bytes_ == payload_end)) {
-    return corrupt("segment section out of bounds");
+  std::uint64_t offsets[5], sizes[5];
+  std::uint64_t expect = kHeaderBytes;
+  for (int i = 0; i < 5; ++i) {
+    offsets[i] = h.u64();
+    sizes[i] = h.u64();
+    if (offsets[i] != expect || sizes[i] > payload_end - expect) {
+      return corrupt("segment section out of bounds");
+    }
+    expect += sizes[i];
   }
-  if (r.table_bytes_ != r.term_count_ * kTableRowBytes) {
+  if (expect != payload_end) return corrupt("segment section out of bounds");
+  r.dict_off_ = offsets[0];
+  r.dict_bytes_ = sizes[0];
+  r.table_off_ = offsets[1];
+  r.table_bytes_ = sizes[1];
+  r.bloom_off_ = offsets[3];
+  r.blob_off_ = offsets[4];
+  r.blob_bytes_ = sizes[4];
+  if (r.table_bytes_ % kTableRowBytes != 0 || r.table_bytes_ / kTableRowBytes != r.term_count_ ||
+      sizes[2] % kSkipRowBytes != 0) {
     return corrupt("segment section out of bounds");
   }
 
   // One pass over the dictionary builds the sparse block index; term bytes
-  // themselves stay in the mapping.
+  // themselves stay in the mapping. Truncated coded terms and shared
+  // prefixes longer than the previous term are structural defects of the
+  // file — report kCorrupt so TermCursor and find() (which reuse the
+  // offsets validated here) never walk past the section.
   const std::uint8_t* dict = r.dict_data();
   std::size_t pos = 0;
   r.blocks_.reserve(static_cast<std::size_t>(
       (r.term_count_ + r.terms_per_block_ - 1) / r.terms_per_block_));
-  // Truncated coded terms here are a structural defect of the file, not a
-  // programming error — report kCorrupt so TermCursor and find() never walk
-  // past the section (they reuse the offsets validated in this pass).
   for (std::uint64_t base = 0; base < r.term_count_; base += r.terms_per_block_) {
     if (pos + 4 > r.dict_bytes_) return corrupt("segment dictionary truncated");
     std::uint32_t first_len = 0;
     std::memcpy(&first_len, dict + pos, 4);
     pos += 4;
-    if (pos + first_len > r.dict_bytes_) return corrupt("segment dictionary truncated");
+    if (first_len > r.dict_bytes_ - pos) return corrupt("segment dictionary truncated");
     Block b;
     b.first = std::string_view(reinterpret_cast<const char*>(dict + pos), first_len);
     pos += first_len;
     b.coded_pos = pos;
     b.base = base;
+    std::uint64_t prev_len = first_len;
     const std::uint64_t in_block = std::min<std::uint64_t>(r.terms_per_block_,
                                                            r.term_count_ - base);
     for (std::uint64_t i = 1; i < in_block; ++i) {
-      (void)vbyte_decode(dict, r.dict_bytes_, pos);  // shared prefix length
-      const std::uint64_t suffix = vbyte_decode(dict, r.dict_bytes_, pos);
-      if (pos + suffix > r.dict_bytes_) return corrupt("segment dictionary truncated");
+      std::uint64_t shared = 0, suffix = 0;
+      if (!read_varint(dict, r.dict_bytes_, pos, shared) ||
+          !read_varint(dict, r.dict_bytes_, pos, suffix) || suffix > r.dict_bytes_ - pos) {
+        return corrupt("segment dictionary truncated");
+      }
+      if (shared > prev_len) return corrupt("segment dictionary shared prefix too long");
       pos += suffix;
+      prev_len = shared + suffix;
     }
     r.blocks_.push_back(b);
   }
   if (pos != r.dict_bytes_) return corrupt("segment dictionary truncated");
+
+  // One pass over the table and the skip rows: every term's rows must tile
+  // its blob in doc order and agree with its table row, the blobs must
+  // tile the blob area, and the filters sized from the rows must fill the
+  // bloom section exactly. A cursor then never meets a row it cannot trust.
+  ByteReader table(data + r.table_off_, r.table_bytes_);
+  ByteReader skip(data + offsets[2], sizes[2]);
+  r.rows_.reserve(static_cast<std::size_t>(sizes[2] / kSkipRowBytes));
+  r.term_rows_.reserve(static_cast<std::size_t>(r.term_count_ + 1));
+  r.row_filters_.reserve(r.rows_.capacity() + 1);
+  r.term_rows_.push_back(0);
+  r.row_filters_.push_back(0);
+  std::uint64_t blob_at = 0, filter_at = 0;
+  for (std::uint64_t ord = 0; ord < r.term_count_; ++ord) {
+    const std::uint64_t offset = table.u64();
+    const std::uint32_t bytes = table.u32();
+    const std::uint32_t count = table.u32();
+    const std::uint32_t min_doc = table.u32();
+    const std::uint32_t max_doc = table.u32();
+    const std::uint32_t n_rows = table.u32();
+    if (offset != blob_at || bytes == 0 || n_rows == 0 || min_doc > max_doc ||
+        n_rows > skip.remaining() / kSkipRowBytes) {
+      return corrupt("segment table row inconsistent");
+    }
+    std::uint64_t row_bytes = 0, row_docs = 0;
+    for (std::uint32_t i = 0; i < n_rows; ++i) {
+      PostingBlockEntry row;
+      row.offset = row_bytes;
+      row.bytes = skip.u32();
+      row.last_doc = skip.u32();
+      row.count = skip.u32();
+      row.max_tf = skip.u32();
+      const bool ascends =
+          i == 0 ? row.last_doc >= min_doc : row.last_doc > r.rows_.back().last_doc;
+      if (row.bytes == 0 || row.count == 0 || row.max_tf == 0 || !ascends) {
+        return corrupt("segment skip rows inconsistent");
+      }
+      row_bytes += row.bytes;
+      row_docs += row.count;
+      filter_at += bloom_filter_bytes(row.count);
+      r.rows_.push_back(row);
+      r.row_filters_.push_back(filter_at);
+    }
+    if (row_bytes != bytes || row_docs != count || r.rows_.back().last_doc != max_doc) {
+      return corrupt("segment skip rows disagree with the table");
+    }
+    r.term_rows_.push_back(r.rows_.size());
+    blob_at += bytes;
+  }
+  if (blob_at != r.blob_bytes_ || skip.remaining() != 0 || filter_at != sizes[3]) {
+    return corrupt("segment sections disagree with the table");
+  }
   return r;
 }
 
@@ -500,6 +393,31 @@ SegmentReader::PostingsMeta SegmentReader::meta(std::uint64_t ordinal) const {
   m.min_doc = t.u32();
   m.max_doc = t.u32();
   return m;
+}
+
+std::span<const PostingBlockEntry> SegmentReader::skip_rows(std::uint64_t ordinal) const {
+  HET_CHECK(ordinal < term_count_);
+  const auto begin = static_cast<std::size_t>(term_rows_[ordinal]);
+  const auto end = static_cast<std::size_t>(term_rows_[ordinal + 1]);
+  return {rows_.data() + begin, end - begin};
+}
+
+std::span<const std::uint8_t> SegmentReader::raw_filters(std::uint64_t ordinal) const {
+  HET_CHECK(ordinal < term_count_);
+  const std::uint64_t begin = row_filters_[term_rows_[ordinal]];
+  const std::uint64_t end = row_filters_[term_rows_[ordinal + 1]];
+  return {file_.data() + bloom_off_ + begin, static_cast<std::size_t>(end - begin)};
+}
+
+bool SegmentReader::may_contain(std::uint64_t ordinal, std::uint32_t doc) const {
+  const auto rows = skip_rows(ordinal);
+  // The one block that could hold `doc`: the first whose last_doc >= doc.
+  const auto it = std::lower_bound(
+      rows.begin(), rows.end(), doc,
+      [](const PostingBlockEntry& row, std::uint32_t d) { return row.last_doc < d; });
+  if (it == rows.end()) return false;  // past the list's last doc
+  const std::uint64_t row = term_rows_[ordinal] + static_cast<std::uint64_t>(it - rows.begin());
+  return bloom_may_contain(file_.data() + bloom_off_ + row_filters_[row], it->count, doc);
 }
 
 void SegmentReader::decode(const PostingsMeta& m, std::vector<std::uint32_t>& doc_ids,
@@ -590,47 +508,23 @@ void SegmentReader::TermCursor::next() {
 Expected<SegmentMergeStats> merge_segments(
     const std::vector<const SegmentReader*>& inputs, const std::string& out_path) {
   HET_CHECK_MSG(!inputs.empty(), "segment merge requires at least one input");
+  // Nothing reaches disk before finalize(); removing `out_path` on every
+  // error also clears a stale file an earlier crashed attempt left there.
+  const auto fail = [&out_path](Error e) -> Expected<SegmentMergeStats> {
+    (void)io::env().remove_file(out_path);
+    return e;
+  };
   const PostingCodec codec = inputs.front()->codec();
   for (const auto* in : inputs) {
-    HET_CHECK_MSG(in->codec() == codec, "segment merge requires a uniform posting codec");
+    if (in->codec() != codec) {
+      return fail(Error{ErrorCode::kInvalidArgument,
+                        "segment merge requires a uniform posting codec: " + in->path()});
+    }
   }
 
   SegmentMergeStats stats;
   stats.segments = inputs.size();
   SegmentWriter writer(out_path, codec);
-
-  // Score-bound sidecars propagate without decoding: the max_tf of a
-  // concatenated list is the max of the inputs' per-term maxima, and the
-  // merged skip table is the inputs' block rows with a byte-offset fix-up.
-  // Only written when every input carries one — a partial merge would
-  // produce bounds that silently under-cover the uncovered input. A missing
-  // sidecar degrades; a corrupt or unreadable one is a structured refusal
-  // (merging around it would launder the corruption into the output).
-  std::vector<std::vector<std::uint32_t>> input_max_tfs;
-  bool all_have_max_tfs = true;
-  for (const auto* in : inputs) {
-    auto side = read_max_tf_sidecar(in->path(), in->term_count());
-    if (!side) {
-      if (side.error().code != ErrorCode::kNotFound) return side.error();
-      all_have_max_tfs = false;
-      break;
-    }
-    input_max_tfs.push_back(std::move(side).value());
-  }
-  std::vector<std::uint32_t> out_max_tfs;
-
-  std::vector<BlockIndex> input_bmx;
-  bool all_have_bmx = true;
-  for (const auto* in : inputs) {
-    auto side = read_block_index_sidecar(in->path(), in->term_count());
-    if (!side) {
-      if (side.error().code != ErrorCode::kNotFound) return side.error();
-      all_have_bmx = false;
-      break;
-    }
-    input_bmx.push_back(std::move(side).value());
-  }
-  BlockIndex out_bmx;
 
   // K-way cursor merge. K is the merge factor (a handful), so a linear
   // min-scan per output term beats the heap's constant factor.
@@ -638,7 +532,8 @@ Expected<SegmentMergeStats> merge_segments(
   cursors.reserve(inputs.size());
   for (const auto* in : inputs) cursors.emplace_back(*in);
 
-  std::vector<std::uint8_t> blob;
+  std::vector<std::uint8_t> blob, filters;
+  std::vector<PostingBlockEntry> rows;
   while (true) {
     const std::string* min_term = nullptr;
     for (const auto& c : cursors) {
@@ -649,71 +544,45 @@ Expected<SegmentMergeStats> merge_segments(
     if (min_term == nullptr) break;
     const std::string term = *min_term;  // cursors advance below; copy first
 
-    // Equal terms concatenate byte-wise in input order — every encoded
-    // sub-list starts with an absolute doc id (§III.F), so the combined
-    // blob decodes as one list provided doc ranges ascend across inputs.
+    // Equal terms concatenate section by section in input order: every
+    // encoded sub-list starts with an absolute doc id (§III.F), so the
+    // combined blob decodes as one list provided doc ranges ascend across
+    // inputs; the skip rows follow with their offsets shifted by the bytes
+    // already in the blob, and each row's filter is copied as is.
     blob.clear();
-    std::vector<PostingBlockEntry> term_blocks;
-    std::uint32_t count = 0, mn = 0, mx = 0, max_tf = 0;
+    filters.clear();
+    rows.clear();
+    std::uint32_t count = 0, mn = 0, mx = 0;
     for (std::size_t i = 0; i < cursors.size(); ++i) {
       auto& c = cursors[i];
       if (!c.valid() || c.term() != term) continue;
       const auto m = c.meta();
-      HET_CHECK_MSG(count == 0 || m.min_doc > mx,
-                    "doc ids must be globally increasing across segments");
-      if (all_have_bmx) {
-        // Skip-table fix-up: the input's block rows are reused verbatim,
-        // shifted by the bytes this term's blob already holds.
-        const auto [rows, n_rows] = input_bmx[i].blocks(c.ordinal());
-        for (std::size_t k = 0; k < n_rows; ++k) {
-          PostingBlockEntry row = rows[k];
-          row.offset += blob.size();
-          term_blocks.push_back(row);
-        }
+      if (count != 0 && m.min_doc <= mx) {
+        return fail(Error{ErrorCode::kCorrupt,
+                          "segment merge inputs overlap in doc ids at term '" + term +
+                              "': " + inputs[i]->path()});
       }
+      for (PostingBlockEntry row : inputs[i]->skip_rows(c.ordinal())) {
+        row.offset += blob.size();
+        rows.push_back(row);
+      }
+      const auto part = inputs[i]->raw_filters(c.ordinal());
+      filters.insert(filters.end(), part.begin(), part.end());
       const auto [bytes, len] = inputs[i]->raw_blob(m);
       blob.insert(blob.end(), bytes, bytes + len);
       stats.input_bytes += len;
       if (count == 0) mn = m.min_doc;
       mx = m.max_doc;
       count += m.count;
-      if (all_have_max_tfs) {
-        max_tf = std::max(max_tf, input_max_tfs[i][static_cast<std::size_t>(c.ordinal())]);
-      }
       c.next();
     }
-    writer.add_term(term, blob.data(), blob.size(), count, mn, mx);
-    if (all_have_max_tfs) out_max_tfs.push_back(max_tf);
-    if (all_have_bmx) out_bmx.add_term(term_blocks);
+    writer.add_term(term, blob, mn, rows, filters);
     ++stats.terms;
     stats.postings += count;
   }
   auto output_bytes = writer.finalize();
-  if (!output_bytes.has_value()) {
-    remove_segment_outputs(out_path);
-    return output_bytes.error();
-  }
+  if (!output_bytes.has_value()) return fail(output_bytes.error());
   stats.output_bytes = output_bytes.value();
-  if (all_have_max_tfs) {
-    auto side = write_max_tf_sidecar(out_path, out_max_tfs);
-    if (!side.has_value()) {
-      remove_segment_outputs(out_path);
-      return side.error();
-    }
-  }
-  if (all_have_bmx) {
-    auto side = write_block_index_sidecar(out_path, out_bmx);
-    if (!side.has_value()) {
-      remove_segment_outputs(out_path);
-      return side.error();
-    }
-  }
-  // Bloom filters do NOT propagate through a byte-concatenation merge:
-  // each input's filters are sized to its own lists, and OR-ing unequal
-  // filters is meaningless. The merged segment serves without one
-  // (degrade: no rejection) until a rewrite merge rebuilds it; make sure
-  // no stale sidecar from a recycled path lingers.
-  (void)io::env().remove_file(bloom_sidecar_path(out_path));
   return stats;
 }
 
@@ -740,13 +609,17 @@ Expected<SegmentBuildStats> build_segment_from_runs(
   // Same byte-level fold as merge_runs, but driven by the sorted dictionary
   // so terms stream into the writer in final order: per term, concatenate
   // its partial blobs in ascending run order (doc order, checked from the
-  // runs' min/max metadata) — no decode/re-encode.
-  SegmentWriter writer(IndexLayout::segment_path(dir), codec);
+  // runs' min/max metadata) — no re-encode. The writer decodes each folded
+  // blob once to derive its skip rows and Bloom filters; this is the only
+  // place they are ever computed from encoded bytes (flushes and rewrites
+  // derive them from lists they still hold, merges copy them).
+  const std::string seg_path = IndexLayout::segment_path(dir);
+  SegmentWriter writer(seg_path, codec);
   std::vector<std::uint8_t> blob;
   for (const auto& de : entries) {
     const PostingKey key{de.shard, de.handle};
     blob.clear();
-    std::uint32_t count = 0, mn = 0, mx = 0;
+    std::uint32_t count = 0, mx = 0;
     for (const auto& run : runs) {
       const RunTableEntry* e = run.entry(key);
       if (e == nullptr) continue;
@@ -755,56 +628,20 @@ Expected<SegmentBuildStats> build_segment_from_runs(
       const auto part = run.raw_blob(*e);
       blob.insert(blob.end(), part.begin(), part.end());
       stats.input_bytes += e->bytes;
-      if (count == 0) mn = e->min_doc;
       mx = e->max_doc;
       count += e->count;
     }
     if (count == 0) continue;  // dictionary term with no flushed postings
-    writer.add_term(de.term, blob.data(), blob.size(), count, mn, mx);
+    writer.add_term(de.term, blob);
     ++stats.terms;
     stats.postings += count;
   }
-  const std::string seg_path = IndexLayout::segment_path(dir);
   auto output_bytes = writer.finalize();
   if (!output_bytes.has_value()) {
-    remove_segment_outputs(seg_path);
+    (void)io::env().remove_file(seg_path);
     return output_bytes.error();
   }
   stats.output_bytes = output_bytes.value();
-
-  // One decode pass over the fresh segment derives both sidecars: the
-  // skip table (block rows recovered from the sub-list boundaries) and the
-  // score bounds (per-term max over the block maxima). This is the only
-  // place either is ever computed from postings — merges and live flushes
-  // propagate or emit them without touching blobs.
-  auto reader = SegmentReader::try_open(seg_path);
-  if (!reader.has_value()) {
-    remove_segment_outputs(seg_path);
-    return reader.error();
-  }
-  const BlockIndex block_index = compute_block_index(reader.value());
-  std::vector<std::uint32_t> max_tfs;
-  max_tfs.reserve(static_cast<std::size_t>(block_index.term_count()));
-  for (std::uint64_t ord = 0; ord < block_index.term_count(); ++ord) {
-    max_tfs.push_back(block_index.term_max_tf(ord));
-  }
-  auto side = write_max_tf_sidecar(seg_path, max_tfs);
-  if (!side.has_value()) {
-    remove_segment_outputs(seg_path);
-    return side.error();
-  }
-  auto bmx = write_block_index_sidecar(seg_path, block_index);
-  if (!bmx.has_value()) {
-    remove_segment_outputs(seg_path);
-    return bmx.error();
-  }
-  // Same decode pass (conceptually) feeds the Bloom sidecar: conjunctive
-  // rejection filters over each term's absolute doc ids.
-  auto blm = write_bloom_sidecar(seg_path, compute_blooms(reader.value()));
-  if (!blm.has_value()) {
-    remove_segment_outputs(seg_path);
-    return blm.error();
-  }
   return stats;
 }
 

@@ -6,26 +6,37 @@
 /// output into one checksummed artifact so a serving process opens the
 /// index with one mmap and no eager decode:
 ///
-///   header      magic, version, codec, block geometry, section offsets
+///   header      magic, version (2), codec, block geometry, section offsets
 ///   term dict   front-coded blocks (codec/front_coding scheme) of K terms;
 ///               each block stores its first term verbatim so a sparse
 ///               in-memory block index can hold zero-copy string_views
 ///               into the mapping
 ///   table       one fixed-width row per term, in term order:
 ///               offset/bytes/count/min_doc/max_doc of its postings blob
+///               and the number of its skip rows
+///   skip rows   one row per encoded postings block, in term then blob
+///               order: bytes/last_doc/count/max_tf — enough to seek and
+///               to bound BM25 contributions without decoding the block
+///   blooms      one Bloom filter per skip row (postings/bloom.hpp), sized
+///               from the row's count alone
 ///   blob area   the concatenated compressed postings lists (byte-wise
 ///               concatenation of the per-run partial lists — every
 ///               sub-list's first doc id is absolute, the §III.F merge
 ///               property, so no re-encode happens at compaction)
 ///   footer      total size + CRC32 of everything before it
 ///
-/// A SegmentReader is immutable after open() and keeps no per-lookup
-/// state, so any number of threads may share one instance with no locking.
+/// Every per-term section merges by concatenation: a merged term's blob is
+/// the inputs' blobs back to back, its skip rows are theirs (offsets are
+/// implicit), its filters are their filter bytes. Nothing is decoded.
+///
+/// A SegmentReader is immutable after open and keeps no per-lookup state,
+/// so any number of threads may share one instance with no locking.
 /// Exact byte layout: docs/INDEX_FORMAT.md.
 
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,11 +62,24 @@ class SegmentWriter {
   SegmentWriter(std::string path, PostingCodec codec,
                 std::uint32_t terms_per_block = kSegmentTermsPerBlock);
 
-  /// Appends one term and its encoded postings blob (one or more
-  /// back-to-back encoded sub-lists; `count` postings across all of them
-  /// covering doc ids [min_doc, max_doc]).
-  void add_term(std::string_view term, const std::uint8_t* blob, std::size_t blob_bytes,
-                std::uint32_t count, std::uint32_t min_doc, std::uint32_t max_doc);
+  /// Appends one term with all of its sections: the encoded blob (one or
+  /// more back-to-back encoded blocks), one skip row per block (offsets
+  /// relative to the blob, tiling it in order) and one Bloom filter per
+  /// row, back to back (append_bloom_filter layout). `min_doc` is the
+  /// list's first doc id; count and max_doc come from the rows.
+  void add_term(std::string_view term, std::span<const std::uint8_t> blob,
+                std::uint32_t min_doc, std::span<const PostingBlockEntry> rows,
+                std::span<const std::uint8_t> filters);
+
+  /// Same, for a caller still holding the decoded list (`docs`, ascending):
+  /// the filters are built from it, one per row.
+  void add_term(std::string_view term, std::span<const std::uint8_t> blob,
+                std::span<const PostingBlockEntry> rows, std::span<const std::uint32_t> docs);
+
+  /// Same, for a caller holding only encoded bytes: decodes `blob` once,
+  /// block by block, to derive its rows and filters (the build-from-runs
+  /// fold).
+  void add_term(std::string_view term, std::span<const std::uint8_t> blob);
 
   /// Writes header + sections + CRC footer durably (write + fsync via the
   /// io::Env seam, bounded retry on transient faults). Returns total bytes
@@ -75,6 +99,8 @@ class SegmentWriter {
   std::uint32_t max_doc_ = 0;
   std::vector<std::uint8_t> dict_;
   std::vector<std::uint8_t> table_;
+  std::vector<std::uint8_t> skip_;
+  std::vector<std::uint8_t> blooms_;
   std::vector<std::uint8_t> blobs_;
   bool finalized_ = false;
 };
@@ -85,14 +111,12 @@ class SegmentWriter {
 class SegmentReader {
  public:
   /// Maps and validates `path`: footer magic, size, CRC32 of the whole
-  /// file, header magic/version, section bounds. Any mismatch raises a
-  /// descriptive check failure — corrupt bytes never reach a decoder.
-  static SegmentReader open(const std::string& path);
-
-  /// Non-aborting variant of open(): a missing file reports kNotFound, a
-  /// failed checksum or structural check kCorrupt, an unknown version or
-  /// codec kUnsupported. Corrupt bytes still never reach a decoder — the
-  /// same validations run, they just return instead of aborting.
+  /// file, header magic/version, section bounds, the front-coded
+  /// dictionary, and every table row against its skip rows and filters. A
+  /// missing file reports kNotFound, a failed checksum or structural check
+  /// kCorrupt, an unknown version or codec kUnsupported (a format-v1 file
+  /// names `hetindex_cli compact` as its upgrade). Corrupt bytes never reach a
+  /// decoder: every later accessor walks only offsets validated here.
   static Expected<SegmentReader> try_open(const std::string& path);
 
   /// One postings table row, resolved against the mapping.
@@ -118,6 +142,19 @@ class SegmentReader {
   void decode(const PostingsMeta& m, std::vector<std::uint32_t>& doc_ids,
               std::vector<std::uint32_t>& tfs,
               std::vector<std::uint32_t>* positions = nullptr) const;
+
+  /// The skip rows of term `ordinal`, in blob order (offsets relative to
+  /// its blob).
+  [[nodiscard]] std::span<const PostingBlockEntry> skip_rows(std::uint64_t ordinal) const;
+
+  /// The Bloom filter bytes of term `ordinal`: one filter per skip row,
+  /// back to back — the unit the concatenation merge copies verbatim.
+  [[nodiscard]] std::span<const std::uint8_t> raw_filters(std::uint64_t ordinal) const;
+
+  /// False ⇒ `doc` is definitely not in term `ordinal`'s list: it lies past
+  /// the list's last doc, or the filter of the one block that could hold it
+  /// (the first whose last_doc >= doc) rejects it.
+  [[nodiscard]] bool may_contain(std::uint64_t ordinal, std::uint32_t doc) const;
 
   /// The raw encoded bytes behind `m`, straight out of the mapping — the
   /// unit of the §III.F byte-concatenation merge (valid while the reader
@@ -197,100 +234,12 @@ class SegmentReader {
   std::uint64_t dict_off_ = 0, dict_bytes_ = 0;
   std::uint64_t table_off_ = 0, table_bytes_ = 0;
   std::uint64_t blob_off_ = 0, blob_bytes_ = 0;
+  std::uint64_t bloom_off_ = 0;
   std::vector<Block> blocks_;
+  std::vector<PostingBlockEntry> rows_;     ///< every skip row, term order
+  std::vector<std::uint64_t> term_rows_;    ///< per-term start into rows_ (+ end)
+  std::vector<std::uint64_t> row_filters_;  ///< per-row start into the bloom section (+ end)
 };
-
-// ------------------------------------------------------------------------
-// Score-bound sidecar. MaxScore-style top-k pruning (src/search/topk.hpp)
-// needs a per-term upper bound on any document's BM25 contribution. The
-// tf-dependent part of that bound is max_tf — the largest term frequency
-// in the term's postings list — which is known at build time and stable
-// under the §III.F byte-concatenation merge (the max over a concatenation
-// is the max of the per-input maxes, so compaction propagates sidecars
-// without decoding a single posting). The idf part depends on collection
-// statistics that change with every live commit, so it is computed at
-// query time from the table row's `count` instead of being persisted.
-//
-// The sidecar is strictly optional: a segment without one still serves
-// every query — the executor just falls back to the looser tf-independent
-// bound idf·(k1+1). Layout (`<segment>.maxtf`): magic, version, term
-// count, one u32 max_tf per term in term order, CRC32 footer.
-
-/// `<segment_path>.maxtf`.
-std::string max_tf_sidecar_path(const std::string& segment_path);
-
-/// Writes the sidecar for a segment with `max_tfs.size()` terms, durably.
-/// kIo on failure (no partial sidecar remains — a missing sidecar only
-/// loosens score bounds, a torn one would be rejected by CRC anyway).
-Status write_max_tf_sidecar(const std::string& segment_path,
-                            const std::vector<std::uint32_t>& max_tfs);
-
-/// Reads a sidecar back; kNotFound when absent, kCorrupt on CRC/structure
-/// mismatch or when the term count disagrees with `expected_terms`.
-Expected<std::vector<std::uint32_t>> read_max_tf_sidecar(const std::string& segment_path,
-                                                         std::uint64_t expected_terms);
-
-/// Decodes every postings list of `reader` once and returns per-term
-/// max_tf in term order — the build-time pass behind compact_index().
-std::vector<std::uint32_t> compute_max_tfs(const SegmentReader& reader);
-
-// ------------------------------------------------------------------------
-// Block-index sidecar. Postings blobs are written as back-to-back blocks of
-// ≤ kPostingsBlockSize docs (each re-anchored at an absolute doc id). The
-// `.bmx` sidecar stores one skip-table row per block — offset/bytes (seek),
-// last_doc (skip target) and count/max_tf (Block-Max score bounds) — so a
-// cursor can jump and bound whole blocks without decoding them. Like the
-// max-tf sidecar it is optional (serving falls back to decoded cursors) and
-// it survives the §III.F merge without a decode: concatenating blobs just
-// concatenates their block rows with a byte-offset fix-up.
-//
-// Layout (`<segment>.bmx`): magic, version, term count, total block count,
-// per-term u32 block counts, then the flat entry rows in term order, CRC32
-// footer. Exact bytes: docs/INDEX_FORMAT.md.
-
-/// Per-term view over the flat skip table of one segment.
-class BlockIndex {
- public:
-  /// Appends one term's block rows (terms must arrive in term order; every
-  /// term in a segment has ≥ 1 block).
-  void add_term(const std::vector<PostingBlockEntry>& entries);
-
-  [[nodiscard]] std::uint64_t term_count() const { return begin_.size() - 1; }
-  [[nodiscard]] std::uint64_t total_blocks() const { return entries_.size(); }
-  /// The block rows of term `ordinal`, in blob order.
-  [[nodiscard]] std::pair<const PostingBlockEntry*, std::size_t> blocks(
-      std::uint64_t ordinal) const;
-  /// max over the term's block max_tfs — the whole-list bound the `.maxtf`
-  /// sidecar stores, derived here for free.
-  [[nodiscard]] std::uint32_t term_max_tf(std::uint64_t ordinal) const;
-
- private:
-  std::vector<PostingBlockEntry> entries_;
-  std::vector<std::uint64_t> begin_{0};  ///< per-term start into entries_
-};
-
-/// `<segment_path>.bmx`.
-std::string block_index_sidecar_path(const std::string& segment_path);
-
-/// Writes the skip-table sidecar durably; kIo on failure.
-Status write_block_index_sidecar(const std::string& segment_path,
-                                 const BlockIndex& index);
-
-/// Reads a sidecar back; kNotFound when absent, kUnsupported on a future
-/// version, kCorrupt on CRC/structure mismatch, a term count that disagrees
-/// with `expected_terms`, or rows that are not contiguous ascending blocks.
-Expected<BlockIndex> read_block_index_sidecar(const std::string& segment_path,
-                                              std::uint64_t expected_terms);
-
-/// Decodes every blob once, recovering each block's row from the sub-list
-/// boundaries — the build-time pass (and the merge-correctness oracle in
-/// tests: a merged segment's fixed-up sidecar must equal this recompute).
-BlockIndex compute_block_index(const SegmentReader& reader);
-
-/// Cross-checks the sidecar against the segment's postings table (per-term
-/// byte/count totals and last doc) without decoding blobs. kCorrupt on any
-/// disagreement — a stale sidecar must never steer a cursor.
-Status validate_block_index(const SegmentReader& reader, const BlockIndex& index);
 
 /// What a segment build folded together.
 struct SegmentBuildStats {
@@ -312,8 +261,9 @@ Expected<SegmentBuildStats> build_segment_from_runs(
 
 /// Reads dictionary + run directory under `dir` and compacts the run files
 /// into `<dir>/index.seg`. Run files are left in place: they stay the
-/// build-time interchange format (and the merger's input). kIo when the
-/// segment or sidecar cannot be written durably.
+/// build-time interchange format (and the merger's input) — which is what
+/// makes this the upgrade path for batch indexes from older segment
+/// formats. kIo when the segment cannot be written durably.
 Expected<SegmentBuildStats> compact_index(const std::string& dir);
 
 /// What a segment-to-segment merge folded together.
@@ -327,12 +277,13 @@ struct SegmentMergeStats {
 
 /// Merges already-built segments into one new segment at `out_path`
 /// without decoding postings: terms stream through a k-way cursor merge
-/// and equal terms' blobs concatenate byte-wise (§III.F — every sub-list's
-/// first doc id is absolute). Inputs must share one codec and be given in
-/// ascending, pairwise-disjoint doc-id order; per-term order is verified
-/// from the table metadata. This is the compaction primitive of the live
-/// indexing layer (docs/LIVE_INDEXING.md). kIo when the output cannot be
-/// written durably; the partial output (and its sidecar) is removed.
+/// and equal terms' blobs, skip rows and filters concatenate byte-wise
+/// (§III.F — every sub-list's first doc id is absolute). Inputs must be
+/// given in ascending doc-id order. This is the compaction primitive of
+/// the live indexing layer (docs/LIVE_INDEXING.md). Errors, each leaving no
+/// output file: kInvalidArgument when the inputs' codecs differ, kCorrupt
+/// when a term's doc ranges overlap or descend across inputs, kIo when the
+/// output cannot be written durably.
 Expected<SegmentMergeStats> merge_segments(
     const std::vector<const SegmentReader*>& inputs, const std::string& out_path);
 

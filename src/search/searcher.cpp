@@ -122,8 +122,7 @@ Expected<std::shared_ptr<Searcher>> Searcher::open(SearchSource source,
 }
 
 Searcher::Searcher(SearchSource source, SearcherOptions options)
-    : options_(options),
-      index_(source.index_),
+    : index_(source.index_),
       docs_(source.docs_),
       provider_(std::move(source.provider_)),
       metrics_(std::make_unique<obs::MetricsRegistry>()),
@@ -166,11 +165,6 @@ std::shared_ptr<const Searcher::Stats> Searcher::stats_for(
   return stats_;
 }
 
-std::optional<std::uint32_t> Searcher::term_max_tf(
-    const std::shared_ptr<const LiveSnapshot>& snap, const std::string& term) const {
-  return snap != nullptr ? snap->max_tf(term) : index_->max_tf(term);
-}
-
 std::unique_ptr<PostingsCursor> Searcher::open_term_cursor(
     const std::shared_ptr<const LiveSnapshot>& snap, const std::string& term,
     bool with_positions) const {
@@ -180,7 +174,6 @@ std::unique_ptr<PostingsCursor> Searcher::open_term_cursor(
 
 BloomChain Searcher::term_bloom_chain(const std::shared_ptr<const LiveSnapshot>& snap,
                                       const std::string& term) const {
-  if (!options_.use_bloom_filters) return {};
   return snap != nullptr ? snap->bloom_chain(term) : index_->bloom_chain(term);
 }
 
@@ -301,8 +294,7 @@ Expected<QueryResponse> Searcher::search(
         // df from the cursor's skip data — the same integer the decoded
         // list's length would give, so idf matches exhaustive exactly.
         const std::uint64_t df = scatter != nullptr ? scatter->term_dfs[t] : cursor->size();
-        inputs.push_back(topk_input(t, std::move(cursor), df, n_docs,
-                                    term_max_tf(snap, terms[t]), request.bm25));
+        inputs.push_back(topk_input(t, std::move(cursor), df, n_docs, request.bm25));
       }
       response.timings.lookup_seconds = lookup_timer.seconds();
       const WallTimer score_timer;

@@ -87,12 +87,6 @@ class SearchSource {
 struct SearcherOptions {
   std::size_t result_cache_entries = 1024;  ///< finished queries retained
   std::size_t cache_shards = 8;             ///< lock granularity of the cache
-  /// Test AND/PHRASE/NEAR candidates against per-list Bloom chains (`.blm`
-  /// sidecars) before seeking follower cursors. Filters are one-way exact,
-  /// so toggling this never changes results — only decode work (the
-  /// search_blooms_rejected_total counter; the equivalence suite diffs
-  /// on/off for bit-identity).
-  bool use_bloom_filters = true;
 };
 
 class Searcher : public SearchBackend {
@@ -145,17 +139,13 @@ class Searcher : public SearchBackend {
 
   [[nodiscard]] std::shared_ptr<const Stats> stats_for(
       const std::shared_ptr<const LiveSnapshot>& snap, std::uint64_t snapshot_id) const;
-  [[nodiscard]] std::optional<std::uint32_t> term_max_tf(
-      const std::shared_ptr<const LiveSnapshot>& snap, const std::string& term) const;
   [[nodiscard]] std::unique_ptr<PostingsCursor> open_term_cursor(
       const std::shared_ptr<const LiveSnapshot>& snap, const std::string& term,
       bool with_positions = false) const;
   /// The term's Bloom rejection chain over the bound view; empty (never
-  /// rejects) when filters are disabled by options or absent on disk.
+  /// rejects) on a run-file batch index.
   [[nodiscard]] BloomChain term_bloom_chain(
       const std::shared_ptr<const LiveSnapshot>& snap, const std::string& term) const;
-
-  SearcherOptions options_;
 
   // Exactly one source is active: (index_, docs_) or provider_.
   const InvertedIndex* index_ = nullptr;

@@ -84,19 +84,13 @@ double bm25_upper_bound(double idf, std::uint32_t max_tf, const Bm25Params& para
   return idf * (tf * (params.k1 + 1.0)) / (tf + c);
 }
 
-double bm25_loose_bound(double idf, const Bm25Params& params) {
-  return idf * (params.k1 + 1.0);  // the tf → ∞ limit
-}
-
 TopkTermInput topk_input(std::size_t term_index, std::unique_ptr<PostingsCursor> cursor,
-                         std::uint64_t df, std::uint64_t n_docs,
-                         std::optional<std::uint32_t> max_tf, const Bm25Params& params) {
+                         std::uint64_t df, std::uint64_t n_docs, const Bm25Params& params) {
   TopkTermInput input;
   input.term_index = term_index;
-  input.cursor = std::move(cursor);
   input.idf = bm25_idf(df, n_docs);
-  input.upper_bound = max_tf ? bm25_upper_bound(input.idf, *max_tf, params)
-                             : bm25_loose_bound(input.idf, params);
+  input.upper_bound = bm25_upper_bound(input.idf, cursor->max_tf(), params);
+  input.cursor = std::move(cursor);
   return input;
 }
 

@@ -87,16 +87,12 @@ inline double bm25_contribution(double idf, double tf, double dl, double avgdl,
 /// it bounds from above, and the remainder is monotone increasing in tf.
 double bm25_upper_bound(double idf, std::uint32_t max_tf, const Bm25Params& params);
 
-/// Loose fallback bound (tf → ∞) for terms without a max_tf sidecar.
-double bm25_loose_bound(double idf, const Bm25Params& params);
-
 /// One term's MaxScore input: idf from (df, n_docs); the score bound from
-/// `max_tf`, or the loose idf·(k1+1) cap when none is known. A global
-/// (router-injected) df may pair with a local max_tf: contributions use the
-/// same idf, so the bound still over-covers and pruning stays exact.
+/// the cursor's max_tf(). A global (router-injected) df may pair with a
+/// local max_tf: contributions use the same idf, so the bound still
+/// over-covers and pruning stays exact.
 TopkTermInput topk_input(std::size_t term_index, std::unique_ptr<PostingsCursor> cursor,
-                         std::uint64_t df, std::uint64_t n_docs,
-                         std::optional<std::uint32_t> max_tf, const Bm25Params& params);
+                         std::uint64_t df, std::uint64_t n_docs, const Bm25Params& params);
 
 struct TopkResult {
   std::vector<ScoredDoc> hits;  ///< score desc, doc id asc, at most k

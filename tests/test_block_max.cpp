@@ -6,11 +6,12 @@
 //              posting under identical next/seek/shallow_seek sequences,
 //              and block bounds must dominate every real contribution
 //   executor   Block-Max MaxScore == the exhaustive scorer, bit-identical
-//              docs and scores, across batch / live / merged segments,
-//              with and without the .bmx and .maxtf sidecars
-//   plumbing   merged .bmx equals a recompute oracle, corrupt .bmx fails
-//              the open (no silent degrade), and pruning provably fires
-//              (search_blocks_skipped_total > 0) on a prunable workload
+//              docs and scores, across batch / live / merged segments
+//   plumbing   a compacted segment equals the decode-derived write of its
+//              own blobs byte for byte, a corrupt segment fails the open,
+//              cursors carry exact list-level max tfs, and pruning provably
+//              fires (search_blocks_skipped_total > 0) on a prunable
+//              workload
 //
 // Runs under both the TSan and ASan tier-1 legs (scripts/tier1.sh).
 
@@ -27,6 +28,7 @@
 #include "core/hetindex.hpp"
 #include "postings/cursor.hpp"
 #include "search/topk.hpp"
+#include "util/binary_io.hpp"
 
 namespace hetindex {
 namespace {
@@ -341,73 +343,37 @@ LiveStack build_live_stack(std::uint64_t seed) {
   return s;
 }
 
-TEST(BlockMaxEquivalence, LiveThenStrippedSidecarsThenMerged) {
+TEST(BlockMaxEquivalence, LiveThenMerged) {
   auto stack = build_live_stack(0xB10C);
   const auto queries = sample_queries(stack.vocab, 30, 21);
 
   const auto multi = stack.writer->snapshot();
   ASSERT_GT(multi->segments().size(), 1u);
-  for (const auto& seg : multi->segments()) {
-    ASSERT_NE(seg->block_index(), nullptr);  // flush wrote every .bmx
-  }
-  {  // full sidecars: zero-copy block cursors end to end
+  {  // flushed segments: zero-copy block cursors end to end
     const auto searcher_ptr = Searcher::open(SearchSource::snapshot(multi)).value();
     const Searcher& searcher = *searcher_ptr;
     expect_identical_rankings(searcher, queries, 10);
     expect_identical_rankings(searcher, queries, 1);
   }
 
-  // Strip the sidecars on a copy (the original keeps them so compaction
-  // below exercises the fix-up path, not the recompute-less fallback).
-  TempDir stripped("stripped");
-  std::filesystem::copy(stack.live_dir->path(), stripped.path(),
-                        std::filesystem::copy_options::recursive |
-                            std::filesystem::copy_options::overwrite_existing);
-  {  // no .bmx: decoded-cursor fallback must change nothing
-    for (const auto& seg : multi->segments()) {
-      std::filesystem::remove(block_index_sidecar_path(
-          live_segment_path(stripped.path(), seg->id())));
-    }
-    const auto reopened = LiveIndex::open(stripped.path()).value();
-    for (const auto& seg : reopened.snapshot()->segments()) {
-      EXPECT_EQ(seg->block_index(), nullptr);
-    }
-    const auto searcher_ptr = Searcher::open(SearchSource::snapshot(reopened.snapshot())).value();
-    const Searcher& searcher = *searcher_ptr;
-    expect_identical_rankings(searcher, queries, 10);
-  }
-
-  {  // no .maxtf either: loose bounds, still exact
-    for (const auto& seg : multi->segments()) {
-      std::filesystem::remove(max_tf_sidecar_path(
-          live_segment_path(stripped.path(), seg->id())));
-    }
-    const auto reopened = LiveIndex::open(stripped.path()).value();
-    const auto searcher_ptr = Searcher::open(SearchSource::snapshot(reopened.snapshot())).value();
-    const Searcher& searcher = *searcher_ptr;
-    expect_identical_rankings(searcher, queries, 10);
-  }
-
-  // Merged: compaction fixes up the skip tables per block (§III.F byte
-  // concatenation — offsets shift, maxima take max) without decoding. The
-  // merged sidecar must equal a from-scratch recompute.
+  // Merged: compaction concatenates blobs, skip rows and filters without
+  // decoding. Each merged segment must equal, byte for byte, the segment
+  // the decode-derived write path makes from the same blobs.
   stack.writer->compact_now();
   const auto merged = stack.writer->snapshot();
   ASSERT_LT(merged->segments().size(), multi->segments().size());
+  TempDir scratch("derived");
   for (const auto& seg : merged->segments()) {
-    const auto* bmx = seg->block_index();
-    ASSERT_NE(bmx, nullptr);
-    const auto oracle = compute_block_index(seg->reader());
-    ASSERT_EQ(bmx->term_count(), oracle.term_count());
-    ASSERT_EQ(bmx->total_blocks(), oracle.total_blocks());
-    for (std::uint64_t ord = 0; ord < oracle.term_count(); ++ord) {
-      const auto [got, got_n] = bmx->blocks(ord);
-      const auto [want, want_n] = oracle.blocks(ord);
-      ASSERT_EQ(got_n, want_n) << "term " << ord;
-      for (std::size_t i = 0; i < want_n; ++i) {
-        ASSERT_EQ(got[i], want[i]) << "term " << ord << " block " << i;
-      }
-    }
+    const SegmentReader& reader = seg->reader();
+    const std::string derived_path = scratch.path() + "/" + std::to_string(seg->id()) + ".seg";
+    SegmentWriter derived(derived_path, reader.codec());
+    reader.for_each_term([&](std::string_view term, std::uint64_t ordinal) {
+      const auto [blob, bytes] = reader.raw_blob(reader.meta(ordinal));
+      derived.add_term(term, std::span<const std::uint8_t>(blob, bytes));
+      return true;
+    });
+    ASSERT_TRUE(derived.finalize().has_value());
+    EXPECT_EQ(read_file(reader.path()), read_file(derived_path)) << "segment " << seg->id();
   }
   const auto searcher_ptr = Searcher::open(SearchSource::snapshot(merged)).value();
   const Searcher& searcher = *searcher_ptr;
@@ -425,7 +391,6 @@ TEST(BlockMaxEquivalence, BatchIndexMatchesExhaustive) {
   builder.parsers(1).cpu_indexers(1).emit_segment(true);
   builder.build(coll.paths(), index_dir.path());
   const auto index = InvertedIndex::open(index_dir.path(), {}).value();
-  ASSERT_TRUE(index.has_block_index());  // build wrote the skip table
   const auto docs = DocMap::open(doc_map_path(index_dir.path()));
   const auto searcher_ptr = Searcher::open(SearchSource::batch(index, docs)).value();
   const Searcher& searcher = *searcher_ptr;
@@ -436,17 +401,17 @@ TEST(BlockMaxEquivalence, BatchIndexMatchesExhaustive) {
   }
 }
 
-TEST(BlockMax, CorruptSkipTableFailsLiveOpen) {
+TEST(BlockMax, CorruptSegmentFailsLiveOpen) {
   auto stack = build_live_stack(0xBAD);
   const auto snap = stack.writer->snapshot();
-  const auto bmx_path = block_index_sidecar_path(
-      live_segment_path(stack.live_dir->path(), snap->segments().front()->id()));
-  const auto size = std::filesystem::file_size(bmx_path);
-  std::fstream f(bmx_path, std::ios::in | std::ios::out | std::ios::binary);
-  f.seekg(static_cast<std::streamoff>(size - 8));
+  const auto seg_path =
+      live_segment_path(stack.live_dir->path(), snap->segments().front()->id());
+  const auto size = std::filesystem::file_size(seg_path);
+  std::fstream f(seg_path, std::ios::in | std::ios::out | std::ios::binary);
+  f.seekg(static_cast<std::streamoff>(size / 2));
   char byte = 0;
   f.read(&byte, 1);
-  f.seekp(static_cast<std::streamoff>(size - 8));
+  f.seekp(static_cast<std::streamoff>(size / 2));
   byte = static_cast<char>(byte ^ 0x5A);
   f.write(&byte, 1);
   f.close();
@@ -477,7 +442,6 @@ TEST(BlockMax, SkipsBlocksOnPrunableWorkload) {
   builder.parsers(1).cpu_indexers(1).emit_segment(true);
   builder.build({corpus}, dir.path() + "/index");
   const auto index = InvertedIndex::open(dir.path() + "/index", {}).value();
-  ASSERT_TRUE(index.has_block_index());
   const auto map = DocMap::open(doc_map_path(dir.path() + "/index"));
   const auto searcher_ptr = Searcher::open(SearchSource::batch(index, map)).value();
   const Searcher& searcher = *searcher_ptr;

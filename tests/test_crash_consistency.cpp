@@ -624,8 +624,8 @@ TEST(MmapFallback, PreadRetriesEintrAndClosesOnce) {
   EXPECT_EQ(missing.error().code, ErrorCode::kNotFound);
 }
 
-// ENOSPC mid-flush, at each write the flush issues (segment, sidecar, doc
-// map, manifest tmp): the writer must stay usable, the buffer and the
+// ENOSPC mid-flush, at each write the flush issues (segment, doc map,
+// manifest tmp): the writer must stay usable, the buffer and the
 // committed snapshot untouched, no partial files left, and the retried
 // flush must commit everything.
 TEST(Durability, EnospcMidFlushKeepsWriterUsable) {
@@ -640,7 +640,7 @@ TEST(Durability, EnospcMidFlushKeepsWriterUsable) {
   ASSERT_TRUE(w.flush().has_value());
 
   std::uint32_t next_doc = 2;
-  for (std::uint64_t fail_at = 1; fail_at <= 4; ++fail_at) {
+  for (std::uint64_t fail_at = 1; fail_at <= 3; ++fail_at) {
     w.add_document("u://" + std::to_string(next_doc), doc_body(next_doc));
     ++next_doc;
     const std::uint32_t committed_before = w.committed_docs();
@@ -648,7 +648,7 @@ TEST(Durability, EnospcMidFlushKeepsWriterUsable) {
 
     io::FaultPlan plan;
     plan.seed = fail_at;
-    plan.fail_write_at = fail_at;  // 1=segment, 2=sidecar, 3=docmap, 4=manifest
+    plan.fail_write_at = fail_at;  // 1=segment, 2=docmap, 3=manifest
     env.set_plan(plan);
     auto failed = w.flush();
     env.set_plan({});

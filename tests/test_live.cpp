@@ -313,6 +313,41 @@ TEST(LiveCompaction, TieredMergeFoldsAdjacentSegments) {
   EXPECT_EQ(seg_files, snap->segment_count());
 }
 
+TEST(LiveCompaction, OneFilePerSegmentThroughFlushConcatAndRewrite) {
+  // Skip rows and Bloom filters live inside the segment file, so a flush,
+  // a concatenation merge (no deletes) and a reclaiming rewrite leave only
+  // segments, their doc maps, the MANIFEST and tombstone generations.
+  TempDir dir("onefile");
+  IndexWriterOptions opts;
+  opts.background_compaction = false;
+  opts.merge_factor = 2;
+  opts.tier_base_bytes = 1 << 20;  // everything lands in tier 0
+  auto w = IndexWriter::open(dir.path(), opts).value();
+  const auto add_and_flush = [&w](std::uint32_t i) {
+    w.add_document("u://" + std::to_string(i),
+                   "common term" + std::to_string(i) + " filler words here");
+    ASSERT_TRUE(w.flush().has_value());
+  };
+  for (std::uint32_t i = 0; i < 4; ++i) add_and_flush(i);
+  ASSERT_TRUE(w.compact_now().has_value());  // concatenation only
+  EXPECT_EQ(w.metrics().snapshot().counter("compaction_reclaimed_docs_total"), 0u);
+  ASSERT_TRUE(w.delete_document(1).has_value());
+  for (std::uint32_t i = 4; i < 6; ++i) add_and_flush(i);
+  ASSERT_TRUE(w.compact_now().has_value());  // reclaims doc 1: a rewrite
+  EXPECT_EQ(w.metrics().snapshot().counter("compaction_reclaimed_docs_total"), 1u);
+
+  const auto snap = w.snapshot();
+  for (const auto& e : std::filesystem::directory_iterator(dir.path())) {
+    const std::string name = e.path().filename().string();
+    const std::string ext = e.path().extension().string();
+    const bool seg_file = name.rfind("seg-", 0) == 0 && (ext == ".seg" || ext == ".docmap");
+    EXPECT_TRUE(seg_file || name == "MANIFEST" || name.rfind("tomb-", 0) == 0) << name;
+  }
+  const auto hits = snap->lookup(normalize_term("common"));
+  ASSERT_TRUE(hits.has_value());
+  EXPECT_EQ(hits->doc_ids, (std::vector<std::uint32_t>{0, 2, 3, 4, 5}));
+}
+
 TEST(LiveCompaction, RangeLookupSkipsNonOverlappingSegments) {
   TempDir dir("range");
   IndexWriterOptions opts;

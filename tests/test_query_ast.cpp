@@ -471,69 +471,7 @@ TEST(LivePositional, PhraseAndNearMatchNaiveJoinAcrossMutations) {
 
   ASSERT_TRUE(w.flush().has_value());
   ASSERT_TRUE(w.compact_now().has_value());
-  run("post-compaction");  // reclaim rewrote segments and .blm sidecars
-}
-
-// ------------------------------------------------- bloom on/off identity
-
-TEST(BloomIdentity, ConjunctionsBitIdenticalWithFiltersOff) {
-  TempDir corpus_dir("blcorpus");
-  TempDir live_dir("bllive");
-  const auto corpus = make_corpus(corpus_dir.path(), 96 << 10, 0xB100);
-
-  IndexWriterOptions opts;
-  opts.flush_threshold_bytes = 0;
-  opts.background_compaction = false;
-  opts.parser.record_positions = true;
-  auto w = IndexWriter::open(live_dir.path(), opts).value();
-  for (std::size_t i = 0; i < corpus.docs.size(); ++i) {
-    w.add_document(corpus.docs[i].url, corpus.docs[i].body);
-    if (i % 40 == 39) {  // several segments, so chains hold several links
-      ASSERT_TRUE(w.flush().has_value());
-    }
-  }
-  ASSERT_TRUE(w.flush().has_value());
-
-  SearcherOptions with_blooms;
-  with_blooms.use_bloom_filters = true;
-  SearcherOptions without_blooms;
-  without_blooms.use_bloom_filters = false;
-  const auto filtered =
-      Searcher::open(SearchSource::live([&w] { return w.snapshot(); }), with_blooms)
-          .value();
-  const auto unfiltered =
-      Searcher::open(SearchSource::live([&w] { return w.snapshot(); }),
-                     without_blooms)
-          .value();
-
-  std::vector<std::string> vocab;
-  w.snapshot()->for_each_term([&vocab](std::string_view t) {
-    vocab.emplace_back(t);
-    return true;
-  });
-  ASSERT_GT(vocab.size(), 4u);
-
-  std::mt19937 rng(0xB10F);
-  for (int i = 0; i < 80; ++i) {
-    std::vector<std::string> terms;
-    for (std::size_t t = 0; t < 2 + rng() % 2; ++t) {
-      terms.push_back(vocab[rng() % vocab.size()]);
-    }
-    QueryRequest request;
-    request.query = i % 4 == 3 ? Query::phrase(terms) : Query::conjunction(terms);
-    request.k = 50;
-    request.use_result_cache = false;
-    const auto a = filtered->search(request);
-    const auto b = unfiltered->search(request);
-    ASSERT_TRUE(a.has_value()) << a.error().to_string();
-    ASSERT_TRUE(b.has_value()) << b.error().to_string();
-    expect_hits_equal(a.value().hits, b.value().hits,
-                      "bloom '" + request.query.to_string() + "'");
-  }
-  // Filters must only move the rejection counter, never the answers above.
-  EXPECT_GT(filtered->metrics().snapshot().counter("search_blooms_rejected_total"), 0u);
-  EXPECT_EQ(unfiltered->metrics().snapshot().counter("search_blooms_rejected_total"),
-            0u);
+  run("post-compaction");  // reclaim rewrote segments with fresh filters
 }
 
 // ------------------------------------------------- nested-tree oracle
@@ -591,6 +529,68 @@ std::vector<ScoredDoc> oracle_hits(const Query& query, const PostingsFetch& fetc
   });
   if (hits.size() > k) hits.resize(k);
   return hits;
+}
+
+// ------------------------------------------------- per-block Bloom filters
+
+TEST(BloomFilters, ConjunctionsMatchOracleAndRejectAcrossConcatMerges) {
+  TempDir corpus_dir("blcorpus");
+  TempDir live_dir("bllive");
+  const auto corpus = make_corpus(corpus_dir.path(), 96 << 10, 0xB100);
+
+  IndexWriterOptions opts;
+  opts.flush_threshold_bytes = 0;
+  opts.background_compaction = false;
+  opts.parser.record_positions = true;
+  auto w = IndexWriter::open(live_dir.path(), opts).value();
+  for (std::size_t i = 0; i < corpus.docs.size(); ++i) {
+    w.add_document(corpus.docs[i].url, corpus.docs[i].body);
+    if (i % 40 == 39) {  // several segments, so chains hold several links
+      ASSERT_TRUE(w.flush().has_value());
+    }
+  }
+  ASSERT_TRUE(w.flush().has_value());
+
+  std::vector<std::string> vocab;
+  w.snapshot()->for_each_term([&vocab](std::string_view t) {
+    vocab.emplace_back(t);
+    return true;
+  });
+  ASSERT_GT(vocab.size(), 4u);
+
+  // Filtered search must equal the decoded oracle, and the filters must
+  // have rejected something along the way.
+  const auto run = [&](const std::string& label) {
+    const auto snap = w.snapshot();
+    const auto searcher = Searcher::open(SearchSource::snapshot(snap)).value();
+    const PostingsFetch fetch = [&snap](const std::string& term) { return snap->lookup(term); };
+    std::mt19937 rng(0xB10F);
+    for (int i = 0; i < 80; ++i) {
+      std::vector<std::string> terms;
+      for (std::size_t t = 0; t < 2 + rng() % 2; ++t) {
+        terms.push_back(vocab[rng() % vocab.size()]);
+      }
+      QueryRequest request;
+      request.query = i % 4 == 3 ? Query::phrase(terms) : Query::conjunction(terms);
+      request.k = 50;
+      request.use_result_cache = false;
+      const auto got = searcher->search(request);
+      ASSERT_TRUE(got.has_value()) << got.error().to_string();
+      expect_hits_equal(got.value().hits, oracle_hits(request.query, fetch, nullptr, 50),
+                        label + " '" + request.query.to_string() + "'");
+    }
+    EXPECT_GT(searcher->metrics().snapshot().counter("search_blooms_rejected_total"), 0u)
+        << label;
+  };
+  run("flushed segments");
+
+  // No deletes, so every compaction is a §III.F concatenation merge: the
+  // merged segments carry their inputs' per-block filters verbatim.
+  const std::size_t before = w.snapshot()->segment_count();
+  ASSERT_TRUE(w.compact_now().has_value());
+  ASSERT_EQ(w.snapshot()->segment_count(), 1u) << "from " << before << " segments";
+  EXPECT_EQ(w.metrics().snapshot().counter("compaction_reclaimed_docs_total"), 0u);
+  run("concat-merged segment");
 }
 
 std::vector<std::string> normalized_tokens(const std::string& body) {

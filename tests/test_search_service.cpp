@@ -1,15 +1,13 @@
 // Search-serving tests (docs/SERVING.md): ranked-result equivalence
 // between the Block-Max MaxScore executor and the exhaustive baseline on
-// randomized corpora (batch and live backends, with and without
-// score-bound sidecars; tests/test_block_max.cpp extends this across
-// merges and skip-table variants), the per-snapshot collection-stats
-// cache (the recompute counter must stay flat across queries), per-class
-// lookup/score timings,
-// result-cache hits and implicit invalidation across snapshot changes,
-// admission control (shed when the queue saturates, reject when a
-// deadline expires while queued), the max-tf and block-index sidecar
-// formats and their propagation through merges, and searches racing live
-// flush/compaction (the TSan tier-1 leg runs this file).
+// randomized corpora (batch and live backends; tests/test_block_max.cpp
+// extends this across merges), the per-snapshot collection-stats cache
+// (the recompute counter must stay flat across queries), per-class
+// lookup/score timings, result-cache hits and implicit invalidation across
+// snapshot changes, admission control (shed when the queue saturates,
+// reject when a deadline expires while queued), cursor score bounds
+// through merges, and searches racing live flush/compaction (the TSan
+// tier-1 leg runs this file).
 
 #include <gtest/gtest.h>
 
@@ -18,7 +16,6 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <random>
 #include <semaphore>
 #include <string>
@@ -141,7 +138,6 @@ class BatchServeFixture : public ::testing::Test {
 
 TEST_F(BatchServeFixture, MaxScoreMatchesExhaustiveOnRandomQueries) {
   const auto index = InvertedIndex::open(index_dir_->path(), {}).value();
-  ASSERT_TRUE(index.has_score_bounds());  // built segments carry the sidecar
   const auto docs = DocMap::open(doc_map_path(index_dir_->path()));
   const auto searcher_ptr = Searcher::open(SearchSource::batch(index, docs)).value();
   const Searcher& searcher = *searcher_ptr;
@@ -151,18 +147,11 @@ TEST_F(BatchServeFixture, MaxScoreMatchesExhaustiveOnRandomQueries) {
   }
 }
 
-TEST_F(BatchServeFixture, MaxScoreMatchesExhaustiveWithoutSidecar) {
-  // Remove the sidecar: bounds fall back to the loose idf·(k1+1) cap,
-  // which must change nothing but pruning effectiveness.
-  TempDir copy("nosidecar");
-  std::filesystem::copy(index_dir_->path(), copy.path(),
-                        std::filesystem::copy_options::recursive |
-                            std::filesystem::copy_options::overwrite_existing);
-  std::filesystem::remove(
-      max_tf_sidecar_path(IndexLayout::segment_path(copy.path())));
-  const auto index = InvertedIndex::open(copy.path(), {}).value();
-  EXPECT_FALSE(index.has_score_bounds());
-  const auto docs = DocMap::open(doc_map_path(copy.path()));
+TEST_F(BatchServeFixture, MaxScoreMatchesExhaustiveOnRunFiles) {
+  // The run-file backend serves decoded cursors, whose bounds come from a
+  // scan of the list — pruning must stay exact there too.
+  const auto index = InvertedIndex::open(index_dir_->path(), {IndexBackend::kRuns}).value();
+  const auto docs = DocMap::open(doc_map_path(index_dir_->path()));
   const auto searcher_ptr = Searcher::open(SearchSource::batch(index, docs)).value();
   const Searcher& searcher = *searcher_ptr;
   expect_identical_rankings(searcher, sample_queries(batch_vocabulary(index), 20, 2),
@@ -224,7 +213,7 @@ TEST(LiveServe, MaxScoreMatchesExhaustiveAcrossFlushAndCompaction) {
     });
   };
 
-  {  // multi-segment snapshot: per-segment sidecars bound the union
+  {  // multi-segment snapshot: per-segment skip rows bound the union
     const auto snap = w.snapshot();
     ASSERT_GT(snap->segments().size(), 1u);
     collect(*snap);
@@ -233,7 +222,7 @@ TEST(LiveServe, MaxScoreMatchesExhaustiveAcrossFlushAndCompaction) {
     expect_identical_rankings(searcher, sample_queries(vocab, 25, 4), 10);
   }
 
-  w.compact_now();  // merged segments: sidecars propagated without decode
+  w.compact_now();  // merged segments: skip rows carried without decode
   const auto snap = w.snapshot();
   collect(*snap);
   const auto searcher_ptr = Searcher::open(SearchSource::snapshot(snap)).value();
@@ -509,105 +498,9 @@ TEST(Facade, DoclessSearcherServesBooleanButRejectsRanked) {
   EXPECT_EQ(empty.error().code, ErrorCode::kInvalidArgument);
 }
 
-// --------------------------------------------------- score-bound sidecar
+// --------------------------------------------------- cursor score bounds
 
-TEST_F(BatchServeFixture, SidecarRoundTripsAndRejectsCorruption) {
-  const auto seg_path = IndexLayout::segment_path(index_dir_->path());
-  const auto reader = SegmentReader::open(seg_path);
-  const auto expected = compute_max_tfs(reader);
-
-  const auto loaded = read_max_tf_sidecar(seg_path, reader.term_count());
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded.value(), expected);  // build-time pass wrote the truth
-
-  TempDir scratch("sidecar");
-  const auto copy = scratch.path() + "/index.seg";
-  std::filesystem::copy(seg_path, copy);
-  write_max_tf_sidecar(copy, expected);
-
-  {  // wrong term count → kCorrupt
-    const auto r = read_max_tf_sidecar(copy, reader.term_count() + 1);
-    ASSERT_FALSE(r.has_value());
-    EXPECT_EQ(r.error().code, ErrorCode::kCorrupt);
-  }
-  {  // flipped payload byte → CRC mismatch
-    std::fstream f(max_tf_sidecar_path(copy),
-                   std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(16);
-    char byte = 0;
-    f.read(&byte, 1);
-    f.seekp(16);
-    byte = static_cast<char>(byte ^ 0x5A);
-    f.write(&byte, 1);
-    f.close();
-    const auto r = read_max_tf_sidecar(copy, reader.term_count());
-    ASSERT_FALSE(r.has_value());
-    EXPECT_EQ(r.error().code, ErrorCode::kCorrupt);
-  }
-  std::filesystem::remove(max_tf_sidecar_path(copy));
-  const auto r = read_max_tf_sidecar(copy, reader.term_count());
-  ASSERT_FALSE(r.has_value());
-  EXPECT_EQ(r.error().code, ErrorCode::kNotFound);
-}
-
-TEST_F(BatchServeFixture, BlockIndexSidecarRoundTripsAndRejectsCorruption) {
-  const auto seg_path = IndexLayout::segment_path(index_dir_->path());
-  const auto reader = SegmentReader::open(seg_path);
-
-  // The build-time sidecar must equal a full recompute from the blobs.
-  const auto loaded = read_block_index_sidecar(seg_path, reader.term_count());
-  ASSERT_TRUE(loaded.has_value());
-  const auto oracle = compute_block_index(reader);
-  ASSERT_EQ(loaded.value().term_count(), oracle.term_count());
-  ASSERT_EQ(loaded.value().total_blocks(), oracle.total_blocks());
-  for (std::uint64_t ord = 0; ord < oracle.term_count(); ++ord) {
-    const auto [got, got_n] = loaded.value().blocks(ord);
-    const auto [want, want_n] = oracle.blocks(ord);
-    ASSERT_EQ(got_n, want_n) << "term " << ord;
-    for (std::size_t i = 0; i < want_n; ++i) {
-      ASSERT_EQ(got[i], want[i]) << "term " << ord << " block " << i;
-    }
-  }
-  EXPECT_TRUE(validate_block_index(reader, loaded.value()).has_value());
-
-  TempDir scratch("bmx");
-  const auto copy = scratch.path() + "/index.seg";
-  std::filesystem::copy(seg_path, copy);
-  ASSERT_TRUE(write_block_index_sidecar(copy, loaded.value()).has_value());
-
-  {  // wrong term count → kCorrupt, not a silent degrade
-    const auto r = read_block_index_sidecar(copy, reader.term_count() + 1);
-    ASSERT_FALSE(r.has_value());
-    EXPECT_EQ(r.error().code, ErrorCode::kCorrupt);
-  }
-  {  // flipped row byte → CRC mismatch
-    const auto path = block_index_sidecar_path(copy);
-    const auto size = std::filesystem::file_size(path);
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekg(static_cast<std::streamoff>(size - 8));  // inside the last row
-    char byte = 0;
-    f.read(&byte, 1);
-    f.seekp(static_cast<std::streamoff>(size - 8));
-    byte = static_cast<char>(byte ^ 0x5A);
-    f.write(&byte, 1);
-    f.close();
-    const auto r = read_block_index_sidecar(copy, reader.term_count());
-    ASSERT_FALSE(r.has_value());
-    EXPECT_EQ(r.error().code, ErrorCode::kCorrupt);
-  }
-  {  // truncated below the fixed header → kCorrupt
-    std::filesystem::resize_file(block_index_sidecar_path(copy), 20);
-    const auto r = read_block_index_sidecar(copy, reader.term_count());
-    ASSERT_FALSE(r.has_value());
-    EXPECT_EQ(r.error().code, ErrorCode::kCorrupt);
-  }
-  std::filesystem::remove(block_index_sidecar_path(copy));
-  const auto absent = read_block_index_sidecar(copy, reader.term_count());
-  ASSERT_FALSE(absent.has_value());
-  EXPECT_EQ(absent.error().code, ErrorCode::kNotFound);
-}
-
-TEST(Sidecar, BoundsSurviveMergesAndMatchTrueMaxima) {
+TEST(ScoreBounds, CursorMaxTfSurvivesMergesAndMatchesTrueMaxima) {
   TempDir corpus_dir("mcorpus");
   TempDir live_dir("mlive");
   const auto corpus = make_corpus(corpus_dir.path(), 128 << 10, 0x3A6);
@@ -625,14 +518,14 @@ TEST(Sidecar, BoundsSurviveMergesAndMatchTrueMaxima) {
   const auto check_bounds = [](const LiveSnapshot& snap) {
     std::size_t checked = 0;
     snap.for_each_term([&](std::string_view term) {
-      const auto bound = snap.max_tf(term);
-      EXPECT_TRUE(bound.has_value()) << term;
+      const auto cursor = snap.open_cursor(term);
+      EXPECT_NE(cursor, nullptr) << term;
       const auto postings = snap.lookup(term);
       EXPECT_TRUE(postings.has_value()) << term;
-      if (bound && postings) {
+      if (cursor && postings) {
         const auto truth =
             *std::max_element(postings->tfs.begin(), postings->tfs.end());
-        EXPECT_EQ(*bound, truth) << term;  // §III.F: max of per-input maxima
+        EXPECT_EQ(cursor->max_tf(), truth) << term;  // §III.F: max of per-input maxima
       }
       return ++checked < 300;  // spot-check; the corpus has thousands
     });

@@ -1,13 +1,18 @@
 // Single-file segment tests: writer/reader round trip, run-file fold
 // equivalence (the segment must answer every query exactly like the legacy
-// backend), corruption detection (truncation, bit flips, bad footers must
-// die loudly out of SegmentReader::open, never decode garbage), and
-// lock-free concurrent readers sharing one SegmentReader.
+// backend), corruption detection (truncation, bit flips, bad footers and
+// tampered sections come back from SegmentReader::try_open as structured
+// errors, never decode garbage and never abort), the section-by-section
+// concatenation merge (byte-identical to the decode-derived write path,
+// structured errors on bad inputs), per-block Bloom filters, and lock-free
+// concurrent readers sharing one SegmentReader.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
+#include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,14 +60,13 @@ TEST(SegmentWriterReader, RoundTripAcrossBlockBoundaries) {
   for (std::size_t i = 0; i < terms.size(); ++i) {
     const std::vector<std::uint32_t> ids = {static_cast<std::uint32_t>(i),
                                             static_cast<std::uint32_t>(i + 10)};
-    const auto blob = encode_list(ids);
-    writer.add_term(terms[i], blob.data(), blob.size(), 2, ids.front(), ids.back());
+    writer.add_term(terms[i], encode_list(ids));
   }
   EXPECT_EQ(writer.term_count(), terms.size());
   const auto total = writer.finalize().value();
   EXPECT_EQ(total, std::filesystem::file_size(path));
 
-  const auto reader = SegmentReader::open(path);
+  const auto reader = SegmentReader::try_open(path).value();
   EXPECT_EQ(reader.term_count(), terms.size());
   EXPECT_EQ(reader.codec(), PostingCodec::kVByte);
   EXPECT_EQ(reader.min_doc(), 0u);
@@ -112,7 +116,7 @@ TEST(SegmentWriterReader, EmptySegmentRoundTrips) {
   const std::string path = dir.path() + "/e.seg";
   SegmentWriter writer(path, PostingCodec::kGamma);
   writer.finalize();
-  const auto reader = SegmentReader::open(path);
+  const auto reader = SegmentReader::try_open(path).value();
   EXPECT_EQ(reader.term_count(), 0u);
   EXPECT_EQ(reader.codec(), PostingCodec::kGamma);
   EXPECT_FALSE(reader.find("anything").has_value());
@@ -123,10 +127,10 @@ TEST(SegmentWriterReader, WriterRejectsUnsortedAndEmptyTerms) {
   TempDir dir("sorted");
   const auto blob = encode_list({1, 2});
   SegmentWriter writer(dir.path() + "/s.seg", PostingCodec::kVByte);
-  writer.add_term("m", blob.data(), blob.size(), 2, 1, 2);
-  EXPECT_DEATH(writer.add_term("a", blob.data(), blob.size(), 2, 1, 2), "sorted");
-  EXPECT_DEATH(writer.add_term("m", blob.data(), blob.size(), 2, 1, 2), "sorted");
-  EXPECT_DEATH(writer.add_term("z", blob.data(), 0, 0, 0, 0), "postings");
+  writer.add_term("m", blob);
+  EXPECT_DEATH(writer.add_term("a", blob), "sorted");
+  EXPECT_DEATH(writer.add_term("m", blob), "sorted");
+  EXPECT_DEATH(writer.add_term("z", std::span<const std::uint8_t>{}), "postings");
 }
 
 // ------------------------------------------------ fold equivalence
@@ -274,10 +278,7 @@ class SegmentCorruptionFixture : public ::testing::Test {
     seg_path_ = dir_->path() + "/c.seg";
     SegmentWriter writer(seg_path_, PostingCodec::kVByte);
     const std::vector<std::string> sorted = {"alpha", "beta", "delta", "gamma", "omega"};
-    for (const auto& term : sorted) {
-      const auto blob = encode_list({1, 5, 9});
-      writer.add_term(term, blob.data(), blob.size(), 3, 1, 9);
-    }
+    for (const auto& term : sorted) writer.add_term(term, encode_list({1, 5, 9}));
     writer.finalize();
   }
 
@@ -302,51 +303,75 @@ class SegmentCorruptionFixture : public ::testing::Test {
 
   std::unique_ptr<TempDir> dir_;
   std::string seg_path_;
+  /// try_open's error, which must carry `code` and mention `what`.
+  void expect_open_error(ErrorCode code, const std::string& what) {
+    const auto r = SegmentReader::try_open(seg_path_);
+    ASSERT_FALSE(r.has_value());
+    EXPECT_EQ(r.error().code, code) << r.error().message;
+    EXPECT_NE(r.error().message.find(what), std::string::npos) << r.error().message;
+  }
+
+  /// Offset of the dictionary section (the header's first section field).
+  std::size_t dict_offset() {
+    const auto data = read_file(seg_path_);
+    std::uint64_t off = 0;
+    std::memcpy(&off, data.data() + 32, 8);
+    return static_cast<std::size_t>(off);
+  }
 };
 
-TEST_F(SegmentCorruptionFixture, TruncatedFileDies) {
+TEST_F(SegmentCorruptionFixture, TruncatedFileIsCorrupt) {
   auto data = read_file(seg_path_);
   data.resize(data.size() / 2);
   write_file(seg_path_, data);
-  EXPECT_DEATH((void)SegmentReader::open(seg_path_), "footer|truncated");
+  expect_open_error(ErrorCode::kCorrupt, "footer");
   data.resize(10);
   write_file(seg_path_, data);
-  EXPECT_DEATH((void)SegmentReader::open(seg_path_), "too small");
+  expect_open_error(ErrorCode::kCorrupt, "too small");
 }
 
-TEST_F(SegmentCorruptionFixture, BitFlippedBlobDies) {
+TEST_F(SegmentCorruptionFixture, BitFlippedBlobIsCorrupt) {
   flip(-20);  // inside the blob area, just before the footer
-  EXPECT_DEATH((void)SegmentReader::open(seg_path_), "corruption|crc");
+  expect_open_error(ErrorCode::kCorrupt, "crc");
 }
 
-TEST_F(SegmentCorruptionFixture, BitFlippedHeaderDies) {
+TEST_F(SegmentCorruptionFixture, BitFlippedHeaderIsCorrupt) {
   flip(0);
-  EXPECT_DEATH((void)SegmentReader::open(seg_path_), "corruption|crc");
+  expect_open_error(ErrorCode::kCorrupt, "crc");
 }
 
-TEST_F(SegmentCorruptionFixture, BadFooterCrcDies) {
+TEST_F(SegmentCorruptionFixture, BadFooterCrcIsCorrupt) {
   flip(-6);  // inside the stored CRC field
-  EXPECT_DEATH((void)SegmentReader::open(seg_path_), "corruption|crc");
+  expect_open_error(ErrorCode::kCorrupt, "crc");
 }
 
-TEST_F(SegmentCorruptionFixture, BadFooterMagicDies) {
+TEST_F(SegmentCorruptionFixture, BadFooterMagicIsCorrupt) {
   flip(-1);
-  EXPECT_DEATH((void)SegmentReader::open(seg_path_), "footer magic");
+  expect_open_error(ErrorCode::kCorrupt, "footer magic");
 }
 
-TEST_F(SegmentCorruptionFixture, WrongMagicWithValidCrcDies) {
+TEST_F(SegmentCorruptionFixture, WrongMagicWithValidCrcIsCorrupt) {
   flip(0);
   fix_crc();
-  EXPECT_DEATH((void)SegmentReader::open(seg_path_), "not a hetindex segment");
+  expect_open_error(ErrorCode::kCorrupt, "not a hetindex segment");
 }
 
-TEST_F(SegmentCorruptionFixture, WrongVersionWithValidCrcDies) {
+TEST_F(SegmentCorruptionFixture, UnknownVersionIsUnsupported) {
   flip(4);
   fix_crc();
-  EXPECT_DEATH((void)SegmentReader::open(seg_path_), "segment version");
+  expect_open_error(ErrorCode::kUnsupported, "segment version");
 }
 
-TEST_F(SegmentCorruptionFixture, TamperedSectionBoundsDie) {
+TEST_F(SegmentCorruptionFixture, FormatV1NamesTheUpgrade) {
+  auto data = read_file(seg_path_);
+  const std::uint32_t v1 = 1;
+  std::memcpy(data.data() + 4, &v1, 4);
+  write_file(seg_path_, data);
+  fix_crc();
+  expect_open_error(ErrorCode::kUnsupported, "hetindex_cli compact");
+}
+
+TEST_F(SegmentCorruptionFixture, TamperedSectionBoundsAreCorrupt) {
   // Grow dict_bytes (u64 at offset 40) past the file end; CRC is repaired
   // so only the bounds check can catch it.
   auto data = read_file(seg_path_);
@@ -356,12 +381,168 @@ TEST_F(SegmentCorruptionFixture, TamperedSectionBoundsDie) {
   std::memcpy(data.data() + 40, &dict_bytes, 8);
   write_file(seg_path_, data);
   fix_crc();
-  EXPECT_DEATH((void)SegmentReader::open(seg_path_), "section out of bounds");
+  expect_open_error(ErrorCode::kCorrupt, "section out of bounds");
 }
 
-TEST_F(SegmentCorruptionFixture, MissingFileDies) {
-  EXPECT_DEATH((void)SegmentReader::open(dir_->path() + "/nope.seg"),
-               "cannot open|cannot read");
+TEST_F(SegmentCorruptionFixture, OverlongSharedPrefixIsCorrupt) {
+  // The second dictionary term ("beta") is front-coded against "alpha":
+  // its first byte is the shared-prefix length (0). Claiming more than the
+  // previous term holds must fail the open — before this check it passed
+  // and aborted on the first find().
+  const std::size_t at = dict_offset() + 4 + std::string("alpha").size();
+  auto data = read_file(seg_path_);
+  ASSERT_EQ(data[at], 0);
+  data[at] = 9;  // > 5 = strlen("alpha")
+  write_file(seg_path_, data);
+  fix_crc();
+  expect_open_error(ErrorCode::kCorrupt, "shared prefix");
+}
+
+TEST_F(SegmentCorruptionFixture, TamperedSkipRowIsCorrupt) {
+  // Every term's one skip row follows the table; shrink the first row's
+  // count so it disagrees with the table row's count.
+  auto data = read_file(seg_path_);
+  std::uint64_t skip_off = 0;
+  std::memcpy(&skip_off, data.data() + 64, 8);
+  std::uint32_t count = 0;
+  std::memcpy(&count, data.data() + skip_off + 8, 4);
+  ASSERT_EQ(count, 3u);
+  count = 2;
+  std::memcpy(data.data() + skip_off + 8, &count, 4);
+  write_file(seg_path_, data);
+  fix_crc();
+  expect_open_error(ErrorCode::kCorrupt, "skip rows");
+}
+
+TEST_F(SegmentCorruptionFixture, MissingFileIsNotFound) {
+  const auto r = SegmentReader::try_open(dir_->path() + "/nope.seg");
+  ASSERT_FALSE(r.has_value());
+  EXPECT_EQ(r.error().code, ErrorCode::kNotFound);
+}
+
+// ------------------------------------------------ merge and Bloom filters
+
+/// A random strictly-increasing list of `n` docs in [base, base + span),
+/// with tfs and (one position per occurrence) positions.
+QueryPostings random_list(std::mt19937& rng, std::size_t n, std::uint32_t base,
+                          std::uint32_t span) {
+  std::set<std::uint32_t> ids;
+  while (ids.size() < n) ids.insert(base + static_cast<std::uint32_t>(rng() % span));
+  QueryPostings p;
+  for (const auto id : ids) {
+    p.doc_ids.push_back(id);
+    const std::uint32_t tf = 1 + static_cast<std::uint32_t>(rng() % 5);
+    p.tfs.push_back(tf);
+    for (std::uint32_t k = 0; k < tf; ++k) p.positions.push_back(3 * k + 1);
+  }
+  return p;
+}
+
+/// Writes one segment through the flush-style path (blocked encode, rows
+/// and filters from the decoded list) over doc ids [base, base + span).
+void write_input_segment(const std::string& path, std::mt19937& rng, std::uint32_t base,
+                         std::uint32_t span, PostingCodec codec = PostingCodec::kVByte) {
+  SegmentWriter writer(path, codec);
+  for (const std::string term : {"alpha", "beta", "gamma", "omega"}) {
+    if (rng() % 4 == 0) continue;  // not every term in every segment
+    const auto list = random_list(rng, 1 + rng() % 400, base, span);
+    std::vector<PostingBlockEntry> rows;
+    const bool positional = codec == PostingCodec::kVByte;
+    const auto blob = encode_postings_blocked(codec, list.doc_ids, list.tfs,
+                                              positional ? &list.positions : nullptr, &rows);
+    writer.add_term(term, blob, rows, list.doc_ids);
+  }
+  ASSERT_TRUE(writer.finalize().has_value());
+}
+
+TEST(SegmentMerge, OutputEqualsDecodeDerivedWriteByteForByte) {
+  TempDir dir("merge");
+  std::mt19937 rng(0x5E6);
+  std::vector<SegmentReader> readers;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    const std::string path = dir.path() + "/in" + std::to_string(i) + ".seg";
+    write_input_segment(path, rng, i * 5000, 4000);
+    readers.push_back(SegmentReader::try_open(path).value());
+  }
+  std::vector<const SegmentReader*> inputs;
+  for (const auto& r : readers) inputs.push_back(&r);
+  const std::string merged_path = dir.path() + "/merged.seg";
+  const auto stats = merge_segments(inputs, merged_path);
+  ASSERT_TRUE(stats.has_value()) << stats.error().to_string();
+
+  // The same concatenated blobs, written through the path that decodes
+  // each blob to derive its skip rows and filters (the build-from-runs
+  // fold), must produce the identical file.
+  const auto merged = SegmentReader::try_open(merged_path).value();
+  const std::string derived_path = dir.path() + "/derived.seg";
+  SegmentWriter derived(derived_path, PostingCodec::kVByte);
+  merged.for_each_term([&](std::string_view term, std::uint64_t ordinal) {
+    const auto [blob, bytes] = merged.raw_blob(merged.meta(ordinal));
+    derived.add_term(term, std::span<const std::uint8_t>(blob, bytes));
+    return true;
+  });
+  ASSERT_TRUE(derived.finalize().has_value());
+  EXPECT_EQ(read_file(merged_path), read_file(derived_path));
+  EXPECT_GT(stats.value().terms, 0u);
+}
+
+TEST(SegmentMerge, CodecMismatchIsInvalidArgument) {
+  TempDir dir("merge_codec");
+  std::mt19937 rng(7);
+  write_input_segment(dir.path() + "/a.seg", rng, 0, 1000);
+  write_input_segment(dir.path() + "/b.seg", rng, 2000, 1000, PostingCodec::kGamma);
+  const auto a = SegmentReader::try_open(dir.path() + "/a.seg").value();
+  const auto b = SegmentReader::try_open(dir.path() + "/b.seg").value();
+  const std::string out = dir.path() + "/out.seg";
+  const auto merged = merge_segments({&a, &b}, out);
+  ASSERT_FALSE(merged.has_value());
+  EXPECT_EQ(merged.error().code, ErrorCode::kInvalidArgument);
+  EXPECT_FALSE(std::filesystem::exists(out));
+}
+
+TEST(SegmentMerge, OverlappingDocRangesAreCorrupt) {
+  TempDir dir("merge_overlap");
+  for (const std::string name : {"a", "b"}) {
+    SegmentWriter writer(dir.path() + "/" + name + ".seg", PostingCodec::kVByte);
+    writer.add_term("shared", encode_list({1, 5, 9}));
+    ASSERT_TRUE(writer.finalize().has_value());
+  }
+  const auto a = SegmentReader::try_open(dir.path() + "/a.seg").value();
+  const auto b = SegmentReader::try_open(dir.path() + "/b.seg").value();
+  const std::string out = dir.path() + "/out.seg";
+  write_file(out, {1, 2, 3});  // a stale leftover under the output name
+  const auto merged = merge_segments({&a, &b}, out);
+  ASSERT_FALSE(merged.has_value());
+  EXPECT_EQ(merged.error().code, ErrorCode::kCorrupt);
+  EXPECT_FALSE(std::filesystem::exists(out));
+}
+
+TEST(SegmentBloom, PerBlockFiltersHaveNoFalseNegativesAndReject) {
+  TempDir dir("bloom");
+  std::mt19937 rng(0xB100);
+  const std::string path = dir.path() + "/b.seg";
+  const auto list = random_list(rng, 1000, 0, 100000);
+  {
+    SegmentWriter writer(path, PostingCodec::kVByte);
+    std::vector<PostingBlockEntry> rows;
+    const auto blob = encode_postings_blocked(PostingCodec::kVByte, list.doc_ids, list.tfs,
+                                              nullptr, &rows);
+    ASSERT_GT(rows.size(), 4u);
+    writer.add_term("term", blob, rows, list.doc_ids);
+    ASSERT_TRUE(writer.finalize().has_value());
+  }
+  const auto reader = SegmentReader::try_open(path).value();
+  const auto ordinal = reader.find("term").value();
+  for (const auto doc : list.doc_ids) EXPECT_TRUE(reader.may_contain(ordinal, doc)) << doc;
+  EXPECT_FALSE(reader.may_contain(ordinal, list.doc_ids.back() + 1));  // past the list
+  std::size_t rejected = 0, absent = 0;
+  const std::set<std::uint32_t> present(list.doc_ids.begin(), list.doc_ids.end());
+  for (std::uint32_t doc = 0; doc < list.doc_ids.back(); doc += 7) {
+    if (present.count(doc) != 0) continue;
+    ++absent;
+    if (!reader.may_contain(ordinal, doc)) ++rejected;
+  }
+  EXPECT_GT(rejected * 10, absent * 9) << rejected << "/" << absent;  // ~1% false positives
 }
 
 // ------------------------------------------------ concurrent readers
