@@ -199,7 +199,6 @@ int cmd_build(int argc, char** argv) {
                  {{"parsers", true, "parser threads (default 2)"},
                   {"cpus", true, "CPU indexers (default 2)"},
                   {"gpus", true, "simulated GPUs (default 2)"},
-                  {"prefetch", true, "ingest readahead depth; 1 = serialized reads (default 4)"},
                   {"positions", false, "record in-document token positions"},
                   {"merge", false, "also merge run files into merged.post"},
                   {"segment", false, "also emit the serving segment index.seg"},
@@ -214,8 +213,7 @@ int cmd_build(int argc, char** argv) {
   IndexBuilder builder;
   builder.parsers(static_cast<std::size_t>(args.num("parsers", 2)))
       .cpu_indexers(static_cast<std::size_t>(args.num("cpus", 2)))
-      .gpus(static_cast<std::size_t>(args.num("gpus", 2)))
-      .read_prefetch(static_cast<std::size_t>(args.num("prefetch", 4)));
+      .gpus(static_cast<std::size_t>(args.num("gpus", 2)));
   if (args.has("positions")) builder.config().parser.record_positions = true;
   if (args.has("merge")) builder.merge_output(true);
   if (args.has("segment")) builder.emit_segment(true);
@@ -257,9 +255,6 @@ int cmd_build(int argc, char** argv) {
               report.total_seconds, report.throughput_mb_s(),
               static_cast<unsigned long long>(report.cpu_total().tokens),
               static_cast<unsigned long long>(report.gpu_total().tokens));
-  std::printf("read path: %s (depth %zu, parser stall %.2f s)\n",
-              report.read_backend.c_str(), report.config.read_prefetch_depth,
-              report.read_stall_seconds);
   if (report.segment_bytes > 0) {
     std::printf("segment: %s written in %.2f s\n",
                 format_bytes(report.segment_bytes).c_str(), report.segment_seconds);

@@ -34,7 +34,12 @@ int main(int argc, char** argv) {
   // ---- Inspect the popularity split before committing to a config
   // (§III.E: popular collections → CPU caches, the long tail → GPUs).
   SamplerConfig sampler;
-  const auto split = sample_and_split(crawl.paths(), sampler);
+  const auto sampled = sample_and_split(crawl.paths(), sampler);
+  if (!sampled.has_value()) {
+    std::fprintf(stderr, "sampling failed: %s\n", sampled.error().to_string().c_str());
+    return 1;
+  }
+  const WorkSplit& split = sampled.value();
   std::uint64_t popular_tokens = 0, total_tokens = 0;
   for (auto c : split.popular) popular_tokens += split.sampled_tokens[c];
   for (auto t : split.sampled_tokens) total_tokens += t;

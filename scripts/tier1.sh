@@ -10,10 +10,7 @@
 #   - ASan+UBSan on the binary-format and serving tests (run files,
 #     segments, query path, MaxScore executor and caches) and the property
 #     tests (LzFuzz, the decoder fuzz test) to catch overruns and UB in the
-#     decoders and the mmap reader. This tree is
-#     configured with HETINDEX_IO_URING=OFF so the Env-routed pread
-#     fallback of the ingest readahead path (io/async_reader.hpp) stays
-#     exercised under ASan even on io_uring-capable kernels
+#     decoders and the mmap reader
 #   - a fault-injection leg: the crash-consistency harness (trace-prefix
 #     replay of flush/delete/update/compaction commits + injected
 #     ENOSPC/EINTR/fsync faults, docs/DURABILITY.md) under ASan+UBSan,
@@ -28,11 +25,12 @@
 #     (ingest docs/s with and without concurrent memtable search load,
 #     docs/LIVE_INDEXING.md), and bench_cluster_scaling emits
 #     BENCH_cluster.json (router QPS/p99 vs shard count per partition
-#     strategy, docs/CLUSTER.md), and bench_build_presets emits
-#     BENCH_build.json (pinned-preset batch build: serialized vs readahead
-#     ingest read-phase throughput + bit-identity gate, EXPERIMENTS.md).
-#     The leg then fails if any BENCH_*.json carries a bench name that does
-#     not belong to its filename (stale-artifact guard)
+#     strategy, docs/CLUSTER.md). The leg then fails if any BENCH_*.json
+#     carries a bench name that does not belong to its filename
+#     (stale-artifact guard). Last, one short hetbench build_batch run
+#     (hetbench/README.md) builds the pinned corpus end to end and fails
+#     unless every rebuilt index.seg is byte-identical to the first,
+#     verify_index passes and pruned results equal exhaustive ones
 #
 # Each leg's wall-clock is reported in the summary at the end.
 #
@@ -85,7 +83,7 @@ fi
 
 if [[ "$run_asan" == 1 ]]; then
   leg_begin
-  cmake -B build-asan -S . -DHETINDEX_SANITIZE=address -DHETINDEX_IO_URING=OFF \
+  cmake -B build-asan -S . -DHETINDEX_SANITIZE=address \
         -DHETINDEX_BUILD_BENCH=OFF -DHETINDEX_BUILD_EXAMPLES=OFF \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-asan -j "$(nproc)" --target test_segment test_postings test_codec test_query_ops test_query_ast test_live test_search_service test_block_max test_cluster test_ingest_faults test_property
@@ -97,7 +95,7 @@ if [[ "$run_faults" == 1 ]]; then
   leg_begin
   # Reuses the ASan+UBSan tree: fault paths shake out lifetime bugs
   # (double-close, use-after-unmap) that a plain build would miss.
-  cmake -B build-asan -S . -DHETINDEX_SANITIZE=address -DHETINDEX_IO_URING=OFF \
+  cmake -B build-asan -S . -DHETINDEX_SANITIZE=address \
         -DHETINDEX_BUILD_BENCH=OFF -DHETINDEX_BUILD_EXAMPLES=OFF \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-asan -j "$(nproc)" --target test_crash_consistency
@@ -126,8 +124,6 @@ if [[ "$run_bench" == 1 ]]; then
   echo "bench leg: wrote BENCH_ingest.json"
   HETINDEX_BENCH_JSON="$PWD/BENCH_cluster.json" ./build/bench/bench_cluster_scaling
   echo "bench leg: wrote BENCH_cluster.json"
-  HETINDEX_BENCH_JSON="$PWD/BENCH_build.json" ./build/bench/bench_build_presets
-  echo "bench leg: wrote BENCH_build.json"
 
   # Guard against stale artifacts: each BENCH_*.json must carry the bench
   # name its producer stamps (a mismatch means a bench wrote to the wrong
@@ -138,7 +134,6 @@ if [[ "$run_bench" == 1 ]]; then
     [BENCH_search.json]="search_qps"
     [BENCH_ingest.json]="live_ingest"
     [BENCH_cluster.json]="cluster_scaling"
-    [BENCH_build.json]="build"
   )
   for f in "${!expected_bench[@]}"; do
     want="${expected_bench[$f]}"
@@ -149,6 +144,12 @@ if [[ "$run_bench" == 1 ]]; then
     fi
   done
   echo "bench leg: all BENCH_*.json bench fields match their filenames"
+
+  # End-to-end batch build smoke run on the hetbench tree built above
+  # (nonzero exit on any failed output check).
+  ./build-hetbench/hetbench --workload build_batch --seed 1 --seconds 3 --trace 0 \
+      --work-dir build-hetbench/smoke
+  echo "bench leg: hetbench build_batch smoke run passed"
   leg_end "bench"
 fi
 

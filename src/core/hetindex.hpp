@@ -158,13 +158,6 @@ class IndexBuilder {
     config_.emit_segment = emit;
     return *this;
   }
-  /// Ingest readahead depth: container files in flight at once. 1 keeps
-  /// the paper's serialized §III.F read discipline; >= 2 overlaps reads
-  /// with parsing (io::AsyncReader). Output is bit-identical either way.
-  IndexBuilder& read_prefetch(std::size_t depth) {
-    config_.read_prefetch_depth = depth;
-    return *this;
-  }
   /// Live-progress hook, called after every completed single run.
   IndexBuilder& progress(std::function<void(const PipelineProgress&)> callback) {
     config_.progress = std::move(callback);

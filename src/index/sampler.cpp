@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <queue>
 
+#include "codec/lz.hpp"
 #include "corpus/container.hpp"
 #include "dict/trie_table.hpp"
+#include "io/env.hpp"
 #include "parse/parser.hpp"
-#include "util/binary_io.hpp"
 #include "util/check.hpp"
 #include "util/timer.hpp"
 
@@ -16,8 +17,8 @@ bool WorkSplit::is_popular(std::uint32_t trie_idx) const {
   return std::find(popular.begin(), popular.end(), trie_idx) != popular.end();
 }
 
-WorkSplit sample_and_split(const std::vector<std::string>& files,
-                           const SamplerConfig& config) {
+Expected<WorkSplit> sample_and_split(const std::vector<std::string>& files,
+                                     const SamplerConfig& config) {
   WallTimer timer;
   WorkSplit split;
   split.sampled_tokens.assign(kTrieCollections, 0);
@@ -26,8 +27,14 @@ WorkSplit sample_and_split(const std::vector<std::string>& files,
   for (const auto& file : files) {
     // §III.E sampling: inflate only a prefix of each file (e.g. 1MB/1GB),
     // never the whole thing.
-    const auto bytes = read_file(file);
-    const std::uint64_t raw_size = container_uncompressed_size(file);
+    auto read = io::read_file_via_env(file);
+    if (!read.has_value()) return read.error();
+    const auto bytes = std::move(read).value();
+    if (auto header = container_try_header_doc_count(bytes.data(), bytes.size());
+        !header.has_value()) {
+      return Error{header.error().code, header.error().message + " (" + file + ")"};
+    }
+    const std::uint64_t raw_size = lz_raw_size(bytes.data() + 8, bytes.size() - 8);
     const std::uint64_t want = std::max<std::uint64_t>(
         64 << 10,
         static_cast<std::uint64_t>(config.sample_fraction * static_cast<double>(raw_size)));

@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "util/error.hpp"
+
 namespace hetindex {
 
 struct SamplerConfig {
@@ -39,9 +41,12 @@ struct WorkSplit {
   [[nodiscard]] bool is_popular(std::uint32_t trie_idx) const;
 };
 
-/// Runs the sampling pass over the collection files (reading only the
+/// Runs the sampling pass over the collection files (inflating only the
 /// sampled prefix of each file's documents through the real parse path).
-WorkSplit sample_and_split(const std::vector<std::string>& files, const SamplerConfig& config);
+/// Each file is read once through io::read_file_via_env, so a hard read
+/// failure is a structured kIo error naming the file, not an abort.
+Expected<WorkSplit> sample_and_split(const std::vector<std::string>& files,
+                                     const SamplerConfig& config);
 
 /// Splits the popular collections into `n` sets of nearly equal sampled
 /// token mass (§III.E: "we split these trie collections into N1 independent

@@ -22,9 +22,17 @@ namespace hetindex::io {
 namespace {
 
 constexpr int kDurableWriteAttempts = 3;
+/// Chunk size of read_file_via_env's pread loop. Large enough that per-call
+/// overhead (and FaultEnv's per-call bookkeeping) is negligible, small
+/// enough that short-read clamps converge quickly.
+constexpr std::size_t kReadChunkBytes = 256u << 10;
+/// Consecutive transient failures tolerated per file before the read is a
+/// structured hard error. EINTR/EAGAIN/EIO bursts shorter than this are
+/// absorbed (and counted in io_retries_total).
+constexpr int kIngestReadRetries = 4;
 
-[[maybe_unused]] Error io_error(const std::string& what, const std::string& path,
-                                int err, bool transient = false) {
+Error io_error(const std::string& what, const std::string& path, int err,
+               bool transient = false) {
   return Error{ErrorCode::kIo, what + ": " + path + " (" + std::strerror(err) + ")",
                transient};
 }
@@ -280,6 +288,44 @@ Env* set_env(Env* e) { return g_env_override.exchange(e, std::memory_order_acq_r
 obs::MetricsRegistry& io_metrics() {
   static obs::MetricsRegistry registry;
   return registry;
+}
+
+Expected<std::vector<std::uint8_t>> read_file_via_env(const std::string& path) {
+  auto fd_or = env().open_read(path);
+  if (!fd_or.has_value()) {
+    if (fd_or.error().code == ErrorCode::kUnsupported) return env().read_file(path);
+    return fd_or.error();
+  }
+  const int fd = fd_or.value();
+  struct FdCloser {
+    int fd;
+    ~FdCloser() { env().close_read(fd); }
+  } closer{fd};
+
+  auto size_or = env().fd_size(fd);
+  if (!size_or.has_value()) return size_or.error();
+  std::vector<std::uint8_t> data(static_cast<std::size_t>(size_or.value()));
+  std::size_t done = 0;
+  int consecutive_failures = 0;
+  while (done < data.size()) {
+    const std::size_t want = std::min(kReadChunkBytes, data.size() - done);
+    const long n = env().pread_some(fd, data.data() + done, want, done);
+    if (n < 0) {
+      const int err = errno;
+      const bool transient = err == EINTR || err == EAGAIN || err == EIO;
+      if (transient && ++consecutive_failures <= kIngestReadRetries) {
+        io_metrics().counter("io_retries_total").add();
+        continue;
+      }
+      return io_error("ingest read failed", path, err);
+    }
+    if (n == 0) {
+      return Error{ErrorCode::kIo, "short read (file shrank?): " + path};
+    }
+    consecutive_failures = 0;
+    done += static_cast<std::size_t>(n);
+  }
+  return data;
 }
 
 Status durable_write_file(const std::string& path, const std::uint8_t* data,

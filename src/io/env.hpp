@@ -58,10 +58,10 @@ class Env {
   /// False forces MmapFile onto the pread fallback path.
   [[nodiscard]] virtual bool mmap_allowed() const { return true; }
 
-  // Fd-level read hooks behind the ingest readahead path (io/async_reader.hpp):
-  // the thread-pool backend reads open_read + fd_size + pread_some so fault
-  // injection sees every ingest byte. Defaults are POSIX-backed passthroughs
-  // (kUnsupported on non-POSIX platforms, which sends callers to read_file).
+  // Fd-level read hooks behind read_file_via_env (the ingest and sampling
+  // read path): open_read + fd_size + pread_some, so fault injection sees
+  // every ingest byte. Defaults are POSIX-backed passthroughs (kUnsupported
+  // on non-POSIX platforms, which sends callers to read_file).
 
   /// Opens `path` read-only for pread_some access. kNotFound when absent.
   virtual Expected<int> open_read(const std::string& path);
@@ -95,6 +95,13 @@ class ScopedEnv {
 /// Process-wide I/O health counters: `io_retries_total` (transient faults
 /// absorbed by retry loops) and `fsync_failures_total`.
 obs::MetricsRegistry& io_metrics();
+
+/// Reads the whole file through the current Env: open_read + chunked
+/// pread_some with bounded consecutive-failure retries on transient faults
+/// (EINTR, EAGAIN, injected EIO), each retry counted in io_retries_total.
+/// A hard fault is a structured kIo error naming the file, never an abort.
+/// Platforms without fd-level reads fall back to Env::read_file.
+Expected<std::vector<std::uint8_t>> read_file_via_env(const std::string& path);
 
 /// Writes `size` bytes durably: write + fsync, with a bounded whole-file
 /// retry (the file is rewritten from scratch each attempt, so a failed

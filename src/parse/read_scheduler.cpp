@@ -1,130 +1,48 @@
 #include "parse/read_scheduler.hpp"
 
-#include <algorithm>
-
 #include "corpus/container.hpp"
+#include "io/env.hpp"
 #include "util/timer.hpp"
 
 namespace hetindex {
 
-ReadScheduler::ReadScheduler(std::vector<std::string> files, ReadSchedulerOptions options)
-    : files_(std::move(files)), opt_(options) {
-  opt_.prefetch_depth = std::max<std::size_t>(1, opt_.prefetch_depth);
-  opt_.batch_files = std::clamp<std::size_t>(opt_.batch_files, 1, opt_.prefetch_depth);
-  if (opt_.prefetch_depth >= 2) {
-    io::AsyncReaderOptions ropt;
-    ropt.prefetch_depth = opt_.prefetch_depth;
-    ropt.batch_files = opt_.batch_files;
-    ropt.backend = opt_.backend;
-    ropt.metrics = opt_.metrics;
-    reader_ = std::make_unique<io::AsyncReader>(files_, ropt);
-  }
-}
-
-ReadScheduler::~ReadScheduler() = default;
-
-const char* ReadScheduler::backend_name() const {
-  if (reader_ == nullptr) return "serial";
-  return io::read_backend_name(reader_->backend());
-}
-
-Expected<Unit> ReadScheduler::assign_doc_base(ScheduledRead& result,
-                                              const std::vector<std::uint8_t>& bytes) {
-  // Caller holds state_mutex_ and files are delivered strictly in
-  // collection order, so doc-ID bases stay monotone in seq.
-  auto count = container_try_header_doc_count(bytes.data(), bytes.size());
-  if (!count.has_value()) {
-    Error e = count.error();
-    e.message += " (" + files_[result.seq] + ")";
-    error_ = e;
-    return e;
-  }
-  result.doc_id_base = next_doc_base_;
-  next_doc_base_ += count.value();
-  return Unit{};
-}
+ReadScheduler::ReadScheduler(std::vector<std::string> files) : files_(std::move(files)) {}
 
 Expected<std::optional<ScheduledRead>> ReadScheduler::next() {
-  {
-    // The sticky error check is what drains every parser thread once any
-    // one of them has hit a hard read failure.
-    std::scoped_lock state(state_mutex_);
-    if (error_.has_value()) return Error(*error_);
-  }
-  return reader_ != nullptr ? next_prefetch() : next_serial();
-}
-
-Expected<std::optional<ScheduledRead>> ReadScheduler::next_serial() {
   ScheduledRead result;
   std::vector<std::uint8_t> compressed;
   {
     // Serialized disk section: claim the next file and read it while
-    // holding the disk — the paper's one-at-a-time discipline, kept as the
-    // depth-1 baseline. The time queueing for the disk plus the read
-    // itself is parser stall (there is nothing to overlap with).
+    // holding the disk — the paper's one-at-a-time discipline. The time
+    // queueing for the disk plus the read itself is parser stall.
     WallTimer wait_timer;
-    std::unique_lock disk(disk_mutex_);
-    {
-      std::scoped_lock state(state_mutex_);
-      if (error_.has_value()) return Error(*error_);
-      if (next_file_ >= files_.size()) return std::optional<ScheduledRead>(std::nullopt);
-      result.seq = next_file_++;
-    }
+    std::scoped_lock disk(disk_mutex_);
+    // The sticky error is what drains every parser thread once any one of
+    // them has hit a hard read failure.
+    if (error_.has_value()) return Error(*error_);
+    if (next_file_ >= files_.size()) return std::optional<ScheduledRead>(std::nullopt);
+    result.seq = next_file_++;
+
     WallTimer t;
     auto data = io::read_file_via_env(files_[result.seq]);
     result.read_seconds = t.seconds();
-    {
-      std::scoped_lock state(state_mutex_);
-      if (!data.has_value()) {
-        error_ = data.error();
-        return Error(*error_);
-      }
-      compressed = std::move(data).value();
-      result.compressed_bytes = compressed.size();
-      auto assigned = assign_doc_base(result, compressed);
-      if (!assigned.has_value()) return assigned.error();
-      result.disk_wait_seconds = wait_timer.seconds();
-      read_stall_seconds_ += result.disk_wait_seconds;
-    }
-  }
-
-  WallTimer t;
-  result.docs = container_decompress(compressed.data(), compressed.size());
-  result.decompress_seconds = t.seconds();
-  std::uint64_t raw = 0;
-  for (const auto& d : result.docs) raw += d.body.size() + d.url.size() + 8;
-  result.uncompressed_bytes = raw + 8;
-  return std::optional<ScheduledRead>(std::move(result));
-}
-
-Expected<std::optional<ScheduledRead>> ReadScheduler::next_prefetch() {
-  ScheduledRead result;
-  std::vector<std::uint8_t> compressed;
-  {
-    // Holding state_mutex_ across reader_->next() is deliberate: deliveries
-    // are strictly ordered anyway (AsyncReader::next blocks on the lowest
-    // undelivered seq), so serializing consumers here costs nothing and
-    // guarantees the doc-base assignment happens in delivery order. The
-    // readahead workers never take state_mutex_, so this cannot deadlock.
-    std::scoped_lock state(state_mutex_);
-    if (error_.has_value()) return Error(*error_);
-    auto read = reader_->next();
-    if (!read.has_value()) return std::optional<ScheduledRead>(std::nullopt);
-    if (!read->has_value()) {
-      error_ = read->error();
+    if (!data.has_value()) {
+      error_ = data.error();
       return Error(*error_);
     }
-    io::FileRead file = std::move(*read).value();
-    result.seq = file.seq;
-    result.read_seconds = file.read_seconds;
-    // With readahead, parser stall is only the queue wait — the read
-    // itself overlapped with other parsers' work.
-    result.disk_wait_seconds = file.queue_wait_seconds;
-    read_stall_seconds_ += file.queue_wait_seconds;
-    compressed = std::move(file.bytes);
+    compressed = std::move(data).value();
     result.compressed_bytes = compressed.size();
-    auto assigned = assign_doc_base(result, compressed);
-    if (!assigned.has_value()) return assigned.error();
+    // Doc-ID bases are assigned in claim order, so they stay monotone in seq.
+    auto count = container_try_header_doc_count(compressed.data(), compressed.size());
+    if (!count.has_value()) {
+      error_ = count.error();
+      error_->message += " (" + files_[result.seq] + ")";
+      return Error(*error_);
+    }
+    result.doc_id_base = next_doc_base_;
+    next_doc_base_ += count.value();
+    result.disk_wait_seconds = wait_timer.seconds();
+    read_stall_seconds_ += result.disk_wait_seconds;
   }
 
   WallTimer t;
@@ -137,12 +55,12 @@ Expected<std::optional<ScheduledRead>> ReadScheduler::next_prefetch() {
 }
 
 std::uint32_t ReadScheduler::docs_assigned() const {
-  std::scoped_lock state(state_mutex_);
+  std::scoped_lock disk(disk_mutex_);
   return next_doc_base_;
 }
 
 double ReadScheduler::read_stall_seconds() const {
-  std::scoped_lock state(state_mutex_);
+  std::scoped_lock disk(disk_mutex_);
   return read_stall_seconds_;
 }
 

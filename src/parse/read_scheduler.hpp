@@ -3,31 +3,28 @@
 /// Step 1 of the parser (Fig. 3) plus the disk-access discipline of §III.F:
 /// "To avoid several parsers from trying to read from the same disk at the
 /// same time, a scheduler is used to organize the reads of the different
-/// parsers, one at a time." At `prefetch_depth <= 1` that discipline is kept
-/// literally — one serialized synchronous read at a time, the paper's
-/// baseline. At depth >= 2 the scheduler drains an io::AsyncReader instead:
-/// up to `prefetch_depth` files are in flight (io_uring or an Env-routed
-/// pread pool, see io/async_reader.hpp) while parsers consume completed
-/// buffers. Either way files are handed out strictly in collection order
-/// with the global doc-ID base assigned at hand-out, so downstream postings
-/// stay globally sorted and the index output is bit-identical across
-/// depths and backends. Decompression happens *after* the full file is in
-/// memory (§IV.A's second scheme, the one the paper chooses).
+/// parsers, one at a time." The discipline is kept literally: a parser
+/// claims the next file and reads it whole while holding the disk, through
+/// the Env seam (io::read_file_via_env), so fault injection sees every
+/// ingest byte. Files are handed out strictly in collection order with the
+/// global doc-ID base assigned at claim time, so downstream postings stay
+/// globally sorted and the index output does not depend on which parser
+/// read which file. Decompression happens *after* the full file is in
+/// memory and outside the disk section (§IV.A's second scheme, the one the
+/// paper chooses).
 ///
 /// Read errors are structured (`Expected`), never aborts: a transient fault
-/// is retried a bounded number of times inside the read path (counted in
+/// is retried a bounded number of times inside the read (counted in
 /// io_retries_total); a hard fault is returned once at its file and then
 /// sticks — every later next() returns the same Error so all parsers drain.
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "corpus/document.hpp"
-#include "io/async_reader.hpp"
 #include "util/error.hpp"
 
 namespace hetindex {
@@ -39,60 +36,36 @@ struct ScheduledRead {
   std::vector<Document> docs;
   std::uint64_t compressed_bytes = 0;
   std::uint64_t uncompressed_bytes = 0;
-  double read_seconds = 0;        ///< backend time spent reading the file
-  double disk_wait_seconds = 0;   ///< parser time blocked in next() before bytes
+  double read_seconds = 0;        ///< the whole-file read itself
+  double disk_wait_seconds = 0;   ///< parser time in next() before bytes (queue + read)
   double decompress_seconds = 0;  ///< in-memory decompression (parallel)
-};
-
-struct ReadSchedulerOptions {
-  /// Files in flight at once. 1 = the paper's serialized synchronous
-  /// discipline (no readahead thread at all); >= 2 enables AsyncReader.
-  std::size_t prefetch_depth = 4;
-  /// Reads claimed/submitted per backend wake (AsyncReader only).
-  std::size_t batch_files = 2;
-  io::ReadBackend backend = io::ReadBackend::kAuto;
-  /// Registry for the prefetch instruments; nullptr disables them.
-  obs::MetricsRegistry* metrics = nullptr;
 };
 
 class ReadScheduler {
  public:
-  explicit ReadScheduler(std::vector<std::string> files, ReadSchedulerOptions options = {});
-  ~ReadScheduler();
-  ReadScheduler(const ReadScheduler&) = delete;
-  ReadScheduler& operator=(const ReadScheduler&) = delete;
+  explicit ReadScheduler(std::vector<std::string> files);
 
-  /// Thread-safe. Blocks until the next file (in collection order) is in
-  /// memory, then decompresses it on the calling thread. Outer nullopt =
-  /// collection exhausted; an Error is a hard read failure (sticky — every
-  /// subsequent call returns it too, so all parser threads wind down).
+  /// Thread-safe. Claims the next file (in collection order), reads it
+  /// under the disk lock, then decompresses it on the calling thread.
+  /// Outer nullopt = collection exhausted; an Error is a hard read failure
+  /// (sticky — every subsequent call returns it too, so all parser threads
+  /// wind down).
   Expected<std::optional<ScheduledRead>> next();
 
   [[nodiscard]] std::size_t file_count() const { return files_.size(); }
   /// Total docs handed out so far (== next doc_id_base).
   [[nodiscard]] std::uint32_t docs_assigned() const;
-  /// The read mechanism in use: "serial", "thread_pool" or "io_uring".
-  [[nodiscard]] const char* backend_name() const;
-  /// Cumulative parser time blocked in next() waiting for bytes (the
-  /// read-phase stall the prefetcher exists to shrink).
+  /// Cumulative parser time blocked in next() before its bytes arrived:
+  /// waiting for the disk plus the read itself.
   [[nodiscard]] double read_stall_seconds() const;
 
  private:
-  /// Serialized synchronous read of the next file (depth-1 mode).
-  Expected<std::optional<ScheduledRead>> next_serial();
-  /// In-order delivery from the AsyncReader (depth >= 2).
-  Expected<std::optional<ScheduledRead>> next_prefetch();
-  /// Doc-base assignment + sticky-error bookkeeping shared by both modes.
-  Expected<Unit> assign_doc_base(ScheduledRead& result,
-                                 const std::vector<std::uint8_t>& file_bytes);
-
   std::vector<std::string> files_;
-  ReadSchedulerOptions opt_;
-  std::unique_ptr<io::AsyncReader> reader_;  ///< null in serial mode
 
-  std::mutex disk_mutex_;           // serial mode: the single disk
-  mutable std::mutex state_mutex_;  // seq/doc-base counters, sticky error
-  std::size_t next_file_ = 0;       // serial mode claim counter
+  /// The single disk; also guards the claim counter, doc bases, stall
+  /// total and sticky error, which only change while a file is claimed.
+  mutable std::mutex disk_mutex_;
+  std::size_t next_file_ = 0;
   std::uint32_t next_doc_base_ = 0;
   double read_stall_seconds_ = 0;
   std::optional<Error> error_;  ///< sticky hard failure

@@ -25,10 +25,6 @@ std::vector<Error> PipelineConfig::validate() const {
         "sampler.popular_count must be >= 1 when cpu_indexers > 0 (CPU indexers own the "
         "popular collections, §III.E)");
   }
-  if (read_prefetch_depth == 0) {
-    invalid("read_prefetch_depth must be >= 1 (1 = the serialized §III.F discipline)");
-  }
-  if (read_batch_files == 0) invalid("read_batch_files must be >= 1");
   if (output_dir.empty()) invalid("output_dir must not be empty");
   return errors;
 }

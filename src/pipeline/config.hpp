@@ -12,7 +12,6 @@
 #include "codec/posting_codecs.hpp"
 #include "gpusim/gpu_spec.hpp"
 #include "index/sampler.hpp"
-#include "io/async_reader.hpp"
 #include "parse/parser.hpp"
 #include "util/error.hpp"
 
@@ -57,18 +56,6 @@ struct PipelineConfig {
   bool emit_segment = false;
   /// Parsed-block buffers per parser before back-pressure stalls it.
   std::size_t buffers_per_parser = 2;
-  /// Ingest readahead: container files in flight at once. 1 keeps the
-  /// paper's §III.F serialized one-at-a-time discipline; >= 2 overlaps
-  /// reads with parsing through io::AsyncReader. Index output is
-  /// bit-identical across depths (delivery stays in collection order).
-  std::size_t read_prefetch_depth = 4;
-  /// Reads claimed/submitted per readahead wake (io_uring submission batch
-  /// or worker claim size). Clamped to [1, read_prefetch_depth].
-  std::size_t read_batch_files = 2;
-  /// Which read mechanism backs the prefetcher. kAuto picks io_uring when
-  /// compiled in (HETINDEX_IO_URING), runtime-usable and no Env override
-  /// is installed, else the Env-routed pread pool.
-  io::ReadBackend read_backend = io::ReadBackend::kAuto;
   SamplerConfig sampler{};
   ParserConfig parser{};
   /// Where run files, dictionary and directory are written.

@@ -156,7 +156,16 @@ PipelineReport PipelineEngine::build(const std::vector<std::string>& files) {
   WallTimer total_timer;
 
   // ---- Sampling phase (Table VI "Sampling Time").
-  const WorkSplit split = sample_and_split(files, config_.sampler);
+  auto sampled = sample_and_split(files, config_.sampler);
+  if (!sampled.has_value()) {
+    // A hard read error while sampling (§III.E): no index file exists
+    // yet, so the report only carries the structured error.
+    report.error = sampled.error();
+    report.total_seconds = total_timer.seconds();
+    report.metrics = metrics_.snapshot();
+    return report;
+  }
+  const WorkSplit split = std::move(sampled).value();
   report.sampling_seconds = split.sampling_seconds;
   ins.sampling_seconds.add(split.sampling_seconds);
   ins.popular_collections.set(static_cast<std::int64_t>(split.popular.size()));
@@ -199,12 +208,7 @@ PipelineReport PipelineEngine::build(const std::vector<std::string>& files) {
   }
 
   // ---- Parse stage: M parser threads feeding the sequence-ordered buffer.
-  ReadSchedulerOptions read_options;
-  read_options.prefetch_depth = config_.read_prefetch_depth;
-  read_options.batch_files = config_.read_batch_files;
-  read_options.backend = config_.read_backend;
-  read_options.metrics = &metrics_;
-  ReadScheduler scheduler(files, read_options);
+  ReadScheduler scheduler(files);
   ReorderBuffer<ParsedWork> buffer(
       std::max(config_.parsers + 1, config_.parsers * config_.buffers_per_parser),
       ins.reorder_probe);
@@ -367,7 +371,6 @@ PipelineReport PipelineEngine::build(const std::vector<std::string>& files) {
   report.index_stage_seconds = index_stage_timer.seconds();
   closer.join();
   report.parse_stage_seconds = std::max(parse_stage_wall, stage_timer.seconds());
-  report.read_backend = scheduler.backend_name();
   report.read_stall_seconds = scheduler.read_stall_seconds();
 
   if (read_error.has_value()) {

@@ -45,11 +45,6 @@ std::string PipelineReport::to_json() const {
   append_kv(out, "gpus", static_cast<std::uint64_t>(config.gpus));
   append_kv(out, "gpu_thread_blocks", static_cast<std::uint64_t>(config.gpu_thread_blocks));
   append_kv(out, "buffers_per_parser", static_cast<std::uint64_t>(config.buffers_per_parser));
-  append_kv(out, "read_prefetch_depth", static_cast<std::uint64_t>(config.read_prefetch_depth));
-  append_kv(out, "read_batch_files", static_cast<std::uint64_t>(config.read_batch_files));
-  out += "\"read_backend_requested\":";
-  json_append_string(out, io::read_backend_name(config.read_backend));
-  out += ",";
   out += "\"codec\":" + std::to_string(static_cast<int>(config.codec)) + ",";
   out += "\"merge_after_build\":";
   out += config.merge_after_build ? "true" : "false";
@@ -59,9 +54,6 @@ std::string PipelineReport::to_json() const {
   json_append_string(out, config.output_dir);
   out += "},";
 
-  out += "\"read_backend\":";
-  json_append_string(out, read_backend);
-  out += ",";
   append_kv(out, "read_stall_seconds", read_stall_seconds);
   out += "\"error\":";
   if (error.has_value()) {

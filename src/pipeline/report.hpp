@@ -41,15 +41,11 @@ struct RunRecord {
 struct PipelineReport {
   PipelineConfig config;
 
-  /// Read mechanism the scheduler actually used after auto/fallback
-  /// resolution: "serial", "thread_pool" or "io_uring".
-  std::string read_backend;
-  /// Cumulative parser time blocked waiting for file bytes (the read-phase
-  /// stall the prefetcher exists to shrink; BENCH_build.json's read-phase
-  /// throughput is compressed_bytes / read_stall_seconds).
+  /// Cumulative parser time blocked in the §III.F read scheduler: waiting
+  /// for the disk plus the serialized whole-file read itself.
   double read_stall_seconds = 0;
-  /// Set when the build failed after validation (e.g. a hard ingest read
-  /// error): partial run files are removed, aggregate fields cover only
+  /// Set when the build failed after validation (a hard sampling or ingest
+  /// read error): partial run files are removed, aggregate fields cover only
   /// the work completed before the failure. Check ok() before using the
   /// output directory.
   std::optional<Error> error;

@@ -63,7 +63,9 @@ TEST(Sampler, SampleFindsPopularCollections) {
   SamplerConfig cfg;
   cfg.sample_fraction = 0.2;
   cfg.popular_count = 20;
-  const auto split = sample_and_split(coll.paths(), cfg);
+  const auto sampled = sample_and_split(coll.paths(), cfg);
+  ASSERT_TRUE(sampled.has_value()) << sampled.error().to_string();
+  const WorkSplit& split = sampled.value();
   EXPECT_EQ(split.popular.size(), 20u);
   EXPECT_GT(split.unpopular.size(), 100u);
   EXPECT_GT(split.sampling_seconds, 0.0);

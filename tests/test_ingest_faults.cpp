@@ -1,10 +1,13 @@
-// Fault injection on the ingest read path (ISSUE 10): seeded FaultPlan
-// EINTR / short-read / transient-EIO / hard-EIO schedules over a multi-file
-// synthetic corpus. The contract under test: ingest reads never abort the
-// process — transient faults are absorbed by bounded retries (counted in
-// io_retries_total), hard faults surface as a structured PipelineReport
-// error with partial run files cleaned up, and on every success path the
-// emitted segment is bit-identical across prefetch depths and backends.
+// Fault injection on the ingest read path: seeded FaultPlan EINTR /
+// short-read / transient-EIO / hard-EIO schedules over a multi-file
+// synthetic corpus. Every ingest byte (the §III.E sampling pass and the
+// §III.F read scheduler alike) goes through io::read_file_via_env, so the
+// FaultEnv sees all of it. The contract under test: ingest reads never
+// abort the process — transient faults are absorbed by bounded retries
+// (counted in io_retries_total), hard faults surface as a structured
+// PipelineReport error with partial run files cleaned up, and on every
+// success path the emitted segment is byte-identical whichever parser
+// read which file.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +17,6 @@
 #include <vector>
 
 #include "core/hetindex.hpp"
-#include "io/async_reader.hpp"
 #include "io/env.hpp"
 #include "parse/read_scheduler.hpp"
 #include "util/binary_io.hpp"
@@ -49,26 +51,42 @@ class IngestFaultsFixture : public ::testing::Test {
     spec.seed = 0x9E1D;
     collection_ = generate_collection(spec, corpus_->path());
     ASSERT_GE(collection_.files.size(), 4u);
+    // sampling_preads() relies on every file fitting in one read chunk.
+    for (const auto& path : collection_.paths()) {
+      ASSERT_LT(std::filesystem::file_size(path), 256u << 10) << path;
+    }
   }
 
   /// One pipeline build against the current Env. The config pins everything
-  /// except the read path so output bytes depend only on the input corpus.
-  PipelineReport run_build(const std::string& out_dir, std::size_t depth,
-                           io::ReadBackend backend = io::ReadBackend::kAuto) {
+  /// except the parser count so output bytes depend only on the input corpus.
+  PipelineReport run_build(const std::string& out_dir, std::size_t parsers = 2) {
     PipelineConfig config;
-    config.parsers = 2;
+    config.parsers = parsers;
     config.cpu_indexers = 1;
     config.gpus = 1;
     config.emit_segment = true;
-    config.read_prefetch_depth = depth;
-    config.read_backend = backend;
     config.output_dir = out_dir;
     PipelineEngine engine(config);
     return engine.build(collection_.paths());
   }
 
+  /// preads the §III.E sampling pass issues before the first ingest read:
+  /// one whole-file pread per container (each fits in one read chunk).
+  [[nodiscard]] std::uint64_t sampling_preads() const { return collection_.files.size(); }
+
   static std::uint64_t retries_total() {
     return io::io_metrics().counter("io_retries_total").value();
+  }
+
+  /// The output directory holds no index state after a failed build.
+  static void expect_no_artifacts(const std::string& dir) {
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      const auto name = entry.path().filename().string();
+      EXPECT_TRUE(name.find(".post") == std::string::npos &&
+                  name.find(".seg") == std::string::npos &&
+                  name.find("dict") == std::string::npos)
+          << "stray artifact after failed build: " << name;
+    }
   }
 
   std::unique_ptr<TempDir> corpus_;
@@ -83,13 +101,10 @@ TEST_F(IngestFaultsFixture, EintrIsAbsorbedAndCounted) {
 
   const auto before = retries_total();
   TempDir out("eintr");
-  const auto report = run_build(out.path(), /*depth=*/4);
+  const auto report = run_build(out.path());
   EXPECT_TRUE(report.ok()) << report.error->to_string();
   EXPECT_EQ(report.documents, collection_.total_docs());
   EXPECT_GT(retries_total(), before);
-  // With an override installed, the readahead path must stay on the
-  // Env-routed pool — otherwise the injection above could not have fired.
-  EXPECT_EQ(report.read_backend, "thread_pool");
 }
 
 TEST_F(IngestFaultsFixture, ShortPreadsConverge) {
@@ -99,21 +114,23 @@ TEST_F(IngestFaultsFixture, ShortPreadsConverge) {
   io::ScopedEnv scoped(fault);
 
   TempDir out("short");
-  const auto report = run_build(out.path(), /*depth=*/4);
+  const auto report = run_build(out.path());
   EXPECT_TRUE(report.ok()) << report.error->to_string();
   EXPECT_EQ(report.documents, collection_.total_docs());
 }
 
 TEST_F(IngestFaultsFixture, TransientEioBurstIsRetried) {
   io::FaultPlan plan;
-  plan.pread_eio_at = 2;    // a 2-call EIO burst, well inside the retry budget
+  // A 2-call EIO burst on the second scheduler read, well inside the
+  // retry budget.
+  plan.pread_eio_at = sampling_preads() + 2;
   plan.pread_eio_count = 2;
   io::FaultEnv fault(plan);
   io::ScopedEnv scoped(fault);
 
   const auto before = retries_total();
   TempDir out("eio_transient");
-  const auto report = run_build(out.path(), /*depth=*/4);
+  const auto report = run_build(out.path());
   EXPECT_TRUE(report.ok()) << report.error->to_string();
   EXPECT_EQ(report.documents, collection_.total_docs());
   EXPECT_GE(retries_total(), before + 2);
@@ -121,40 +138,44 @@ TEST_F(IngestFaultsFixture, TransientEioBurstIsRetried) {
 
 TEST_F(IngestFaultsFixture, HardEioFailsStructurallyAndCleansUp) {
   io::FaultPlan plan;
-  plan.pread_eio_at = 4;      // files 0..2 ingest fine, then a persistent EIO
+  // Sampling and scheduler files 0..2 read fine, then a persistent EIO.
+  plan.pread_eio_at = sampling_preads() + 4;
   plan.pread_eio_count = 64;  // far past the retry budget
   io::FaultEnv fault(plan);
   io::ScopedEnv scoped(fault);
 
   TempDir out("eio_hard");
-  const auto report = run_build(out.path(), /*depth=*/4);
+  const auto report = run_build(out.path());
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.error->code, ErrorCode::kIo);
   EXPECT_NE(report.error->message.find("ingest read failed"), std::string::npos)
       << report.error->message;
+  EXPECT_NE(report.error->message.find(collection_.paths()[3]), std::string::npos)
+      << report.error->message;
   // Already-flushed partial runs must be cleaned up and the finalize
   // artifacts never written — the directory holds no stray index state.
-  for (const auto& entry : std::filesystem::directory_iterator(out.path())) {
-    const auto name = entry.path().filename().string();
-    EXPECT_TRUE(name.find(".post") == std::string::npos &&
-                name.find(".seg") == std::string::npos &&
-                name.find("dict") == std::string::npos)
-        << "stray artifact after failed build: " << name;
-  }
+  expect_no_artifacts(out.path());
 }
 
-TEST_F(IngestFaultsFixture, SerialDepthOneAlsoFailsStructurally) {
+TEST_F(IngestFaultsFixture, HardEioInSamplingFailsStructurally) {
   io::FaultPlan plan;
-  plan.pread_eio_at = 1;
+  plan.pread_eio_at = 1;  // the sampling pass's first read
   plan.pread_eio_count = 64;
   io::FaultEnv fault(plan);
   io::ScopedEnv scoped(fault);
 
-  TempDir out("eio_serial");
-  const auto report = run_build(out.path(), /*depth=*/1);
+  TempDir out("eio_sampling");
+  const auto report = run_build(out.path());
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.error->code, ErrorCode::kIo);
-  EXPECT_EQ(report.read_backend, "serial");
+  EXPECT_NE(report.error->message.find(collection_.paths()[0]), std::string::npos)
+      << report.error->message;
+  // The sampling pass itself failed: it never finished, and no file reached
+  // the parse stage.
+  EXPECT_EQ(report.sampling_seconds, 0.0);
+  EXPECT_TRUE(report.runs.empty());
+  EXPECT_EQ(report.documents, 0u);
+  expect_no_artifacts(out.path());
 }
 
 TEST_F(IngestFaultsFixture, SchedulerErrorIsSticky) {
@@ -164,9 +185,7 @@ TEST_F(IngestFaultsFixture, SchedulerErrorIsSticky) {
   io::FaultEnv fault(plan);
   io::ScopedEnv scoped(fault);
 
-  ReadSchedulerOptions opt;
-  opt.prefetch_depth = 4;
-  ReadScheduler sched(collection_.paths(), opt);
+  ReadScheduler sched(collection_.paths());
   auto first = sched.next();
   ASSERT_FALSE(first.has_value());
   EXPECT_EQ(first.error().code, ErrorCode::kIo);
@@ -178,31 +197,21 @@ TEST_F(IngestFaultsFixture, SchedulerErrorIsSticky) {
   EXPECT_EQ(second.error().message, first.error().message);
 }
 
-TEST_F(IngestFaultsFixture, SegmentBitIdenticalAcrossDepthsAndBackends) {
-  // Depth 1 (the paper's serialized discipline) is the reference.
-  TempDir serial("serial");
-  const auto serial_report = run_build(serial.path(), /*depth=*/1);
-  ASSERT_TRUE(serial_report.ok());
-  const auto reference = read_file(IndexLayout::segment_path(serial.path()));
+TEST_F(IngestFaultsFixture, SegmentByteIdenticalAcrossParserCounts) {
+  // The parser count is what varies which thread claims which file; doc-ID
+  // bases are assigned in claim order, so the segment must not change.
+  TempDir one("parsers1");
+  ASSERT_TRUE(run_build(one.path(), 1).ok());
+  const auto reference = read_file(IndexLayout::segment_path(one.path()));
   ASSERT_FALSE(reference.empty());
 
-  // Prefetch depth 4, Env-routed pool.
-  TempDir pool("pool");
-  const auto pool_report =
-      run_build(pool.path(), /*depth=*/4, io::ReadBackend::kThreadPool);
-  ASSERT_TRUE(pool_report.ok());
-  EXPECT_EQ(pool_report.read_backend, "thread_pool");
-  EXPECT_EQ(read_file(IndexLayout::segment_path(pool.path())), reference);
-
-  // Prefetch depth 4, auto resolution — io_uring when this build and
-  // kernel support it, the pool otherwise; output must not care.
-  TempDir autod("auto");
-  const auto auto_report = run_build(autod.path(), /*depth=*/4, io::ReadBackend::kAuto);
-  ASSERT_TRUE(auto_report.ok());
-  if (io::io_uring_available()) {
-    EXPECT_EQ(auto_report.read_backend, "io_uring");
+  for (const std::size_t parsers : {std::size_t{2}, std::size_t{4}}) {
+    TempDir out("parsers" + std::to_string(parsers));
+    const auto report = run_build(out.path(), parsers);
+    ASSERT_TRUE(report.ok()) << report.error->to_string();
+    EXPECT_EQ(read_file(IndexLayout::segment_path(out.path())), reference)
+        << parsers << " parsers";
   }
-  EXPECT_EQ(read_file(IndexLayout::segment_path(autod.path())), reference);
 }
 
 }  // namespace

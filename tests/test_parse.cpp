@@ -149,56 +149,47 @@ class ReadSchedulerFixture : public ::testing::Test {
 };
 
 TEST_F(ReadSchedulerFixture, HandsOutFilesInOrderWithMonotoneDocBases) {
-  for (const std::size_t depth : {std::size_t{1}, std::size_t{4}}) {
-    ReadSchedulerOptions opt;
-    opt.prefetch_depth = depth;
-    ReadScheduler sched(collection_.paths(), opt);
-    std::uint64_t expected_seq = 0;
-    std::uint32_t expected_base = 0;
-    for (;;) {
-      auto next = sched.next();
-      ASSERT_TRUE(next.has_value()) << next.error().to_string();
-      if (!next.value().has_value()) break;
-      const ScheduledRead& read = *next.value();
-      EXPECT_EQ(read.seq, expected_seq++);
-      EXPECT_EQ(read.doc_id_base, expected_base);
-      expected_base += static_cast<std::uint32_t>(read.docs.size());
-      EXPECT_GT(read.uncompressed_bytes, read.compressed_bytes);
-    }
-    EXPECT_EQ(expected_seq, collection_.files.size()) << "depth " << depth;
-    EXPECT_EQ(sched.docs_assigned(), collection_.total_docs());
+  ReadScheduler sched(collection_.paths());
+  std::uint64_t expected_seq = 0;
+  std::uint32_t expected_base = 0;
+  for (;;) {
+    auto next = sched.next();
+    ASSERT_TRUE(next.has_value()) << next.error().to_string();
+    if (!next.value().has_value()) break;
+    const ScheduledRead& read = *next.value();
+    EXPECT_EQ(read.seq, expected_seq++);
+    EXPECT_EQ(read.doc_id_base, expected_base);
+    expected_base += static_cast<std::uint32_t>(read.docs.size());
+    EXPECT_GT(read.uncompressed_bytes, read.compressed_bytes);
   }
+  EXPECT_EQ(expected_seq, collection_.files.size());
+  EXPECT_EQ(sched.docs_assigned(), collection_.total_docs());
 }
 
 TEST_F(ReadSchedulerFixture, ConcurrentParsersSeeDisjointFiles) {
-  for (const std::size_t depth : {std::size_t{1}, std::size_t{4}}) {
-    ReadSchedulerOptions opt;
-    opt.prefetch_depth = depth;
-    ReadScheduler sched(collection_.paths(), opt);
-    std::mutex mu;
-    std::map<std::uint64_t, std::uint32_t> seen;  // seq → doc base
-    {
-      std::vector<std::jthread> threads;
-      for (int t = 0; t < 4; ++t) {
-        threads.emplace_back([&] {
-          for (;;) {
-            auto next = sched.next();
-            ASSERT_TRUE(next.has_value()) << next.error().to_string();
-            if (!next.value().has_value()) return;
-            std::scoped_lock lock(mu);
-            EXPECT_TRUE(
-                seen.emplace(next.value()->seq, next.value()->doc_id_base).second);
-          }
-        });
-      }
+  ReadScheduler sched(collection_.paths());
+  std::mutex mu;
+  std::map<std::uint64_t, std::uint32_t> seen;  // seq → doc base
+  {
+    std::vector<std::jthread> threads;
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&] {
+        for (;;) {
+          auto next = sched.next();
+          ASSERT_TRUE(next.has_value()) << next.error().to_string();
+          if (!next.value().has_value()) return;
+          std::scoped_lock lock(mu);
+          EXPECT_TRUE(seen.emplace(next.value()->seq, next.value()->doc_id_base).second);
+        }
+      });
     }
-    ASSERT_EQ(seen.size(), collection_.files.size()) << "depth " << depth;
-    // Doc bases must be monotone in seq even under concurrency.
-    std::uint32_t prev = 0;
-    for (const auto& [seq, base] : seen) {
-      EXPECT_GE(base, prev) << "seq " << seq;
-      prev = base;
-    }
+  }
+  ASSERT_EQ(seen.size(), collection_.files.size());
+  // Doc bases must be monotone in seq even under concurrency.
+  std::uint32_t prev = 0;
+  for (const auto& [seq, base] : seen) {
+    EXPECT_GE(base, prev) << "seq " << seq;
+    prev = base;
   }
 }
 
