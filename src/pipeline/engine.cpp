@@ -416,11 +416,13 @@ PipelineReport PipelineEngine::build(const std::vector<std::string>& files) {
 
   if (config_.emit_segment) {
     obs::StageSpan span(&ins.segment_seconds);
-    // The batch pipeline keeps the legacy abort-on-io-error contract.
-    const auto stats =
-        build_segment_from_runs(config_.output_dir, entries, directory).value();
+    const auto stats = build_segment_from_runs(config_.output_dir, entries, directory);
     report.segment_seconds = span.stop();
-    report.segment_bytes = stats.output_bytes;
+    if (stats.has_value()) {
+      report.segment_bytes = stats.value().output_bytes;
+    } else {
+      report.error = stats.error();  // no index.seg is left behind
+    }
   }
 
   for (const auto& ind : cpu_indexers) report.cpu_work.push_back(ind.lifetime_stats());

@@ -44,10 +44,11 @@ struct PipelineReport {
   /// Cumulative parser time blocked in the §III.F read scheduler: waiting
   /// for the disk plus the serialized whole-file read itself.
   double read_stall_seconds = 0;
-  /// Set when the build failed after validation (a hard sampling or ingest
-  /// read error): partial run files are removed, aggregate fields cover only
-  /// the work completed before the failure. Check ok() before using the
-  /// output directory.
+  /// Set when the build failed after validation. On a hard sampling or
+  /// ingest read error partial run files are removed and aggregate fields
+  /// cover only the work completed before the failure; on a failed segment
+  /// fold (kIo write/fsync, kCorrupt input) no index.seg is left. Check ok()
+  /// before using the output directory.
   std::optional<Error> error;
   [[nodiscard]] bool ok() const { return !error.has_value(); }
 

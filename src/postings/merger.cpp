@@ -1,8 +1,7 @@
 #include "postings/merger.hpp"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
+#include <optional>
 
 #include "postings/run_file.hpp"
 #include "util/check.hpp"
@@ -20,51 +19,43 @@ MergeStats merge_runs(const std::vector<std::string>& run_paths, const std::stri
 
   // Byte-level merge (the reason §III.F's pass costs <10%): every encoded
   // segment's first doc id is absolute, so partial lists concatenate
-  // verbatim — no decode/re-encode. One pass over the runs' tables (runs
-  // are processed in ascending run order, so segments land in global doc
-  // order); table metadata folds from the runs' tables and cross-run doc
-  // order is checked from min/max alone.
+  // verbatim — no decode/re-encode. Every run table ascends by key, so a
+  // k-way walk over the tables meets each key once, in output order, and
+  // takes its segments in ascending run (= global doc) order; table
+  // metadata folds from the runs' rows and cross-run doc order is checked
+  // from min/max alone.
   for (const auto& run : runs) {
     HET_CHECK_MSG(run.codec() == codec, "merge requires a uniform posting codec");
   }
-  struct Accum {
-    std::vector<std::uint8_t> blob;
-    std::uint32_t count = 0;
-    std::uint32_t min_doc = 0;
-    std::uint32_t max_doc = 0;
-  };
-  std::unordered_map<std::uint64_t, Accum> accum;
-  auto pack = [](PostingKey k) {
-    return (static_cast<std::uint64_t>(k.shard) << 32) | k.handle;
-  };
-  for (const auto& run : runs) {
-    for (const auto& e : run.table()) {
-      stats.input_bytes += e.bytes;
-      auto [it, inserted] = accum.try_emplace(pack(e.key));
-      Accum& a = it->second;
-      HET_CHECK_MSG(inserted || e.min_doc > a.max_doc,
-                    "doc ids must be globally increasing across runs");
-      const auto segment = run.raw_blob(e);
-      a.blob.insert(a.blob.end(), segment.begin(), segment.end());
-      a.count += e.count;
-      if (inserted) a.min_doc = e.min_doc;
-      a.max_doc = e.max_doc;
-    }
-  }
-  // Deterministic output order.
-  std::vector<std::uint64_t> ordered;
-  ordered.reserve(accum.size());
-  for (const auto& [k, a] : accum) ordered.push_back(k);
-  std::sort(ordered.begin(), ordered.end());
-
   RunFileWriter writer(out_path, kMergedRunId, codec);
-  for (const auto packed : ordered) {
-    const Accum& a = accum.at(packed);
-    stats.postings += a.count;
+  std::vector<std::size_t> at(runs.size(), 0);  // next row of each run's table
+  std::vector<std::uint8_t> blob;
+  while (true) {
+    // K is the run count (a handful), so a linear min-scan beats a heap.
+    std::optional<PostingKey> key;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      if (at[i] < runs[i].table().size() && (!key || runs[i].table()[at[i]].key < *key)) {
+        key = runs[i].table()[at[i]].key;
+      }
+    }
+    if (!key) break;
+    blob.clear();
+    std::uint32_t count = 0, min_doc = 0, max_doc = 0;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      if (at[i] == runs[i].table().size() || runs[i].table()[at[i]].key != *key) continue;
+      const RunTableEntry& e = runs[i].table()[at[i]++];
+      HET_CHECK_MSG(count == 0 || e.min_doc > max_doc,
+                    "doc ids must be globally increasing across runs");
+      const auto segment = runs[i].raw_blob(e);
+      blob.insert(blob.end(), segment.begin(), segment.end());
+      stats.input_bytes += e.bytes;
+      if (count == 0) min_doc = e.min_doc;
+      max_doc = e.max_doc;
+      count += e.count;
+    }
+    writer.add_raw(*key, blob, count, min_doc, max_doc);
+    stats.postings += count;
     ++stats.terms;
-    writer.add_raw({static_cast<std::uint32_t>(packed >> 32),
-                    static_cast<std::uint32_t>(packed & 0xFFFFFFFFu)},
-                   a.blob, a.count, a.min_doc, a.max_doc);
   }
   stats.output_bytes = writer.finalize();
   return stats;

@@ -1,5 +1,6 @@
 #include "postings/run_file.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "util/binary_io.hpp"
@@ -23,22 +24,17 @@ void RunFileWriter::add_list(PostingKey key, const PostingsList& list) {
   // the per-block density codec choice) happens exactly once, here.
   const auto encoded = encode_postings_blocked(codec_, list.doc_ids, list.tfs,
                                                list.positional() ? &list.positions : nullptr);
-  RunTableEntry entry;
-  entry.key = key;
-  entry.offset = blobs_.size();
-  entry.bytes = static_cast<std::uint32_t>(encoded.size());
-  entry.count = static_cast<std::uint32_t>(list.size());
-  entry.min_doc = list.doc_ids.front();
-  entry.max_doc = list.doc_ids.back();
-  table_.push_back(entry);
-  blobs_.insert(blobs_.end(), encoded.begin(), encoded.end());
+  add_raw(key, encoded, static_cast<std::uint32_t>(list.size()), list.doc_ids.front(),
+          list.doc_ids.back());
 }
 
-void RunFileWriter::add_raw(PostingKey key, const std::vector<std::uint8_t>& encoded,
+void RunFileWriter::add_raw(PostingKey key, std::span<const std::uint8_t> encoded,
                             std::uint32_t count, std::uint32_t min_doc,
                             std::uint32_t max_doc) {
   HET_CHECK(!finalized_);
   if (encoded.empty() || count == 0) return;
+  HET_CHECK_MSG(table_.empty() || table_.back().key < key,
+                "run table keys must ascend by (shard, handle)");
   RunTableEntry entry;
   entry.key = key;
   entry.offset = blobs_.size();
@@ -106,7 +102,8 @@ RunFile RunFile::open(const std::string& path) {
     e.count = r.u32();
     e.min_doc = r.u32();
     e.max_doc = r.u32();
-    rf.by_key_.emplace(e.key, i);
+    HET_CHECK_MSG(i == 0 || rf.table_[i - 1].key < e.key,
+                  "run file table corruption (keys not ascending)");
   }
   rf.blobs_.resize(blob_bytes);
   r.bytes(rf.blobs_.data(), blob_bytes);
@@ -131,14 +128,15 @@ bool RunFile::fetch(PostingKey key, std::vector<std::uint32_t>& doc_ids,
 }
 
 const RunTableEntry* RunFile::entry(PostingKey key) const {
-  const auto it = by_key_.find(key);
-  return it == by_key_.end() ? nullptr : &table_[it->second];
+  const auto it = std::lower_bound(
+      table_.begin(), table_.end(), key,
+      [](const RunTableEntry& e, const PostingKey& k) { return e.key < k; });
+  return it == table_.end() || it->key != key ? nullptr : &*it;
 }
 
-std::vector<std::uint8_t> RunFile::raw_blob(const RunTableEntry& e) const {
-  HET_CHECK(e.offset + e.bytes <= blobs_.size());
-  return {blobs_.begin() + static_cast<std::ptrdiff_t>(e.offset),
-          blobs_.begin() + static_cast<std::ptrdiff_t>(e.offset + e.bytes)};
+std::span<const std::uint8_t> RunFile::raw_blob(const RunTableEntry& e) const {
+  HET_CHECK(e.offset <= blobs_.size() && e.bytes <= blobs_.size() - e.offset);
+  return {blobs_.data() + e.offset, e.bytes};
 }
 
 void index_directory_write(const std::string& path,

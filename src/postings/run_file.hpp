@@ -5,11 +5,15 @@
 /// stored in the dictionary — to the location/length of the compressed
 /// partial postings list inside the file. Each entry also records the
 /// doc-ID range it covers, enabling the paper's "faster search when
-/// narrowed down to a range of document IDs" benefit.
+/// narrowed down to a range of document IDs" benefit. The table ascends by
+/// (shard, handle): both writers emit it that way, RunFileWriter checks it
+/// and RunFile::open rejects a table that breaks it, so a lookup is a
+/// binary search and merges walk tables in step.
 
+#include <compare>
 #include <cstdint>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "codec/posting_codecs.hpp"
@@ -23,19 +27,8 @@ struct PostingKey {
   std::uint32_t shard;
   std::uint32_t handle;
 
-  bool operator==(const PostingKey&) const = default;
-};
-
-struct PostingKeyHash {
-  std::size_t operator()(const PostingKey& k) const {
-    // Mix in 64 bits (shifting a 32-bit size_t by 32 would be UB), then
-    // fold with the splitmix64 finalizer so narrowing keeps entropy.
-    std::uint64_t v = (static_cast<std::uint64_t>(k.shard) << 32) | k.handle;
-    v ^= v >> 33;
-    v *= 0xff51afd7ed558ccdULL;
-    v ^= v >> 33;
-    return static_cast<std::size_t>(v);
-  }
+  /// (shard, handle) lexicographic: the order of every run table.
+  auto operator<=>(const PostingKey&) const = default;
 };
 
 /// One mapping-table row.
@@ -55,13 +48,14 @@ class RunFileWriter {
                 PostingCodec codec = PostingCodec::kVByte);
 
   /// Appends one term's partial postings list (already globally-doc-id'd,
-  /// strictly increasing). Empty lists are skipped.
+  /// strictly increasing). Empty lists are skipped. Keys must ascend across
+  /// add_list/add_raw calls.
   void add_list(PostingKey key, const PostingsList& list);
 
   /// Appends pre-encoded segments verbatim (the §III.F merge pass: partial
   /// lists concatenate byte-wise because every segment's first doc id is
   /// absolute). Caller supplies the already-known table metadata.
-  void add_raw(PostingKey key, const std::vector<std::uint8_t>& encoded,
+  void add_raw(PostingKey key, std::span<const std::uint8_t> encoded,
                std::uint32_t count, std::uint32_t min_doc, std::uint32_t max_doc);
 
   /// Writes header + mapping table + blobs. Returns total bytes written.
@@ -82,6 +76,8 @@ class RunFileWriter {
 /// Memory-resident reader of a run file.
 class RunFile {
  public:
+  /// Loads and checks `path`; a blob CRC mismatch or a table whose keys do
+  /// not strictly ascend aborts as corruption.
   static RunFile open(const std::string& path);
 
   [[nodiscard]] std::uint32_t run_id() const { return run_id_; }
@@ -99,10 +95,11 @@ class RunFile {
              std::vector<std::uint32_t>& tfs,
              std::vector<std::uint32_t>* positions = nullptr) const;
 
-  /// Raw encoded bytes of `key`'s list (for byte-level merging); nullptr
-  /// table entry when absent.
+  /// `key`'s table row (binary search); nullptr when absent.
   [[nodiscard]] const RunTableEntry* entry(PostingKey key) const;
-  [[nodiscard]] std::vector<std::uint8_t> raw_blob(const RunTableEntry& entry) const;
+  /// Raw encoded bytes of a table row's list (for byte-level merging),
+  /// viewed in place: valid while this RunFile lives.
+  [[nodiscard]] std::span<const std::uint8_t> raw_blob(const RunTableEntry& entry) const;
 
  private:
   std::uint32_t run_id_ = 0;
@@ -110,7 +107,6 @@ class RunFile {
   std::uint32_t min_doc_ = 0;
   std::uint32_t max_doc_ = 0;
   std::vector<RunTableEntry> table_;
-  std::unordered_map<PostingKey, std::size_t, PostingKeyHash> by_key_;
   std::vector<std::uint8_t> blobs_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <thread>
 
 #include "codec/front_coding.hpp"
 #include "io/env.hpp"
@@ -10,6 +11,7 @@
 #include "util/binary_io.hpp"
 #include "util/check.hpp"
 #include "util/crc32.hpp"
+#include "util/thread_pool.hpp"
 
 namespace hetindex {
 namespace {
@@ -21,6 +23,10 @@ constexpr std::size_t kHeaderBytes = 112;
 constexpr std::size_t kFooterBytes = 16;
 constexpr std::size_t kTableRowBytes = 28;
 constexpr std::size_t kSkipRowBytes = 16;
+/// Dictionary ranges a build fold splits into. Fixed rather than derived
+/// from the host, so every machine runs (and every test exercises) the same
+/// range join; the pool spreads them over min(cores, ranges) threads.
+constexpr std::size_t kFoldRanges = 16;
 
 /// vbyte_decode without the abort: false when the varint runs past `size`
 /// or overflows — the open-time dictionary pass reports that as kCorrupt.
@@ -142,6 +148,41 @@ void SegmentWriter::add_term(std::string_view term, std::span<const std::uint8_t
     pos += consumed;
   }
   add_term(term, blob, rows, docs);
+}
+
+void SegmentWriter::append(SegmentWriter&& other) {
+  HET_CHECK(!finalized_ && !other.finalized_);
+  HET_CHECK_MSG(codec_ == other.codec_ && terms_per_block_ == other.terms_per_block_,
+                "appended segment writers must share codec and block geometry");
+  other.finalized_ = true;  // consumed: its sections move here
+  if (other.term_count_ == 0) return;
+  HET_CHECK_MSG(block_fill_ == 0, "segment append must start at a dictionary block boundary");
+  // `other`'s dictionary opens with a block leader: u32 length + verbatim bytes.
+  std::uint32_t first_len = 0;
+  std::memcpy(&first_len, other.dict_.data(), 4);
+  const std::string_view first(reinterpret_cast<const char*>(other.dict_.data() + 4), first_len);
+  HET_CHECK_MSG(term_count_ == 0 || prev_term_ < first, "segment terms must be sorted and unique");
+
+  // Table rows are the one section that points into another: shift each
+  // row's leading u64 blob offset by the blob bytes already held here.
+  const std::uint64_t shift = blobs_.size();
+  for (std::size_t row = 0; row < other.table_.size(); row += kTableRowBytes) {
+    std::uint64_t offset = 0;
+    std::memcpy(&offset, other.table_.data() + row, 8);
+    offset += shift;
+    std::memcpy(other.table_.data() + row, &offset, 8);
+  }
+  for (auto [to, from] : {std::pair{&dict_, &other.dict_}, std::pair{&table_, &other.table_},
+                          std::pair{&skip_, &other.skip_}, std::pair{&blooms_, &other.blooms_},
+                          std::pair{&blobs_, &other.blobs_}}) {
+    to->insert(to->end(), from->begin(), from->end());
+    std::vector<std::uint8_t>().swap(*from);  // release `other`'s copy now
+  }
+  term_count_ += other.term_count_;
+  block_fill_ = other.block_fill_;
+  prev_term_ = std::move(other.prev_term_);
+  min_doc_ = std::min(min_doc_, other.min_doc_);
+  max_doc_ = std::max(max_doc_, other.max_doc_);
 }
 
 Expected<std::uint64_t> SegmentWriter::finalize() {
@@ -589,13 +630,11 @@ Expected<SegmentMergeStats> merge_segments(
 Expected<SegmentBuildStats> build_segment_from_runs(
     const std::string& dir, const std::vector<DictionaryEntry>& entries,
     const std::vector<IndexDirectoryEntry>& directory) {
-  SegmentBuildStats stats;
   std::vector<RunFile> runs;
   runs.reserve(directory.size());
   for (const auto& e : directory) runs.push_back(RunFile::open(dir + "/" + e.file));
   std::sort(runs.begin(), runs.end(),
             [](const RunFile& a, const RunFile& b) { return a.run_id() < b.run_id(); });
-  stats.runs = runs.size();
   const PostingCodec codec = runs.empty() ? PostingCodec::kVByte : runs.front().codec();
   for (const auto& run : runs) {
     HET_CHECK_MSG(run.codec() == codec, "segment build requires a uniform posting codec");
@@ -605,6 +644,12 @@ Expected<SegmentBuildStats> build_segment_from_runs(
                                  return a.term < b.term;
                                }),
                 "segment build requires a sorted dictionary");
+  const std::string seg_path = IndexLayout::segment_path(dir);
+  // Removing `seg_path` on error also clears a stale file a prior build left.
+  const auto fail = [&seg_path](Error e) -> Expected<SegmentBuildStats> {
+    (void)io::env().remove_file(seg_path);
+    return e;
+  };
 
   // Same byte-level fold as merge_runs, but driven by the sorted dictionary
   // so terms stream into the writer in final order: per term, concatenate
@@ -613,34 +658,67 @@ Expected<SegmentBuildStats> build_segment_from_runs(
   // blob once to derive its skip rows and Bloom filters; this is the only
   // place they are ever computed from encoded bytes (flushes and rewrites
   // derive them from lists they still hold, merges copy them).
-  const std::string seg_path = IndexLayout::segment_path(dir);
-  SegmentWriter writer(seg_path, codec);
-  std::vector<std::uint8_t> blob;
-  for (const auto& de : entries) {
-    const PostingKey key{de.shard, de.handle};
-    blob.clear();
-    std::uint32_t count = 0, mx = 0;
-    for (const auto& run : runs) {
-      const RunTableEntry* e = run.entry(key);
-      if (e == nullptr) continue;
-      HET_CHECK_MSG(count == 0 || e->min_doc > mx,
-                    "doc ids must be globally increasing across runs");
-      const auto part = run.raw_blob(*e);
-      blob.insert(blob.end(), part.begin(), part.end());
-      stats.input_bytes += e->bytes;
-      mx = e->max_doc;
-      count += e->count;
+  //
+  // Contiguous dictionary ranges fold into their own writers in parallel.
+  // Each range starts on a dictionary block boundary, so its first term is
+  // a verbatim block leader and append() joins the parts into exactly the
+  // bytes one serial writer would produce.
+  const std::size_t blocks =
+      (entries.size() + kSegmentTermsPerBlock - 1) / kSegmentTermsPerBlock;
+  const std::size_t n_ranges = std::max<std::size_t>(1, std::min(kFoldRanges, blocks));
+  struct Part {
+    SegmentWriter writer;
+    SegmentBuildStats stats;
+    std::optional<Error> error;
+  };
+  std::vector<Part> parts(n_ranges, Part{SegmentWriter(seg_path, codec), {}, {}});
+  const auto range_start = [&](std::size_t r) {
+    return std::min(entries.size(), r * blocks / n_ranges * kSegmentTermsPerBlock);
+  };
+  const auto fold_range = [&](std::size_t r) {
+    Part& part = parts[r];
+    std::vector<std::uint8_t> blob;
+    for (std::size_t t = range_start(r); t < range_start(r + 1); ++t) {
+      const DictionaryEntry& de = entries[t];
+      const PostingKey key{de.shard, de.handle};
+      blob.clear();
+      std::uint32_t count = 0, mx = 0;
+      for (const auto& run : runs) {
+        const RunTableEntry* e = run.entry(key);
+        if (e == nullptr) continue;
+        HET_CHECK_MSG(count == 0 || e->min_doc > mx,
+                      "doc ids must be globally increasing across runs");
+        const auto bytes = run.raw_blob(*e);
+        blob.insert(blob.end(), bytes.begin(), bytes.end());
+        part.stats.input_bytes += e->bytes;
+        mx = e->max_doc;
+        count += e->count;
+      }
+      if (count == 0) {
+        part.error = Error{ErrorCode::kCorrupt, "dictionary term '" + de.term +
+                                                    "' has no postings in any run file: " + dir};
+        return;
+      }
+      part.writer.add_term(de.term, blob);
+      part.stats.postings += count;
     }
-    if (count == 0) continue;  // dictionary term with no flushed postings
-    writer.add_term(de.term, blob);
-    ++stats.terms;
-    stats.postings += count;
+  };
+  ThreadPool(std::min<std::size_t>(n_ranges, std::max(1u, std::thread::hardware_concurrency())))
+      .parallel_for(n_ranges, fold_range);
+
+  SegmentBuildStats stats;
+  stats.runs = runs.size();
+  runs.clear();  // every blob is copied into the parts by now
+  SegmentWriter writer(seg_path, codec);
+  for (auto& part : parts) {
+    if (part.error.has_value()) return fail(*part.error);
+    writer.append(std::move(part.writer));
+    stats.postings += part.stats.postings;
+    stats.input_bytes += part.stats.input_bytes;
   }
+  stats.terms = writer.term_count();
   auto output_bytes = writer.finalize();
-  if (!output_bytes.has_value()) {
-    (void)io::env().remove_file(seg_path);
-    return output_bytes.error();
-  }
+  if (!output_bytes.has_value()) return fail(output_bytes.error());
   stats.output_bytes = output_bytes.value();
   return stats;
 }

@@ -81,6 +81,13 @@ class SegmentWriter {
   /// fold).
   void add_term(std::string_view term, std::span<const std::uint8_t> blob);
 
+  /// Moves every term of `other` (same codec and block geometry, terms
+  /// sorting after this writer's) here, section by section, with the bytes
+  /// adding them one by one would give: only table rows' blob offsets shift.
+  /// This writer must hold whole dictionary blocks, so `other`'s first term
+  /// stays a verbatim block leader. `other` is consumed.
+  void append(SegmentWriter&& other);
+
   /// Writes header + sections + CRC footer durably (write + fsync via the
   /// io::Env seam, bounded retry on transient faults). Returns total bytes
   /// written, or kIo with no partial file left behind.
@@ -254,7 +261,10 @@ struct SegmentBuildStats {
 /// loaded dictionary entries (sorted by term) — the writer path shared by
 /// PipelineEngine (entries still in memory at finalize) and compact_index
 /// (entries re-read from disk). Blobs concatenate byte-wise via the
-/// §III.F merge property; nothing is re-encoded.
+/// §III.F merge property; nothing is re-encoded. Dictionary ranges fold in
+/// parallel into the same bytes as a serial fold. Errors, each leaving no
+/// file: kCorrupt when a dictionary term has no postings in any run, kIo
+/// when the segment cannot be written durably.
 Expected<SegmentBuildStats> build_segment_from_runs(
     const std::string& dir, const std::vector<DictionaryEntry>& entries,
     const std::vector<IndexDirectoryEntry>& directory);
@@ -263,7 +273,7 @@ Expected<SegmentBuildStats> build_segment_from_runs(
 /// into `<dir>/index.seg`. Run files are left in place: they stay the
 /// build-time interchange format (and the merger's input) — which is what
 /// makes this the upgrade path for batch indexes from older segment
-/// formats. kIo when the segment cannot be written durably.
+/// formats. Errors as build_segment_from_runs.
 Expected<SegmentBuildStats> compact_index(const std::string& dir);
 
 /// What a segment-to-segment merge folded together.

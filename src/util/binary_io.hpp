@@ -71,7 +71,10 @@ class ByteReader {
     const auto* p = take(n);
     return std::string(reinterpret_cast<const char*>(p), n);
   }
-  void bytes(void* out, std::size_t n) { std::memcpy(out, take(n), n); }
+  void bytes(void* out, std::size_t n) {
+    const auto* p = take(n);
+    if (n != 0) std::memcpy(out, p, n);  // `out` may be null when n == 0 (empty run blobs)
+  }
   void skip(std::size_t n) { take(n); }
 
   [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }

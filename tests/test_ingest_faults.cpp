@@ -7,7 +7,8 @@
 // (counted in io_retries_total), hard faults surface as a structured
 // PipelineReport error with partial run files cleaned up, and on every
 // success path the emitted segment is byte-identical whichever parser
-// read which file.
+// read which file. A failed index.seg write or fsync at the end of the
+// build is likewise a structured kIo error that leaves no index.seg.
 
 #include <gtest/gtest.h>
 
@@ -176,6 +177,35 @@ TEST_F(IngestFaultsFixture, HardEioInSamplingFailsStructurally) {
   EXPECT_TRUE(report.runs.empty());
   EXPECT_EQ(report.documents, 0u);
   expect_no_artifacts(out.path());
+}
+
+TEST_F(IngestFaultsFixture, SegmentWriteOrFsyncFailureIsStructured) {
+  // A clean build under a pass-through FaultEnv counts the writes and
+  // fsyncs; index.seg is the build's last write and its last fsync.
+  std::uint64_t writes = 0, syncs = 0;
+  {
+    io::FaultEnv counting;
+    io::ScopedEnv scoped(counting);
+    TempDir out("seg_count");
+    ASSERT_TRUE(run_build(out.path()).ok());
+    writes = counting.writes_seen();
+    syncs = counting.syncs_seen();
+  }
+  io::FaultPlan write_fault;
+  write_fault.fail_write_at = writes;  // torn index.seg, then ENOSPC
+  io::FaultPlan sync_fault;
+  sync_fault.fail_sync_at = syncs;  // index.seg's fsync fails (EIO)
+  for (const auto& plan : {write_fault, sync_fault}) {
+    io::FaultEnv fault(plan);
+    io::ScopedEnv scoped(fault);
+    TempDir out("seg_fault");
+    const auto report = run_build(out.path());
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.error->code, ErrorCode::kIo);
+    EXPECT_NE(report.error->message.find("index.seg"), std::string::npos)
+        << report.error->message;
+    EXPECT_FALSE(std::filesystem::exists(IndexLayout::segment_path(out.path())));
+  }
 }
 
 TEST_F(IngestFaultsFixture, SchedulerErrorIsSticky) {

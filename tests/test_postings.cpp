@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 
@@ -110,6 +111,33 @@ TEST(RunFile, DetectsBlobCorruption) {
   EXPECT_DEATH((void)RunFile::open(path), "corruption");
 }
 
+TEST(RunFile, RejectsTableKeysOutOfOrder) {
+  TempDir dir;
+  const auto path = dir.path() + "/run_0.post";
+  RunFileWriter writer(path, 0);
+  PostingsList a;
+  a.doc_ids = {1, 5};
+  a.tfs = {1, 1};
+  writer.add_list({0, 1}, a);
+  writer.add_list({0, 2}, a);
+  writer.add_list({1, 1}, a);
+  // The writer enforces the order itself (including across shards).
+  EXPECT_DEATH(writer.add_list({0, 3}, a), "ascend");
+  EXPECT_DEATH(writer.add_list({1, 1}, a), "ascend");  // duplicate key
+  writer.finalize();
+
+  // Swap the keys of table rows 0 and 1 on disk. The blob CRC covers only
+  // the blobs, so the table order check is what catches it.
+  constexpr std::size_t kHeader = 4 + 4 + 1 + 4 + 4 + 4 + 8 + 4;
+  constexpr std::size_t kRow = 32;
+  auto data = read_file(path);
+  ASSERT_GE(data.size(), kHeader + 2 * kRow);
+  std::swap_ranges(data.begin() + kHeader, data.begin() + kHeader + 8,
+                   data.begin() + kHeader + kRow);
+  write_file(path, data);
+  EXPECT_DEATH((void)RunFile::open(path), "corruption");
+}
+
 class RunCodecParam : public ::testing::TestWithParam<PostingCodec> {};
 
 TEST_P(RunCodecParam, RoundTripUnderEachCodec) {
@@ -174,6 +202,49 @@ TEST(Merger, CombinesPartialListsAcrossRuns) {
   ASSERT_TRUE(merged.fetch({0, 1}, ids, tfs));
   EXPECT_EQ(ids, (std::vector<std::uint32_t>{1, 4, 12, 15}));
   EXPECT_EQ(tfs, (std::vector<std::uint32_t>{1, 2, 3, 1}));
+}
+
+TEST(Merger, KeyOnlyInMiddleRunKeepsTableOrder) {
+  // Three runs; key {0, 2} appears only in run 1 and {1, 1} only in run 2,
+  // so the k-way walk must interleave the tables to emit ascending keys.
+  TempDir dir;
+  std::vector<std::string> paths;
+  for (std::uint32_t run = 0; run < 3; ++run) {
+    paths.push_back(dir.path() + "/run_" + std::to_string(run) + ".post");
+    RunFileWriter w(paths.back(), run);
+    PostingsList l;
+    l.doc_ids = {run * 10 + 1, run * 10 + 2};
+    l.tfs = {1, run + 1};
+    w.add_list({0, 1}, l);
+    if (run == 1) w.add_list({0, 2}, l);
+    if (run == 2) w.add_list({1, 1}, l);
+    w.finalize();
+  }
+  const auto out = dir.path() + "/merged.post";
+  // Input order does not matter: runs are taken in run-id order.
+  const auto stats = merge_runs({paths[2], paths[0], paths[1]}, out);
+  EXPECT_EQ(stats.terms, 3u);
+  EXPECT_EQ(stats.postings, 10u);
+
+  const auto merged = RunFile::open(out);
+  ASSERT_EQ(merged.table().size(), 3u);
+  EXPECT_EQ(merged.table()[0].key, (PostingKey{0, 1}));
+  EXPECT_EQ(merged.table()[1].key, (PostingKey{0, 2}));
+  EXPECT_EQ(merged.table()[2].key, (PostingKey{1, 1}));
+  std::vector<std::uint32_t> ids, tfs;
+  ASSERT_TRUE(merged.fetch({0, 1}, ids, tfs));
+  EXPECT_EQ(ids, (std::vector<std::uint32_t>{1, 2, 11, 12, 21, 22}));
+  EXPECT_EQ(tfs, (std::vector<std::uint32_t>{1, 1, 1, 2, 1, 3}));
+  ids.clear();
+  tfs.clear();
+  ASSERT_TRUE(merged.fetch({0, 2}, ids, tfs));
+  EXPECT_EQ(ids, (std::vector<std::uint32_t>{11, 12}));
+  EXPECT_EQ(merged.table()[1].min_doc, 11u);
+  EXPECT_EQ(merged.table()[1].max_doc, 12u);
+  ids.clear();
+  tfs.clear();
+  ASSERT_TRUE(merged.fetch({1, 1}, ids, tfs));
+  EXPECT_EQ(ids, (std::vector<std::uint32_t>{21, 22}));
 }
 
 TEST(Merger, RejectsOverlappingDocRanges) {

@@ -4,13 +4,18 @@
 // tampered sections come back from SegmentReader::try_open as structured
 // errors, never decode garbage and never abort), the section-by-section
 // concatenation merge (byte-identical to the decode-derived write path,
-// structured errors on bad inputs), per-block Bloom filters, and lock-free
-// concurrent readers sharing one SegmentReader.
+// structured errors on bad inputs), the range-parallel run fold (byte-
+// identical to a serial oracle fold; a term without postings is kCorrupt),
+// per-block Bloom filters, and lock-free concurrent readers sharing one
+// SegmentReader.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <filesystem>
+#include <numeric>
 #include <random>
 #include <set>
 #include <string>
@@ -543,6 +548,161 @@ TEST(SegmentBloom, PerBlockFiltersHaveNoFalseNegativesAndReject) {
     if (!reader.may_contain(ordinal, doc)) ++rejected;
   }
   EXPECT_GT(rejected * 10, absent * 9) << rejected << "/" << absent;  // ~1% false positives
+}
+
+// ------------------------------------------------ parallel fold vs serial oracle
+
+/// Run files plus the dictionary that points into them.
+struct FoldInput {
+  std::vector<DictionaryEntry> entries;  ///< sorted by term
+  std::vector<IndexDirectoryEntry> directory;
+};
+
+/// Writes `runs` run files into `dir` for `terms` sorted terms. Keys are a
+/// shuffled (shard, handle) assignment, so dictionary order and run-table
+/// order differ. Every term has postings in run `t % runs` and in about half
+/// of the others; list sizes straddle the 128-doc encode block.
+FoldInput write_fold_input(const std::string& dir, std::size_t terms, std::uint32_t runs,
+                           bool positional) {
+  constexpr std::uint32_t kShards = 3;
+  constexpr std::uint32_t kDocsPerRun = 10000;
+  std::mt19937 rng(static_cast<std::uint32_t>(terms * 31 + runs));
+  std::vector<std::uint32_t> term_of_slot(terms);
+  std::iota(term_of_slot.begin(), term_of_slot.end(), 0u);
+  std::shuffle(term_of_slot.begin(), term_of_slot.end(), rng);
+  FoldInput in;
+  in.entries.resize(terms);
+  for (std::uint32_t slot = 0; slot < terms; ++slot) {
+    const std::uint32_t t = term_of_slot[slot];
+    char name[16];
+    std::snprintf(name, sizeof name, "t%06u", t * 7);
+    in.entries[t] = {name, 0, slot % kShards, slot / kShards + 1};
+  }
+  for (std::uint32_t r = 0; r < runs; ++r) {
+    const std::string file = "run_" + std::to_string(r) + ".post";
+    RunFileWriter writer(dir + "/" + file, r);
+    // Ascending (shard, handle): slot order within each shard.
+    for (std::uint32_t shard = 0; shard < kShards; ++shard) {
+      for (std::uint32_t slot = shard; slot < terms; slot += kShards) {
+        if (term_of_slot[slot] % runs != r && rng() % 2 == 0) continue;
+        const auto q = random_list(rng, 1 + rng() % 300, r * kDocsPerRun, kDocsPerRun);
+        PostingsList list;
+        list.doc_ids = q.doc_ids;
+        list.tfs = q.tfs;
+        if (positional) list.positions = q.positions;
+        writer.add_list({shard, slot / kShards + 1}, list);
+      }
+    }
+    writer.finalize();
+    in.directory.push_back({file, r, r * kDocsPerRun, (r + 1) * kDocsPerRun - 1});
+  }
+  return in;
+}
+
+/// The oracle: one SegmentWriter fed term by term in dictionary order with
+/// each term's run blobs concatenated in run order.
+std::vector<std::uint8_t> serial_fold(const std::string& dir, const FoldInput& in) {
+  std::vector<RunFile> runs;
+  for (const auto& e : in.directory) runs.push_back(RunFile::open(dir + "/" + e.file));
+  const std::string path = dir + "/oracle.seg";
+  SegmentWriter writer(path, PostingCodec::kVByte);
+  std::vector<std::uint8_t> blob;
+  for (const auto& de : in.entries) {
+    blob.clear();
+    for (const auto& run : runs) {
+      if (const RunTableEntry* e = run.entry({de.shard, de.handle})) {
+        const auto part = run.raw_blob(*e);
+        blob.insert(blob.end(), part.begin(), part.end());
+      }
+    }
+    writer.add_term(de.term, blob);
+  }
+  EXPECT_TRUE(writer.finalize().has_value());
+  return read_file(path);
+}
+
+struct FoldCase {
+  const char* name;
+  std::size_t terms;
+  std::uint32_t runs;
+  bool positional;
+};
+
+class SegmentFold : public ::testing::TestWithParam<FoldCase> {};
+
+TEST_P(SegmentFold, RangeFoldEqualsSerialOracleByteForByte) {
+  const FoldCase& c = GetParam();
+  TempDir dir(c.name);
+  const auto in = write_fold_input(dir.path(), c.terms, c.runs, c.positional);
+  const auto stats = build_segment_from_runs(dir.path(), in.entries, in.directory);
+  ASSERT_TRUE(stats.has_value()) << stats.error().to_string();
+  EXPECT_EQ(stats.value().terms, c.terms);
+  EXPECT_EQ(stats.value().runs, c.runs);
+  const auto folded = read_file(IndexLayout::segment_path(dir.path()));
+  EXPECT_EQ(folded.size(), stats.value().output_bytes);
+  EXPECT_TRUE(folded == serial_fold(dir.path(), in)) << "index.seg differs from the oracle";
+
+  const auto reader = SegmentReader::try_open(IndexLayout::segment_path(dir.path())).value();
+  ASSERT_EQ(reader.term_count(), c.terms);
+  for (std::size_t t = 0; t < c.terms; t += 13) {
+    EXPECT_EQ(reader.find(in.entries[t].term), std::optional<std::uint64_t>(t));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Dictionaries, SegmentFold,
+    ::testing::Values(
+        // 33 dictionary blocks, the last one partial: every fold range is used
+        // and range boundaries fall on block leaders.
+        FoldCase{"multi_range", 16 * 33 - 9, 3, false},
+        FoldCase{"under_one_block", 5, 3, false},
+        FoldCase{"single_run", 200, 1, false},
+        FoldCase{"positional", 300, 3, true}),
+    [](const ::testing::TestParamInfo<FoldCase>& info) { return std::string(info.param.name); });
+
+TEST(SegmentWriterAppend, RequiresABlockBoundary) {
+  TempDir dir("append");
+  const auto blob = encode_list({1, 2});
+  SegmentWriter head(dir.path() + "/h.seg", PostingCodec::kVByte, /*terms_per_block=*/2);
+  head.add_term("a", blob);
+  SegmentWriter tail(dir.path() + "/t.seg", PostingCodec::kVByte, /*terms_per_block=*/2);
+  tail.add_term("b", blob);
+  EXPECT_DEATH(head.append(std::move(tail)), "block boundary");
+  head.add_term("b", blob);
+  SegmentWriter unsorted(dir.path() + "/u.seg", PostingCodec::kVByte, /*terms_per_block=*/2);
+  unsorted.add_term("a", blob);
+  EXPECT_DEATH(head.append(std::move(unsorted)), "sorted");
+}
+
+TEST_F(SegmentEquivalenceFixture, TermWithoutPostingsIsCorrupt) {
+  // A copy of the index whose run directory drops the last run: the
+  // dictionary still names terms that only that run holds.
+  TempDir copy("nopostings");
+  std::filesystem::copy(index_dir_, copy.path(), std::filesystem::copy_options::recursive);
+  auto directory = index_directory_read(IndexLayout::directory_path(copy.path()));
+  ASSERT_EQ(directory.size(), 3u);
+  directory.pop_back();
+  index_directory_write(IndexLayout::directory_path(copy.path()), directory);
+
+  // The first such term in dictionary order is the one reported.
+  std::vector<RunFile> kept;
+  for (const auto& e : directory) kept.push_back(RunFile::open(copy.path() + "/" + e.file));
+  std::string missing;
+  for (const auto& de : dictionary_read(IndexLayout::dictionary_path(copy.path()))) {
+    if (std::none_of(kept.begin(), kept.end(), [&](const RunFile& run) {
+          return run.entry({de.shard, de.handle}) != nullptr;
+        })) {
+      missing = de.term;
+      break;
+    }
+  }
+  ASSERT_FALSE(missing.empty());
+
+  const auto r = compact_index(copy.path());
+  ASSERT_FALSE(r.has_value());
+  EXPECT_EQ(r.error().code, ErrorCode::kCorrupt);
+  EXPECT_NE(r.error().message.find("'" + missing + "'"), std::string::npos) << r.error().message;
+  EXPECT_FALSE(file_exists(IndexLayout::segment_path(copy.path())));
 }
 
 // ------------------------------------------------ concurrent readers

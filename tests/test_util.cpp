@@ -222,6 +222,44 @@ TEST(Crc32, DetectsSingleBitFlips) {
   }
 }
 
+/// The textbook bitwise CRC-32 (reflected IEEE polynomial): the oracle the
+/// table-driven implementation must match.
+std::uint32_t crc32_reference(const std::uint8_t* p, std::size_t n, std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, SliceBy8MatchesBytewiseAtEveryLengthAndAlignment) {
+  std::vector<std::uint8_t> buf(64 + 8);
+  Rng rng(0xC3C);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+  // Start offsets 0..7 put the 8-byte word loads on every alignment; lengths
+  // 0..64 cover the word loop, the byte tail and both together.
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::uint8_t* p = buf.data() + start;
+      EXPECT_EQ(crc32(p, len), crc32_reference(p, len)) << "start " << start << " len " << len;
+      EXPECT_EQ(crc32(p, len, 0x1234ABCDu), crc32_reference(p, len, 0x1234ABCDu))
+          << "seeded, start " << start << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32, ChainingThroughSeedEqualsOneCall) {
+  std::vector<std::uint8_t> buf(1000);
+  Rng rng(0x5EED);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng());
+  const std::uint32_t whole = crc32(buf.data(), buf.size());
+  for (const std::size_t split : {0, 1, 7, 8, 9, 63, 500, 993, 1000}) {
+    const std::uint32_t head = crc32(buf.data(), split);
+    EXPECT_EQ(crc32(buf.data() + split, buf.size() - split, head), whole) << "split " << split;
+  }
+}
+
 TEST(BinaryIo, PrimitivesRoundTrip) {
   std::vector<std::uint8_t> buf;
   ByteWriter w(buf);
