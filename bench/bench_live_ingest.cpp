@@ -11,7 +11,9 @@
 /// The second half measures the real-time mutable index: ingest docs/s
 /// with and without concurrent memtable search load (reader threads
 /// running ranked queries through a snapshot-following Searcher while the
-/// writer ingests). Writes a machine-readable summary to BENCH_ingest.json
+/// writer ingests), each with the writer's split of add_document time
+/// (live_add_{normalize,memtable,publish}_seconds_total). Writes a
+/// machine-readable summary to BENCH_ingest.json
 /// (path overridable via HETINDEX_BENCH_JSON) — scripts/tier1.sh archives
 /// it next to the build tree.
 
@@ -20,6 +22,7 @@
 #include <filesystem>
 #include <random>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -46,12 +49,22 @@ double query_micros(const LiveSnapshot& snap, const std::vector<std::string>& te
   return terms.empty() ? 0.0 : timer.seconds() * 1e6 / static_cast<double>(terms.size());
 }
 
+/// One timed ingest: throughput, the readers' sustained query rate, and
+/// the writer's own split of add_document time (normalize, memtable
+/// append, snapshot publish).
+struct IngestRun {
+  double docs_per_s = 0;
+  double qps = 0;
+  double normalize_s = 0;
+  double memtable_s = 0;
+  double publish_s = 0;
+};
+
 /// One timed ingest of the whole corpus with `search_threads` readers
 /// hammering ranked queries against the writer's live snapshots the whole
-/// time. Returns docs/s; the sustained query rate comes back in `qps`.
-double ingest_docs_per_s(const std::vector<Document>& docs, const std::string& dir,
-                         const std::vector<std::string>& probes,
-                         std::size_t search_threads, double* qps) {
+/// time.
+IngestRun ingest_run(const std::vector<Document>& docs, const std::string& dir,
+                     const std::vector<std::string>& probes, std::size_t search_threads) {
   std::filesystem::remove_all(dir);
   IndexWriterOptions opts;  // production defaults: auto-flush + background merge
   auto w = IndexWriter::open(dir, opts).value();
@@ -81,8 +94,12 @@ double ingest_docs_per_s(const std::vector<Document>& docs, const std::string& d
   const double seconds = timer.seconds();
   done.store(true, std::memory_order_release);
   for (auto& r : readers) r.join();
-  *qps = static_cast<double>(answered.load()) / seconds;
-  return static_cast<double>(docs.size()) / seconds;
+  const auto metrics = w.metrics().snapshot();
+  return {static_cast<double>(docs.size()) / seconds,
+          static_cast<double>(answered.load()) / seconds,
+          metrics.time_seconds("live_add_normalize_seconds_total"),
+          metrics.time_seconds("live_add_memtable_seconds_total"),
+          metrics.time_seconds("live_add_publish_seconds_total")};
 }
 
 }  // namespace
@@ -175,19 +192,21 @@ int main() {
   // searching the live snapshots (memtable included) through a follower
   // Searcher. The delta is the cost of serving queries out of the mutable
   // tier while it is being written.
-  double unloaded_qps = 0, loaded_qps = 0;
-  const double unloaded = ingest_docs_per_s(docs, bench_dir() + "/live_load_0",
-                                            probes, 0, &unloaded_qps);
+  const IngestRun unloaded_run = ingest_run(docs, bench_dir() + "/live_load_0", probes, 0);
   const std::size_t readers = 2;
-  const double loaded = ingest_docs_per_s(docs, bench_dir() + "/live_load_r",
-                                          probes, readers, &loaded_qps);
-  std::printf("\n%-24s %12s %12s %12s\n", "memtable search load", "docs/s",
-              "ingest cost", "search qps");
-  row_sep(64);
-  std::printf("%-24s %12.0f %12s %12s\n", "none", unloaded, "-", "-");
+  const IngestRun loaded_run = ingest_run(docs, bench_dir() + "/live_load_r", probes, readers);
+  const double unloaded = unloaded_run.docs_per_s;
+  const double loaded = loaded_run.docs_per_s;
+  const double loaded_qps = loaded_run.qps;
+  std::printf("\n%-24s %12s %12s %12s %10s %10s %10s\n", "memtable search load", "docs/s",
+              "ingest cost", "search qps", "norm s", "memtab s", "publish s");
+  row_sep(97);
+  std::printf("%-24s %12.0f %12s %12s %10.3f %10.3f %10.3f\n", "none", unloaded, "-", "-",
+              unloaded_run.normalize_s, unloaded_run.memtable_s, unloaded_run.publish_s);
   const std::string label = std::to_string(readers) + " reader threads";
-  std::printf("%-24s %12.0f %11.1f%% %12.0f\n", label.c_str(), loaded,
-              100.0 * (1.0 - loaded / unloaded), loaded_qps);
+  std::printf("%-24s %12.0f %11.1f%% %12.0f %10.3f %10.3f %10.3f\n", label.c_str(), loaded,
+              100.0 * (1.0 - loaded / unloaded), loaded_qps, loaded_run.normalize_s,
+              loaded_run.memtable_s, loaded_run.publish_s);
 
   // Machine-readable summary (consumed by CI trend tooling).
   std::string json = "{\n  \"bench\": \"live_ingest\",\n  \"rows\": [\n";
@@ -207,7 +226,17 @@ int main() {
           obs::json_number(unloaded) +
           ", \"docs_per_s_loaded\": " + obs::json_number(loaded) +
           ", \"reader_threads\": " + std::to_string(readers) +
-          ", \"search_qps\": " + obs::json_number(loaded_qps) + "}\n}\n";
+          ", \"search_qps\": " + obs::json_number(loaded_qps);
+  // The writer's add_document split, unloaded then loaded: which part of
+  // add_document the readers slow down.
+  for (const auto& [name, run] : {std::pair{"unloaded", &unloaded_run},
+                                  std::pair{"loaded", &loaded_run}}) {
+    json += std::string(", \"add_s_") + name +
+            "\": {\"normalize\": " + obs::json_number(run->normalize_s) +
+            ", \"memtable\": " + obs::json_number(run->memtable_s) +
+            ", \"publish\": " + obs::json_number(run->publish_s) + "}";
+  }
+  json += "}\n}\n";
   const char* out = std::getenv("HETINDEX_BENCH_JSON");
   const std::string json_path = out != nullptr ? out : "BENCH_ingest.json";
   write_file(json_path, std::vector<std::uint8_t>(json.begin(), json.end()));

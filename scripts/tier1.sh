@@ -28,10 +28,14 @@
 #     BENCH_cluster.json (router QPS/p99 vs shard count per partition
 #     strategy, docs/CLUSTER.md). The leg then fails if any BENCH_*.json
 #     carries a bench name that does not belong to its filename
-#     (stale-artifact guard). Last, one short hetbench build_batch run
-#     (hetbench/README.md) builds the pinned corpus end to end and fails
-#     unless every rebuilt index.seg is byte-identical to the first,
-#     verify_index passes and pruned results equal exhaustive ones
+#     (stale-artifact guard). Last, short hetbench runs (hetbench/README.md)
+#     drive three workloads end to end, each failing on any output check:
+#     build_batch (every rebuilt index.seg byte-identical to the first,
+#     verify_index passes, pruned results equal exhaustive ones),
+#     cluster_doc4 (every router answer complete from all 4 shards, 64
+#     ranked queries identical to a single-node writer) and live_churn (no
+#     answer shows a document deleted before the query was sent, during
+#     ingest or after compaction)
 #
 # Each leg's wall-clock is reported in the summary at the end.
 #
@@ -146,11 +150,18 @@ if [[ "$run_bench" == 1 ]]; then
   done
   echo "bench leg: all BENCH_*.json bench fields match their filenames"
 
-  # End-to-end batch build smoke run on the hetbench tree built above
-  # (nonzero exit on any failed output check).
+  # End-to-end smoke runs on the hetbench tree built above (nonzero exit on
+  # any failed output check). live_churn runs longer: its p99 needs 1,000
+  # query samples at 200 QPS.
   ./build-hetbench/hetbench --workload build_batch --seed 1 --seconds 3 --trace 0 \
       --work-dir build-hetbench/smoke
   echo "bench leg: hetbench build_batch smoke run passed"
+  ./build-hetbench/hetbench --workload cluster_doc4 --seed 1 --seconds 3 --trace 0 \
+      --work-dir build-hetbench/smoke
+  echo "bench leg: hetbench cluster_doc4 smoke run passed"
+  ./build-hetbench/hetbench --workload live_churn --seed 1 --seconds 8 --trace 0 \
+      --work-dir build-hetbench/smoke
+  echo "bench leg: hetbench live_churn smoke run passed"
   leg_end "bench"
 fi
 

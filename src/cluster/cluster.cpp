@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <sstream>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -256,8 +257,21 @@ Expected<std::uint32_t> Cluster::update_document(std::uint32_t global_doc,
 }
 
 Status Cluster::flush() {
-  for (const auto& shard : state_->shards) {
-    if (auto flushed = shard->writer().flush(); !flushed) return flushed.error();
+  // Shard writers share nothing (each flush takes only its own writer's
+  // mutex), so every shard flushes on its own thread at once.
+  const auto& shards = state_->shards;
+  std::vector<Status> results(shards.size(), Unit{});
+  {
+    std::vector<std::jthread> flushers;
+    flushers.reserve(shards.size());
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+      flushers.emplace_back([&, s] {
+        if (auto flushed = shards[s]->writer().flush(); !flushed) results[s] = flushed.error();
+      });
+    }
+  }
+  for (auto& result : results) {
+    if (!result) return result;
   }
   return Unit{};
 }

@@ -67,8 +67,13 @@ class Cluster {
                                           const std::string& url,
                                           const std::string& body);
 
-  /// flush()/compact_now() across every shard (first failure wins).
+  /// IndexWriter::flush() on every shard, each on its own thread, joined
+  /// before return. Every shard is attempted: a failed shard keeps its
+  /// memtable (retry with another flush()) while the others commit, and the
+  /// first error in shard order is returned.
   Status flush();
+  /// IndexWriter::compact_now() on each shard in turn; stops at the first
+  /// failure and returns it.
   Status compact_now();
 
   /// Binds the shard set into a scatter-gather SearchBackend. The router

@@ -1,20 +1,10 @@
 #include "cluster/partitioner.hpp"
 
 #include "util/check.hpp"
+#include "util/hash.hpp"
 
 namespace hetindex {
 namespace {
-
-/// FNV-1a 64: deterministic, seedless, stable across platforms — term
-/// ownership must agree between the ingest path and every router forever.
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 class DocumentPartitioner final : public Partitioner {
  public:

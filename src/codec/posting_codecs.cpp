@@ -9,14 +9,6 @@
 
 namespace hetindex {
 
-void vbyte_encode(std::uint64_t value, std::vector<std::uint8_t>& out) {
-  while (value >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(value) | 0x80u);
-    value >>= 7;
-  }
-  out.push_back(static_cast<std::uint8_t>(value));
-}
-
 std::uint64_t vbyte_decode(const std::uint8_t* data, std::size_t size, std::size_t& pos) {
   std::uint64_t value = 0;
   unsigned shift = 0;

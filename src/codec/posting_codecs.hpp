@@ -19,7 +19,15 @@
 namespace hetindex {
 
 /// Variable-byte: 7 data bits per byte, high bit marks continuation.
-void vbyte_encode(std::uint64_t value, std::vector<std::uint8_t>& out);
+/// Appends to any std::vector<std::uint8_t, Allocator>.
+template <typename Bytes>
+void vbyte_encode(std::uint64_t value, Bytes& out) {
+  while (value >= 0x80) {
+    out.push_back(static_cast<std::uint8_t>(value) | 0x80u);
+    value >>= 7;
+  }
+  out.push_back(static_cast<std::uint8_t>(value));
+}
 /// Decodes one value starting at `pos`, advancing `pos`.
 std::uint64_t vbyte_decode(const std::uint8_t* data, std::size_t size, std::size_t& pos);
 

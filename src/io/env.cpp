@@ -115,25 +115,8 @@ class RealEnv final : public Env {
   Status write_file(const std::string& path, const std::uint8_t* data,
                     std::size_t size) override {
 #if HETINDEX_HAVE_POSIX_IO
-    const int raw =
-        ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-    if (raw < 0) return io_error("cannot open file for writing", path, errno);
-    FdGuard fd(raw);
-    std::size_t done = 0;
-    while (done < size) {
-      const ssize_t n = ::write(fd.get(), data + done, size - done);
-      if (n < 0) {
-        if (errno == EINTR) {
-          // Absorb the interruption here: a full-write loop is the contract.
-          io_metrics().counter("io_retries_total").add();
-          continue;
-        }
-        return io_error("write failed", path, errno);
-      }
-      done += static_cast<std::size_t>(n);
-    }
-    if (!fd.close_now()) return io_error("close failed after write", path, errno);
-    return Unit{};
+    const std::span<const std::uint8_t> whole(data, size);
+    return write_file_parts(path, {&whole, 1});
 #else
     std::FILE* f = std::fopen(path.c_str(), "wb");
     if (f == nullptr) return Error{ErrorCode::kIo, "cannot open for writing: " + path};
@@ -143,6 +126,33 @@ class RealEnv final : public Env {
     return Unit{};
 #endif
   }
+
+#if HETINDEX_HAVE_POSIX_IO
+  Status write_file_parts(const std::string& path,
+                          std::span<const std::span<const std::uint8_t>> parts) override {
+    const int raw =
+        ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+    if (raw < 0) return io_error("cannot open file for writing", path, errno);
+    FdGuard fd(raw);
+    for (const auto part : parts) {
+      std::size_t done = 0;
+      while (done < part.size()) {
+        const ssize_t n = ::write(fd.get(), part.data() + done, part.size() - done);
+        if (n < 0) {
+          if (errno == EINTR) {
+            // Absorb the interruption here: a full-write loop is the contract.
+            io_metrics().counter("io_retries_total").add();
+            continue;
+          }
+          return io_error("write failed", path, errno);
+        }
+        done += static_cast<std::size_t>(n);
+      }
+    }
+    if (!fd.close_now()) return io_error("close failed after write", path, errno);
+    return Unit{};
+  }
+#endif
 
   Status sync_file(const std::string& path) override {
 #if HETINDEX_HAVE_POSIX_IO
@@ -328,12 +338,25 @@ Expected<std::vector<std::uint8_t>> read_file_via_env(const std::string& path) {
   return data;
 }
 
+Status Env::write_file_parts(const std::string& path,
+                             std::span<const std::span<const std::uint8_t>> parts) {
+  std::vector<std::uint8_t> whole;
+  for (const auto part : parts) whole.insert(whole.end(), part.begin(), part.end());
+  return write_file(path, whole.data(), whole.size());
+}
+
 Status durable_write_file(const std::string& path, const std::uint8_t* data,
                           std::size_t size) {
+  const std::span<const std::uint8_t> whole(data, size);
+  return durable_write_file(path, {&whole, 1});
+}
+
+Status durable_write_file(const std::string& path,
+                          std::span<const std::span<const std::uint8_t>> parts) {
   Error last;
   for (int attempt = 0; attempt < kDurableWriteAttempts; ++attempt) {
     if (attempt > 0) io_metrics().counter("io_retries_total").add();
-    auto written = env().write_file(path, data, size);
+    auto written = env().write_file_parts(path, parts);
     if (!written.has_value()) {
       last = written.error();
       if (last.transient) continue;

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,12 @@ class Env {
   /// failure may leave a partial file behind — durable_write_file cleans up.
   virtual Status write_file(const std::string& path, const std::uint8_t* data,
                             std::size_t size) = 0;
+  /// write_file for a file given as consecutive byte ranges, so a caller
+  /// holding a file in pieces (a segment's sections) need not copy it into
+  /// one buffer first. The default concatenates and calls write_file, so
+  /// fault injection and write traces see one whole-file write either way.
+  virtual Status write_file_parts(const std::string& path,
+                                  std::span<const std::span<const std::uint8_t>> parts);
   /// fsyncs the file's data + metadata.
   virtual Status sync_file(const std::string& path) = 0;
   /// fsyncs a directory, making entry creations/renames/unlinks durable.
@@ -113,6 +120,9 @@ inline Status durable_write_file(const std::string& path,
                                  const std::vector<std::uint8_t>& data) {
   return durable_write_file(path, data.data(), data.size());
 }
+/// Same, for a file given as consecutive byte ranges (Env::write_file_parts).
+Status durable_write_file(const std::string& path,
+                          std::span<const std::span<const std::uint8_t>> parts);
 
 // ------------------------------------------------------------- fault layer
 

@@ -5,22 +5,9 @@
 #include <new>
 
 #include "util/check.hpp"
+#include "util/hash.hpp"
 
 namespace hetindex {
-namespace {
-
-/// FNV-1a — stable across runs (no std::hash salting), cheap, good enough
-/// for a short-lived table that never resizes.
-std::size_t term_hash(std::string_view term) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const char c : term) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return static_cast<std::size_t>(h);
-}
-
-}  // namespace
 
 struct Memtable::DocChunk {
   DocMeta docs[kDocChunkCap];
@@ -97,7 +84,7 @@ Memtable::PosChunk* Memtable::new_pos_chunk(std::uint32_t capacity) {
 }
 
 Memtable::TermNode* Memtable::find_node(std::string_view term) const {
-  const std::size_t bucket = term_hash(term) & (kBuckets - 1);
+  const std::size_t bucket = fnv1a(term) & (kBuckets - 1);
   TermNode* node = buckets_[bucket].load(std::memory_order_acquire);
   while (node != nullptr) {
     if (node->term_len == term.size() &&
@@ -128,23 +115,30 @@ Memtable::TermNode* Memtable::insert_node(std::string_view term, std::size_t buc
   return node;
 }
 
-void Memtable::append_position(TermNode* node, std::uint32_t position) {
-  PosChunk* tail = node->pos_tail;
-  std::uint32_t n = tail->count.load(std::memory_order_relaxed);
-  if (n == tail->capacity) {
-    PosChunk* grown = new_pos_chunk(std::min(tail->capacity * 2, kMaxPosCap));
-    tail->next.store(grown, std::memory_order_release);
-    node->pos_tail = grown;
-    tail = grown;
-    n = 0;
+void Memtable::append_positions(TermNode* node, std::span<const std::uint32_t> positions) {
+  while (!positions.empty()) {
+    PosChunk* tail = node->pos_tail;
+    std::uint32_t n = tail->count.load(std::memory_order_relaxed);
+    if (n == tail->capacity) {
+      PosChunk* grown = new_pos_chunk(std::min(tail->capacity * 2, kMaxPosCap));
+      tail->next.store(grown, std::memory_order_release);
+      node->pos_tail = grown;
+      tail = grown;
+      n = 0;
+    }
+    const auto take = static_cast<std::uint32_t>(
+        std::min<std::size_t>(tail->capacity - n, positions.size()));
+    std::memcpy(tail->positions + n, positions.data(), take * sizeof(std::uint32_t));
+    tail->count.store(n + take, std::memory_order_release);
+    positions = positions.subspan(take);
   }
-  tail->positions[n] = position;
-  tail->count.store(n + 1, std::memory_order_release);
 }
 
-void Memtable::add_occurrence(std::string_view term, std::uint32_t position) {
+void Memtable::add_posting(std::string_view term, std::uint32_t tf,
+                           std::span<const std::uint32_t> positions) {
   HET_CHECK(in_document_);
-  const std::size_t bucket = term_hash(term) & (kBuckets - 1);
+  HET_DCHECK(tf > 0);
+  const std::size_t bucket = fnv1a(term) & (kBuckets - 1);
   TermNode* node = buckets_[bucket].load(std::memory_order_relaxed);
   while (node != nullptr &&
          (node->term_len != term.size() ||
@@ -152,21 +146,16 @@ void Memtable::add_occurrence(std::string_view term, std::uint32_t position) {
     node = node->bucket_next.load(std::memory_order_relaxed);
   }
   if (node == nullptr) node = insert_node(term, bucket);
-  if (positional_) append_position(node, position);
-  if (node->postings_w != 0 && node->last_doc == current_doc_) {
-    // Tail bump: the slot belongs to the in-progress doc, which is above
-    // every published watermark, so no reader dereferences its tf.
-    PostChunk* tail = node->tail;
-    const std::uint32_t at = tail->count.load(std::memory_order_relaxed) - 1;
-    const std::uint32_t tf = tail->tfs[at] + 1;
-    tail->tfs[at] = tf;
-    if (tf > node->max_tf.load(std::memory_order_relaxed)) {
-      node->max_tf.store(tf, std::memory_order_relaxed);
-    }
-    return;
+  if (positional_) {
+    HET_CHECK(positions.size() == tf);
+    append_positions(node, positions);
+  }
+  if (tf > node->max_tf.load(std::memory_order_relaxed)) {
+    node->max_tf.store(tf, std::memory_order_relaxed);
   }
   PostChunk* tail = node->tail;
   std::uint32_t n = tail->count.load(std::memory_order_relaxed);
+  HET_DCHECK(n == 0 || tail->docs[n - 1] < current_doc_);  // one posting per doc
   if (n == tail->capacity) {
     PostChunk* grown = new_post_chunk(std::min(tail->capacity * 2, kMaxPostCap));
     tail->next.store(grown, std::memory_order_release);
@@ -175,10 +164,8 @@ void Memtable::add_occurrence(std::string_view term, std::uint32_t position) {
     n = 0;
   }
   tail->docs[n] = current_doc_;
-  tail->tfs[n] = 1;
+  tail->tfs[n] = tf;
   tail->count.store(n + 1, std::memory_order_release);
-  node->last_doc = current_doc_;
-  ++node->postings_w;
   ++postings_w_;
 }
 
@@ -206,8 +193,8 @@ bool Memtable::read_postings(std::string_view term, std::uint32_t limit,
     const std::uint32_t n = chunk->count.load(std::memory_order_acquire);
     std::uint32_t i = 0;
     for (; i < n; ++i) {
-      // Doc first, then stop at the watermark WITHOUT touching the tf:
-      // the in-flight doc's tf may still be bumped by the writer.
+      // Stop at the watermark: postings at or above it belong to documents
+      // this view does not include.
       const std::uint32_t doc = chunk->docs[i];
       if (doc >= limit) break;
       const std::uint32_t tf = chunk->tfs[i];

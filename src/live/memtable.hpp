@@ -11,12 +11,9 @@
 /// any number of lock-free readers. All data lives in an append-only Arena
 /// — allocation never moves existing bytes, so readers hold raw pointers
 /// captured at allocation time and never touch the Arena object itself.
-/// Every (doc, tf) slot is written exactly once before the per-chunk
-/// atomic `count` is release-stored; readers acquire-load counts and never
-/// look past them. The one mutation after publication of a slot is the
-/// tail tf-bump of the in-progress document — safe because that doc id is
-/// ≥ every published watermark, and readers stop at the watermark *before*
-/// reading the slot's tf.
+/// Every (doc, tf) slot is written exactly once, with its final tf, before
+/// the per-chunk atomic `count` is release-stored; readers acquire-load
+/// counts and never look past them. No slot changes after publication.
 ///
 /// "Immutable on publish" is a watermark, not a copy: a MemtableView
 /// freezes the finished-document count at construction, and everything
@@ -30,6 +27,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -56,10 +54,11 @@ class Memtable {
   /// Starts the next document and returns its global doc id. `url` is
   /// copied into the arena.
   std::uint32_t begin_document(std::string_view url);
-  /// Records one occurrence of `term` in the in-progress document.
-  /// Repeated terms accumulate tf in place (the tail bump); positions are
-  /// appended in occurrence order when positional.
-  void add_occurrence(std::string_view term, std::uint32_t position);
+  /// Records `term`'s one posting in the in-progress document: its tf and,
+  /// when positional, its `tf` ascending positions (ignored otherwise). At
+  /// most one call per term per document — the caller groups occurrences.
+  void add_posting(std::string_view term, std::uint32_t tf,
+                   std::span<const std::uint32_t> positions);
   /// Completes the in-progress document with its token count. Only after
   /// this does the document count (and thus any later view's watermark)
   /// include it.
@@ -112,8 +111,6 @@ class Memtable {
     // Writer-only tail state.
     PostChunk* tail = nullptr;
     PosChunk* pos_tail = nullptr;
-    std::uint32_t last_doc = 0;
-    std::uint64_t postings_w = 0;
 
     [[nodiscard]] std::string_view term_view() const { return {term, term_len}; }
   };
@@ -128,7 +125,7 @@ class Memtable {
   TermNode* insert_node(std::string_view term, std::size_t bucket);
   PostChunk* new_post_chunk(std::uint32_t capacity);
   PosChunk* new_pos_chunk(std::uint32_t capacity);
-  void append_position(TermNode* node, std::uint32_t position);
+  void append_positions(TermNode* node, std::span<const std::uint32_t> positions);
   [[nodiscard]] const DocMeta* meta_of(std::uint32_t doc) const;
 
   // --- reader helpers (limit = absolute doc id watermark, exclusive) ---
@@ -148,7 +145,9 @@ class Memtable {
   /// Visible term nodes in ascending term order.
   [[nodiscard]] std::vector<const TermNode*> sorted_visible_nodes(std::uint32_t limit) const;
 
-  static constexpr std::size_t kBuckets = 1u << 13;
+  /// Sized for the vocabulary of a default 4 MB flush (~40k terms), so
+  /// chains stay shorter than one node on average.
+  static constexpr std::size_t kBuckets = 1u << 16;
   static constexpr std::uint32_t kDocChunkCap = 256;
   static constexpr std::uint32_t kDocDirSlots = 8192;  // 2M docs per memtable
   static constexpr std::uint32_t kFirstPostCap = 8;
@@ -195,7 +194,7 @@ class MemtableView {
   /// Block cursor over the term's postings (raw, like lookup()); nullptr
   /// when absent. Borrows the arena's chunks and pins the arena; its
   /// max_tf() is the term's running maximum, which may overshoot by
-  /// in-flight occurrences but never undershoots. `with_positions`
+  /// postings above the watermark but never undershoots. `with_positions`
   /// materializes a positional decoded cursor instead: position chunks do
   /// not align with posting chunks, so borrowed refs cannot carry them.
   [[nodiscard]] std::unique_ptr<PostingsCursor> open_cursor(std::string_view term,

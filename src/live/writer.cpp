@@ -3,19 +3,20 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "dict/trie_table.hpp"
 #include "io/env.hpp"
 #include "live/memtable.hpp"
 #include "live/tombstones.hpp"
-#include "parse/parsed_block.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
 #include "util/timer.hpp"
 
 namespace hetindex {
@@ -139,6 +140,110 @@ Expected<RewriteStats> rewrite_segments(const std::vector<const SegmentReader*>&
   return stats;
 }
 
+/// One document's distinct terms with their tf and positions: the writer's
+/// scratch between the parser's token stream and the memtable, reused
+/// across documents so that each term costs one memtable probe per
+/// document instead of one per occurrence. An open-addressing table over
+/// a term byte buffer; clear() resets only the slots the last document
+/// touched.
+class DocTermTable {
+ public:
+  explicit DocTermTable(bool positional) : positional_(positional) {}
+
+  void add(std::string_view term, std::uint32_t position) {
+    if ((entries_.size() + 1) * 2 > slots_.size()) grow();
+    const std::uint64_t hash = fnv1a(term);
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t slot = hash & mask;
+    std::uint32_t e = slots_[slot];
+    while (e != kEmpty && !matches(entries_[e], hash, term)) {
+      slot = (slot + 1) & mask;
+      e = slots_[slot];
+    }
+    if (e == kEmpty) {
+      e = static_cast<std::uint32_t>(entries_.size());
+      slots_[slot] = e;
+      entries_.push_back({hash, static_cast<std::uint32_t>(chars_.size()),
+                          static_cast<std::uint32_t>(term.size()), 0,
+                          static_cast<std::uint32_t>(slot)});
+      chars_.insert(chars_.end(), term.begin(), term.end());
+    }
+    ++entries_[e].tf;
+    if (positional_) occurrences_.push_back({e, position});
+  }
+
+  /// fn(term, tf, positions) once per distinct term, in first-occurrence
+  /// order. Positions are ascending; empty unless positional.
+  template <typename Fn>
+  void for_each(Fn&& fn) {
+    if (positional_) {
+      // Counting sort of the occurrences by term: entry e's positions land
+      // in [starts_[e], starts_[e] + tf), in stream (= ascending) order.
+      starts_.resize(entries_.size());
+      std::uint32_t at = 0;
+      for (std::size_t e = 0; e < entries_.size(); ++e) {
+        starts_[e] = at;
+        at += entries_[e].tf;
+      }
+      positions_.resize(at);
+      for (const auto& [e, position] : occurrences_) positions_[starts_[e]++] = position;
+    }
+    std::uint32_t at = 0;
+    for (const Entry& entry : entries_) {
+      const std::span<const std::uint32_t> positions =
+          positional_ ? std::span<const std::uint32_t>(positions_).subspan(at, entry.tf)
+                      : std::span<const std::uint32_t>();
+      fn(std::string_view(chars_.data() + entry.offset, entry.len), entry.tf, positions);
+      at += entry.tf;
+    }
+  }
+
+  void clear() {
+    for (const Entry& entry : entries_) slots_[entry.slot] = kEmpty;
+    entries_.clear();
+    chars_.clear();
+    occurrences_.clear();
+  }
+
+ private:
+  static constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
+  struct Entry {
+    std::uint64_t hash;
+    std::uint32_t offset;  ///< into chars_
+    std::uint32_t len;
+    std::uint32_t tf;
+    std::uint32_t slot;  ///< for clear()
+  };
+  struct Occurrence {
+    std::uint32_t entry;
+    std::uint32_t position;
+  };
+
+  bool matches(const Entry& entry, std::uint64_t hash, std::string_view term) const {
+    return entry.hash == hash && entry.len == term.size() &&
+           std::memcmp(chars_.data() + entry.offset, term.data(), term.size()) == 0;
+  }
+
+  void grow() {
+    slots_.assign(slots_.size() * 2, kEmpty);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t e = 0; e < entries_.size(); ++e) {
+      std::size_t slot = entries_[e].hash & mask;
+      while (slots_[slot] != kEmpty) slot = (slot + 1) & mask;
+      slots_[slot] = static_cast<std::uint32_t>(e);
+      entries_[e].slot = static_cast<std::uint32_t>(slot);
+    }
+  }
+
+  const bool positional_;
+  std::vector<std::uint32_t> slots_ = std::vector<std::uint32_t>(1024, kEmpty);
+  std::vector<Entry> entries_;
+  std::vector<char> chars_;
+  std::vector<Occurrence> occurrences_;
+  std::vector<std::uint32_t> starts_;
+  std::vector<std::uint32_t> positions_;
+};
+
 }  // namespace
 
 struct IndexWriter::State {
@@ -156,6 +261,11 @@ struct IndexWriter::State {
   obs::Counter& reclaimed_docs_total = metrics.counter("compaction_reclaimed_docs_total");
   obs::TimeCounter& flush_seconds = metrics.time_counter("live_flush_seconds_total");
   obs::TimeCounter& compaction_seconds = metrics.time_counter("compaction_seconds_total");
+  obs::TimeCounter& add_normalize_seconds =
+      metrics.time_counter("live_add_normalize_seconds_total");
+  obs::TimeCounter& add_memtable_seconds =
+      metrics.time_counter("live_add_memtable_seconds_total");
+  obs::TimeCounter& add_publish_seconds = metrics.time_counter("live_add_publish_seconds_total");
   obs::Gauge& segments_active = metrics.gauge("live_segments_active");
   obs::Gauge& snapshot_refcount = metrics.gauge("snapshot_refcount");
   obs::Gauge& memtable_docs = metrics.gauge("live_memtable_docs");
@@ -172,6 +282,7 @@ struct IndexWriter::State {
   /// segment merge.
   mutable std::mutex mu;
   Parser parser;
+  DocTermTable doc_terms;
   /// The searchable buffer: single writer (this State, under mu), lock-free
   /// readers via the MemtableView each published snapshot carries. Held by
   /// shared_ptr because snapshots (and cursors pinned on them) may outlive
@@ -181,7 +292,6 @@ struct IndexWriter::State {
   /// every delete batch swaps in a fresh copy-on-write set.
   std::shared_ptr<const TombstoneSet> tombstones;
   std::uint64_t buffered_bytes = 0;  ///< raw body bytes in the memtable
-  std::uint64_t flush_seq = 0;       ///< parse-block sequence number
   Manifest manifest;                 ///< committed state
   SegmentSet set;
 
@@ -193,7 +303,7 @@ struct IndexWriter::State {
   std::jthread compactor;  ///< last member: joins before the rest dies
 
   State(std::string d, IndexWriterOptions o)
-      : dir(std::move(d)), opts(o), parser(o.parser) {
+      : dir(std::move(d)), opts(o), parser(o.parser), doc_terms(o.parser.record_positions) {
     reset_memtable();
   }
 
@@ -369,41 +479,34 @@ std::uint32_t IndexWriter::State::add_document(const std::string& url,
 
 std::uint32_t IndexWriter::State::add_document_locked(const std::string& url,
                                                       const std::string& body) {
+  // Normalize: one pass per token, grouped per distinct term. The live and
+  // batch paths index the same term stream (DESIGN.md; proved by
+  // LiveAddPath.MemtableMatchesBatchParserByteForByte).
+  const WallTimer normalize_timer;
+  doc_terms.clear();
+  const std::uint32_t kept = parser.for_each_term(
+      body, [&](std::string_view term, std::uint32_t position) { doc_terms.add(term, position); });
+  add_normalize_seconds.add(normalize_timer.seconds());
+
+  // Postings carry absolute doc ids — the invariant that lets flush write
+  // blobs compaction can concatenate without re-encoding.
+  const WallTimer memtable_timer;
   const std::uint32_t doc_id = memtable->begin_document(url);
-  // One-document parse batch: local id 0, globalized by the block base, so
-  // the memtable's postings carry absolute doc ids — the invariant that
-  // lets flush write blobs compaction can concatenate without re-encoding.
-  const std::vector<Document> docs{{0, url, body}};
-  const ParsedBlock block = parser.parse(docs, flush_seq, /*parser_id=*/0, doc_id);
-  // Re-assemble full terms from the parser's trie grouping (prefix lives in
-  // the group, suffix in the posting) — the same reconstruction CpuIndexer
-  // performs, so live and batch index the exact same term stream.
-  std::string term;
-  for (const auto& group : block.groups) {
-    term = trie_prefix(group.trie_idx);
-    const std::size_t prefix_len = term.size();
-    auto add = [&](std::string_view suffix, std::uint32_t position) {
-      term.resize(prefix_len);
-      term.append(suffix);
-      memtable->add_occurrence(term, position);
-    };
-    if (!group.positions.empty()) {
-      for_each_posting_positional(
-          group, [&](std::uint32_t, std::string_view suffix, std::uint32_t position) {
-            add(suffix, position);
-          });
-    } else {
-      for_each_posting(group,
-                       [&](std::uint32_t, std::string_view suffix) { add(suffix, 0); });
-    }
-  }
-  memtable->finish_document(block.doc_tokens.empty() ? 0 : block.doc_tokens[0]);
+  doc_terms.for_each([&](std::string_view term, std::uint32_t tf,
+                         std::span<const std::uint32_t> positions) {
+    memtable->add_posting(term, tf, positions);
+  });
+  memtable->finish_document(kept);
   buffered_bytes += body.size();
   documents.add();
+  add_memtable_seconds.add(memtable_timer.seconds());
+
   // The document becomes searchable NOW: republish over the same open
   // segments with the memtable watermark advanced past it. Pure in-memory
   // snapshot rebuild — no segment opens, cannot fail.
+  const WallTimer publish_timer;
   HET_CHECK(publish_locked().has_value());
+  add_publish_seconds.add(publish_timer.seconds());
   if (opts.flush_threshold_bytes > 0 && buffered_bytes >= opts.flush_threshold_bytes) {
     // An auto-flush failure keeps the memtable intact (flush_locked rolls
     // back); the next threshold crossing retries. Counted in
@@ -571,7 +674,6 @@ Expected<std::uint64_t> IndexWriter::State::flush_locked() {
   // views (and any cursors pinning it).
   reset_memtable();
   buffered_bytes = 0;
-  ++flush_seq;
   auto published = publish_locked();
 
   flushes.add();

@@ -2,7 +2,8 @@
 /// \file writer.hpp
 /// Live mutable indexing (docs/LIVE_INDEXING.md): an LSM-style writer on
 /// top of the batch pipeline's components. Documents stream through the
-/// same parser as IndexBuilder into a searchable in-memory memtable
+/// batch parser's tokenizer, stemmer and stop list in one pass per token
+/// (Parser::for_each_term) into a searchable in-memory memtable
 /// (live/memtable.hpp) that every published snapshot carries — a document
 /// is queryable the moment add_document returns, no flush in the
 /// visibility path. flush() freezes the memtable into one numbered
@@ -150,7 +151,9 @@ class IndexWriter {
   /// live_flushed_bytes_total, live_flush_seconds_total, compactions_total,
   /// compaction_bytes_written_total, compaction_seconds_total,
   /// compaction_reclaimed_docs_total, live_segments_active,
-  /// snapshot_refcount, the memtable gauges (live_memtable_docs,
+  /// snapshot_refcount, the add-path split (live_add_normalize_seconds_total,
+  /// live_add_memtable_seconds_total, live_add_publish_seconds_total), the
+  /// memtable gauges (live_memtable_docs,
   /// live_memtable_bytes, live_memtable_terms), the mutation set
   /// (live_deletes_total, live_updates_total, live_deleted_docs,
   /// live_delete_failures_total), plus the durability set —

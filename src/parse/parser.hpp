@@ -5,11 +5,16 @@
 /// regrouping by trie-collection index with prefix removal. Step 1 (read +
 /// decompress + local doc-ID assignment) lives in read_scheduler.hpp.
 
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "corpus/document.hpp"
 #include "parse/parsed_block.hpp"
+#include "text/html_strip.hpp"
+#include "text/porter.hpp"
 #include "text/stopwords.hpp"
+#include "text/tokenizer.hpp"
 
 namespace hetindex {
 
@@ -55,6 +60,32 @@ class Parser {
     std::string term;  ///< full term (prefix not removed)
   };
   std::vector<FlatToken> parse_flat(const std::vector<Document>& docs) const;
+
+  /// Steps 2–4 over one document body in one pass per token — tokenize,
+  /// stem in place, stop-word test — for callers that index one document
+  /// at a time (the live writer), where Step 5's regrouping buys nothing.
+  /// Calls `sink(std::string_view term, std::uint32_t position)` for every
+  /// kept token in stream order; `position` counts every token, stop words
+  /// included, as parse() records positions. Returns the kept-token count,
+  /// which equals parse()'s doc_tokens for the same body. The term view is
+  /// only valid for the duration of the sink call.
+  template <typename Sink>
+  std::uint32_t for_each_term(std::string_view body, Sink&& sink) const {
+    const std::string stripped = config_.strip_html ? html_strip(body) : std::string();
+    const std::string_view text = config_.strip_html ? std::string_view(stripped) : body;
+    std::uint32_t position = 0;
+    std::uint32_t kept = 0;
+    for_each_token(text, [&](char* token, std::size_t len) {
+      if (config_.stem) len = porter_stem_inplace(token, len);
+      const std::string_view term(token, len);
+      if (!config_.remove_stopwords || !stopwords_->contains(term)) {
+        sink(term, position);
+        ++kept;
+      }
+      ++position;
+    });
+    return kept;
+  }
 
  private:
   ParserConfig config_;

@@ -79,7 +79,7 @@ class PostingsCursor {
   [[nodiscard]] virtual std::uint64_t size() const = 0;
   /// Largest term frequency anywhere in the list — the tf ingredient of
   /// the term's whole-list BM25 bound (search/topk.hpp). Never below the
-  /// true maximum; the memtable's may overshoot by in-flight occurrences.
+  /// true maximum; the memtable's may overshoot by postings above its watermark.
   [[nodiscard]] virtual std::uint32_t max_tf() const = 0;
   /// Largest doc id in the whole list.
   [[nodiscard]] virtual std::uint32_t last_doc() const = 0;

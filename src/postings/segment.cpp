@@ -60,7 +60,7 @@ void SegmentWriter::add_term(std::string_view term, std::span<const std::uint8_t
 
   // Rows tile the blob in order and ascend by doc. Offsets are not stored:
   // the reader re-derives them from the sizes, so a merge copies rows as is.
-  ByteWriter sw(skip_);
+  BasicByteWriter sw(skip_);
   std::uint64_t next_offset = 0, count = 0;
   std::size_t filter_bytes = 0;
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -82,7 +82,7 @@ void SegmentWriter::add_term(std::string_view term, std::span<const std::uint8_t
                 "skip rows and filters must cover the blob exactly");
   const std::uint32_t max_doc = rows.back().last_doc;
 
-  ByteWriter tw(table_);
+  BasicByteWriter tw(table_);
   tw.u64(blobs_.size());
   tw.u32(static_cast<std::uint32_t>(blob.size()));
   tw.u32(static_cast<std::uint32_t>(count));
@@ -92,7 +92,7 @@ void SegmentWriter::add_term(std::string_view term, std::span<const std::uint8_t
   blobs_.insert(blobs_.end(), blob.begin(), blob.end());
   blooms_.insert(blooms_.end(), filters.begin(), filters.end());
 
-  ByteWriter dw(dict_);
+  BasicByteWriter dw(dict_);
   if (block_fill_ == 0) {
     // Block leader: stored verbatim so the reader's block index can point a
     // string_view straight at the mapping.
@@ -176,7 +176,7 @@ void SegmentWriter::append(SegmentWriter&& other) {
                           std::pair{&skip_, &other.skip_}, std::pair{&blooms_, &other.blooms_},
                           std::pair{&blobs_, &other.blobs_}}) {
     to->insert(to->end(), from->begin(), from->end());
-    std::vector<std::uint8_t>().swap(*from);  // release `other`'s copy now
+    PageBytes().swap(*from);  // release `other`'s copy now
   }
   term_count_ += other.term_count_;
   block_fill_ = other.block_fill_;
@@ -189,10 +189,9 @@ Expected<std::uint64_t> SegmentWriter::finalize() {
   HET_CHECK(!finalized_);
   finalized_ = true;
 
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderBytes + dict_.size() + table_.size() + skip_.size() + blooms_.size() +
-              blobs_.size() + kFooterBytes);
-  ByteWriter w(out);
+  std::vector<std::uint8_t> header;
+  header.reserve(kHeaderBytes);
+  ByteWriter w(header);
   w.u32(kSegmentMagic);
   w.u32(kSegmentVersion);
   w.u8(static_cast<std::uint8_t>(codec_));
@@ -203,25 +202,31 @@ Expected<std::uint64_t> SegmentWriter::finalize() {
   w.u32(term_count_ == 0 ? 0 : min_doc_);
   w.u32(term_count_ == 0 ? 0 : max_doc_);
   // Sections back to back, each as (offset, bytes).
+  const PageBytes* sections[] = {&dict_, &table_, &skip_, &blooms_, &blobs_};
   std::uint64_t at = kHeaderBytes;
-  for (const auto* section : {&dict_, &table_, &skip_, &blooms_, &blobs_}) {
+  for (const auto* section : sections) {
     w.u64(at);
     w.u64(section->size());
     at += section->size();
   }
-  HET_CHECK(out.size() == kHeaderBytes);
-  for (const auto* section : {&dict_, &table_, &skip_, &blooms_, &blobs_}) {
-    w.bytes(section->data(), section->size());
-  }
+  HET_CHECK(header.size() == kHeaderBytes);
 
-  const std::uint64_t total = out.size() + kFooterBytes;
-  const std::uint32_t crc = crc32(out.data(), out.size());
-  w.u64(total);
-  w.u32(crc);
-  w.u32(kSegmentFooterMagic);
+  // The file goes out straight from the section buffers: no second copy of
+  // the segment in memory. The CRC chains over the same bytes in order.
+  std::uint32_t crc = crc32(header.data(), header.size());
+  for (const auto* section : sections) crc = crc32(section->data(), section->size(), crc);
+  const std::uint64_t total = at + kFooterBytes;
+  std::vector<std::uint8_t> footer;
+  ByteWriter fw(footer);
+  fw.u64(total);
+  fw.u32(crc);
+  fw.u32(kSegmentFooterMagic);
+  std::vector<std::span<const std::uint8_t>> parts{header};
+  for (const auto* section : sections) parts.emplace_back(*section);
+  parts.emplace_back(footer);
   // Durable before anything references it: a manifest must never commit a
   // segment whose bytes could still be lost to a crash.
-  auto written = io::durable_write_file(path_, out);
+  auto written = io::durable_write_file(path_, parts);
   if (!written.has_value()) return written.error();
   return total;
 }

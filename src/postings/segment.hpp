@@ -46,6 +46,7 @@
 #include "io/mmap_file.hpp"
 #include "postings/run_file.hpp"
 #include "util/error.hpp"
+#include "util/page_allocator.hpp"
 
 namespace hetindex {
 
@@ -104,11 +105,13 @@ class SegmentWriter {
   std::string prev_term_;
   std::uint32_t min_doc_ = 0xFFFFFFFFu;
   std::uint32_t max_doc_ = 0;
-  std::vector<std::uint8_t> dict_;
-  std::vector<std::uint8_t> table_;
-  std::vector<std::uint8_t> skip_;
-  std::vector<std::uint8_t> blooms_;
-  std::vector<std::uint8_t> blobs_;
+  // Page-backed: writers run on worker threads (the range-parallel fold,
+  // parallel shard flushes), and each section can reach megabytes.
+  PageBytes dict_;
+  PageBytes table_;
+  PageBytes skip_;
+  PageBytes blooms_;
+  PageBytes blobs_;
   bool finalized_ = false;
 };
 

@@ -5,26 +5,7 @@
 namespace hetindex {
 
 void tokenize(std::string_view text, const std::function<void(std::string_view)>& sink) {
-  char buf[kMaxTokenBytes];
-  std::size_t len = 0;
-  bool truncating = false;
-  for (const char ch : text) {
-    const auto c = static_cast<unsigned char>(ch);
-    if (is_token_char(c)) {
-      if (len < kMaxTokenBytes) {
-        buf[len++] = (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a')
-                                            : static_cast<char>(c);
-      } else {
-        truncating = true;  // swallow the tail of an over-long token
-      }
-    } else if (len > 0) {
-      sink(std::string_view(buf, len));
-      len = 0;
-      truncating = false;
-    }
-  }
-  (void)truncating;
-  if (len > 0) sink(std::string_view(buf, len));
+  for_each_token(text, [&](char* token, std::size_t len) { sink(std::string_view(token, len)); });
 }
 
 std::vector<std::string> tokenize_to_vector(std::string_view text) {

@@ -33,6 +33,31 @@ inline constexpr std::size_t kMaxTokenBytes = 255;
 [[nodiscard]] constexpr bool is_ascii_lower(unsigned char c) { return c >= 'a' && c <= 'z'; }
 [[nodiscard]] constexpr bool is_digit(unsigned char c) { return c >= '0' && c <= '9'; }
 
+/// The token scan every tokenizer entry point shares: calls
+/// `sink(char* token, std::size_t len)` per token. The buffer holds
+/// kMaxTokenBytes + 1 bytes and is only valid for the duration of the call,
+/// so a sink may rewrite the token in place (the Porter stemmer needs the
+/// one spare byte).
+template <typename Sink>
+void for_each_token(std::string_view text, Sink&& sink) {
+  char buf[kMaxTokenBytes + 1];
+  std::size_t len = 0;
+  for (const char ch : text) {
+    const auto c = static_cast<unsigned char>(ch);
+    if (is_token_char(c)) {
+      // Past kMaxTokenBytes the tail of an over-long token is swallowed.
+      if (len < kMaxTokenBytes) {
+        buf[len++] = (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a')
+                                            : static_cast<char>(c);
+      }
+    } else if (len > 0) {
+      sink(buf, len);
+      len = 0;
+    }
+  }
+  if (len > 0) sink(buf, len);
+}
+
 /// Streams lowercase tokens from `text` into `sink`. The string_view passed
 /// to the sink points into an internal buffer and is only valid for the
 /// duration of the call.

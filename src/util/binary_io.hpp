@@ -14,10 +14,12 @@
 
 namespace hetindex {
 
-/// Appends fixed-width little-endian primitives to a byte vector.
-class ByteWriter {
+/// Appends fixed-width little-endian primitives to a byte vector (any
+/// std::vector<std::uint8_t, Allocator>).
+template <typename Bytes>
+class BasicByteWriter {
  public:
-  explicit ByteWriter(std::vector<std::uint8_t>& out) : out_(out) {}
+  explicit BasicByteWriter(Bytes& out) : out_(out) {}
 
   void u8(std::uint8_t v) { out_.push_back(v); }
   void u16(std::uint16_t v) { raw(&v, 2); }
@@ -51,8 +53,10 @@ class ByteWriter {
     out_.resize(at + n);
     if (n != 0) std::memcpy(out_.data() + at, data, n);
   }
-  std::vector<std::uint8_t>& out_;
+  Bytes& out_;
 };
+
+using ByteWriter = BasicByteWriter<std::vector<std::uint8_t>>;
 
 /// Reads fixed-width little-endian primitives from a byte range with bounds
 /// checking; any overrun is a hard check failure (corrupt input).

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "core/hetindex.hpp"
+#include "io/env.hpp"
 
 namespace hetindex {
 namespace {
@@ -636,6 +637,65 @@ TEST(ClusterReopen, RefusesTamperedMetaAndMismatchedTopology) {
     ASSERT_FALSE(reopened.has_value());
     EXPECT_EQ(reopened.error().code, ErrorCode::kCorrupt);
   }
+}
+
+// ------------------------------------------------------ parallel flush
+
+// Cluster::flush runs every shard's flush on its own thread. One shard's
+// segment write fails: flush reports that kIo, every other shard commits,
+// the failed shard keeps serving its memtable, and a second flush commits
+// it. Which shard loses the race to the first write is up to the
+// scheduler, so the test finds it from the shards' state.
+TEST(ClusterFlush, OneShardFailureIsReportedAndOthersCommit) {
+  constexpr std::uint32_t kShards = 4;
+  auto stack = make_twins(PartitionStrategy::kDocument, kShards, 1, 0xF1A5, /*ingest=*/0);
+  auto& cluster = *stack.cluster;
+  for (const auto& doc : stack.corpus.docs) {
+    ASSERT_EQ(cluster.add_document(doc.url, doc.body),
+              stack.unioned->add_document(doc.url, doc.body));
+  }
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    ASSERT_GT(cluster.shard(s).writer().buffered_docs(), 0u) << "shard " << s;
+  }
+  stack.unioned->snapshot()->for_each_term([&stack](std::string_view term) {
+    stack.vocab.emplace_back(term);
+    return true;
+  });
+  const auto router = cluster.make_router();
+  const auto oracle =
+      Searcher::open(SearchSource::live(
+                         [w = &*stack.unioned] { return w->snapshot(); }))
+          .value();
+  const auto queries = sample_queries(stack.vocab, 6, 71);
+
+  {
+    io::FaultPlan plan;
+    plan.fail_write_at = 1;  // the first segment write, whichever shard issues it
+    io::FaultEnv faulty(plan);
+    io::ScopedEnv scoped(faulty);
+    const auto flushed = cluster.flush();
+    ASSERT_FALSE(flushed.has_value());
+    EXPECT_EQ(flushed.error().code, ErrorCode::kIo);
+  }
+  std::uint32_t failed = 0;
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    const auto& writer = cluster.shard(s).writer();
+    if (writer.buffered_docs() != 0) {
+      ++failed;
+      EXPECT_TRUE(writer.manifest().entries.empty()) << "shard " << s;
+    } else {
+      EXPECT_EQ(writer.manifest().entries.size(), 1u) << "shard " << s;
+    }
+  }
+  EXPECT_EQ(failed, 1u);
+  expect_bit_identical(*router, *oracle, queries, kShards);
+
+  ASSERT_TRUE(cluster.flush().has_value());
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(cluster.shard(s).writer().buffered_docs(), 0u) << "shard " << s;
+    EXPECT_EQ(cluster.shard(s).writer().manifest().entries.size(), 1u) << "shard " << s;
+  }
+  expect_bit_identical(*router, *oracle, queries, kShards);
 }
 
 // ------------------------------------------------- queries racing writers

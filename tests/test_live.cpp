@@ -12,12 +12,17 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/hetindex.hpp"
+#include "dict/trie_table.hpp"
 #include "util/binary_io.hpp"
 
 namespace hetindex {
@@ -170,6 +175,169 @@ TEST(LiveEquivalence, PositionalPostingsSurviveFlushAndMerge) {
   auto w = ingest(corpus, live_dir.path(), opts, flush_after);
   w.compact_now();
   expect_equivalent(*w.snapshot(), batch, /*positions=*/true);
+}
+
+// -------------------------------------------------- add path == batch parser
+
+/// The oracle for the writer's one-pass add path: the batch parser's term
+/// stream for each document exactly as the writer once consumed it — a
+/// one-document parse() block (Step 5 regroup included), each term rebuilt
+/// as trie_prefix + suffix, one insert per token — accumulated into an
+/// ordered map and written straight through SegmentWriter.
+struct OracleIndex {
+  struct Posting {
+    std::uint32_t doc = 0;
+    std::uint32_t tf = 0;
+    std::vector<std::uint32_t> positions;
+  };
+  std::map<std::string, std::vector<Posting>> terms;
+  std::vector<std::uint32_t> doc_tokens;
+  std::uint64_t token_sum = 0;
+
+  void add(const Parser& parser, const Document& doc, std::uint32_t doc_id) {
+    const ParsedBlock block = parser.parse({{0, doc.url, doc.body}}, 0, 0, doc_id);
+    const std::uint32_t tokens = block.doc_tokens.empty() ? 0 : block.doc_tokens[0];
+    doc_tokens.push_back(tokens);
+    token_sum += tokens;
+    std::string term;
+    for (const auto& group : block.groups) {
+      term = trie_prefix(group.trie_idx);
+      const std::size_t prefix_len = term.size();
+      auto insert = [&](std::string_view suffix, std::optional<std::uint32_t> position) {
+        term.resize(prefix_len);
+        term.append(suffix);
+        auto& list = terms[term];
+        if (list.empty() || list.back().doc != doc_id) list.push_back({doc_id, 0, {}});
+        ++list.back().tf;
+        if (position.has_value()) list.back().positions.push_back(*position);
+      };
+      if (!group.positions.empty()) {
+        for_each_posting_positional(
+            group, [&](std::uint32_t, std::string_view suffix, std::uint32_t position) {
+              insert(suffix, position);
+            });
+      } else {
+        for_each_posting(group,
+                         [&](std::uint32_t, std::string_view suffix) { insert(suffix, {}); });
+      }
+    }
+  }
+
+  void write_segment(const std::string& path, bool positional) const {
+    SegmentWriter writer(path, PostingCodec::kVByte);
+    std::vector<std::uint32_t> docs, tfs, positions;
+    std::vector<PostingBlockEntry> rows;
+    for (const auto& [term, list] : terms) {
+      docs.clear();
+      tfs.clear();
+      positions.clear();
+      rows.clear();
+      for (const auto& p : list) {
+        docs.push_back(p.doc);
+        tfs.push_back(p.tf);
+        positions.insert(positions.end(), p.positions.begin(), p.positions.end());
+      }
+      const auto blob = encode_postings_blocked(PostingCodec::kVByte, docs, tfs,
+                                                positional ? &positions : nullptr, &rows);
+      writer.add_term(term, blob, rows, docs);
+    }
+    ASSERT_TRUE(writer.finalize().has_value());
+  }
+};
+
+std::vector<std::uint8_t> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// Documents at the add path's edges, appended to every corpus below.
+std::vector<Document> edge_documents() {
+  std::vector<Document> docs;
+  docs.push_back({0, "edge://empty", ""});
+  docs.push_back({0, "edge://stopwords", "The and OF to a in IS it, was: for on!"});
+  // One term 70,000 times: more occurrences than the parser's 0xFFFF
+  // per-record term count, so parse() splits the record in two.
+  std::string repeated;
+  for (int i = 0; i < 70000; ++i) repeated += "zebras ";
+  docs.push_back({0, "edge://repeated", repeated});
+  // Tokens past kMaxTokenBytes are truncated before stemming.
+  docs.push_back({0, "edge://long", "lead " + std::string(293, 'x') + "ational tail " +
+                                        std::string(300, '7') + " mixed" +
+                                        std::string(294, 'Q') + " end"});
+  docs.push_back({0, "edge://bytes",
+                  "caf\xc3\xa9 na\xc3\xafve \xff\xfe\x80 \xe4\xb8\xad\xe6\x96\x87 "
+                  "r\xc3\xa9sum\xc3\xa9s running \x01\x02 plain"});
+  return docs;
+}
+
+TEST(LiveAddPath, MemtableMatchesBatchParserByteForByte) {
+  struct Case {
+    const char* name;
+    CollectionSpec spec;
+    ParserConfig parser;
+  };
+  ParserConfig positional;
+  positional.record_positions = true;
+  ParserConfig raw;  // no HTML strip, stemming or stop list
+  raw.strip_html = false;
+  raw.stem = false;
+  raw.remove_stopwords = false;
+  const std::vector<Case> cases = {
+      {"wikipedia_positional", wikipedia_like(), positional},
+      {"wikipedia", wikipedia_like(), ParserConfig{}},
+      {"clueweb_positional", clueweb_like(), positional},
+      {"clueweb", clueweb_like(), ParserConfig{}},
+      {"clueweb_raw", clueweb_like(), raw},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    TempDir corpus_dir("addpath_corpus");
+    TempDir live_dir("addpath_live");
+    CollectionSpec spec = c.spec;
+    spec.total_bytes = 128 << 10;
+    spec.seed = 0xADD;
+    const auto coll = generate_collection(spec, corpus_dir.path());
+    std::vector<Document> docs;
+    for (const auto& file : coll.paths()) {
+      for (auto& doc : container_read(file)) docs.push_back(std::move(doc));
+    }
+    ASSERT_GT(docs.size(), 16u);
+    for (auto& doc : edge_documents()) docs.push_back(std::move(doc));
+
+    IndexWriterOptions opts;
+    opts.flush_threshold_bytes = 0;
+    opts.background_compaction = false;
+    opts.parser = c.parser;
+    auto w = IndexWriter::open(live_dir.path(), opts).value();
+    const Parser parser(c.parser);
+    OracleIndex oracle;
+    for (const auto& doc : docs) {
+      const std::uint32_t id = w.add_document(doc.url, doc.body);
+      oracle.add(parser, doc, id);
+    }
+
+    // Per-document token counts and token_sum, read from the memtable.
+    const auto snap = w.snapshot();
+    EXPECT_EQ(snap->token_stats().token_sum, oracle.token_sum);
+    for (std::uint32_t id = 0; id < docs.size(); ++id) {
+      const auto loc = snap->locate(id);
+      ASSERT_TRUE(loc.has_value());
+      ASSERT_EQ(loc->token_count, oracle.doc_tokens[id]) << docs[id].url;
+    }
+    EXPECT_EQ(oracle.doc_tokens[docs.size() - 5], 0u);  // empty body
+    if (c.parser.remove_stopwords) {
+      EXPECT_EQ(oracle.doc_tokens[docs.size() - 4], 0u);  // only stop words
+    }
+    EXPECT_EQ(oracle.terms.count("zebra"), c.parser.stem ? 1u : 0u);
+
+    ASSERT_EQ(w.flush().value(), 1u);
+    const std::string oracle_path = live_dir.path() + "/oracle.seg";
+    oracle.write_segment(oracle_path, c.parser.record_positions);
+    const auto live_bytes = file_bytes(live_segment_path(live_dir.path(), 1));
+    ASSERT_FALSE(live_bytes.empty());
+    EXPECT_TRUE(live_bytes == file_bytes(oracle_path))
+        << "live segment differs from the batch parser's term stream";
+  }
 }
 
 // -------------------------------------------------- writer lifecycle
