@@ -134,7 +134,7 @@ int main() {
   // A fixed probe set for snapshot query latency: every 97th term.
   std::vector<std::string> probes;
   {
-    const auto batch = InvertedIndex::open(batch_dir, {IndexBackend::kSegment}).value();
+    const auto batch = InvertedIndex::open(batch_dir, {}).value();
     std::size_t i = 0;
     batch.for_each_term([&](std::string_view term) {
       if (i++ % 97 == 0) probes.emplace_back(term);

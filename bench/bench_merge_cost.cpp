@@ -5,10 +5,12 @@
 /// ClueWeb-like collection with the merge pass enabled and reports the
 /// merge cost relative to the build, plus the resulting file inventory.
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
 #include "bench_common.hpp"
+#include "dict/dictionary.hpp"
 #include "pipeline/engine.hpp"
 #include "postings/query.hpp"
 #include "postings/run_file.hpp"
@@ -51,14 +53,18 @@ int main() {
               report.total_seconds, report.merge_seconds, merge_fraction * 100.0);
 
   // The merged file must answer queries identically to run concatenation.
-  const auto index = InvertedIndex::open(pc.output_dir, {}).value();
+  std::vector<RunFile> runs;
+  for (const auto& e : index_directory_read(IndexLayout::directory_path(pc.output_dir))) {
+    runs.push_back(RunFile::open(pc.output_dir + "/" + e.file));
+  }
+  std::sort(runs.begin(), runs.end(),
+            [](const RunFile& a, const RunFile& b) { return a.run_id() < b.run_id(); });
   const auto merged = RunFile::open(IndexLayout::merged_path(pc.output_dir));
   std::size_t checked = 0, agree = 0;
-  for (const auto& e : index.entries()) {
-    const auto full = index.lookup(e.term);
-    std::vector<std::uint32_t> ids, tfs;
-    if (merged.fetch({e.shard, e.handle}, ids, tfs) && ids == full->doc_ids &&
-        tfs == full->tfs) {
+  for (const auto& e : dictionary_read(IndexLayout::dictionary_path(pc.output_dir))) {
+    std::vector<std::uint32_t> full_ids, full_tfs, ids, tfs;
+    for (const auto& run : runs) run.fetch({e.shard, e.handle}, full_ids, full_tfs);
+    if (merged.fetch({e.shard, e.handle}, ids, tfs) && ids == full_ids && tfs == full_tfs) {
       ++agree;
     }
     if (++checked >= 2000) break;

@@ -6,7 +6,8 @@
 ///   hetindex_cli <verb> --help        per-verb usage
 ///
 ///   generate  synthesize a corpus          (--preset, --mb)
-///   build     batch-build an index         (--parsers, --cpus, --gpus, ...)
+///   build     batch-build an index         (--parsers, --cpus, --gpus, ...;
+///             writes the run files and the serving segment index.seg)
 ///   compact   fold run files into index.seg, or run the live merge policy
 ///   live      incremental-ingestion demo   (--flush-mb, --merge-factor, ...)
 ///   cluster   ingest into a sharded serving cluster (--shards, --strategy, ...)
@@ -23,9 +24,10 @@
 /// query/search/serve dispatch on the directory flavor automatically: a
 /// CLUSTER meta file opens the sharded scatter-gather router
 /// (docs/CLUSTER.md), a MANIFEST opens the live snapshot, anything else the
-/// batch index (preferring the compacted segment when one exists) — all
-/// behind the same SearchBackend. Open and configuration problems are
-/// reported as structured errors (util/error.hpp), never aborts.
+/// batch index's index.seg (a directory holding only run files is refused
+/// with a pointer to `compact`) — all behind the same SearchBackend. Open
+/// and configuration problems are reported as structured errors
+/// (util/error.hpp), never aborts.
 
 #include <algorithm>
 #include <chrono>
@@ -201,7 +203,6 @@ int cmd_build(int argc, char** argv) {
                   {"gpus", true, "simulated GPUs (default 2)"},
                   {"positions", false, "record in-document token positions"},
                   {"merge", false, "also merge run files into merged.post"},
-                  {"segment", false, "also emit the serving segment index.seg"},
                   {"progress", false, "live per-run progress on stderr"},
                   {"metrics", false, "dump Prometheus metrics after the build"},
                   {"report-json", true, "write the build report as JSON"}});
@@ -213,10 +214,10 @@ int cmd_build(int argc, char** argv) {
   IndexBuilder builder;
   builder.parsers(static_cast<std::size_t>(args.num("parsers", 2)))
       .cpu_indexers(static_cast<std::size_t>(args.num("cpus", 2)))
-      .gpus(static_cast<std::size_t>(args.num("gpus", 2)));
+      .gpus(static_cast<std::size_t>(args.num("gpus", 2)))
+      .emit_segment(true);  // every serving verb reads index.seg
   if (args.has("positions")) builder.config().parser.record_positions = true;
   if (args.has("merge")) builder.merge_output(true);
-  if (args.has("segment")) builder.emit_segment(true);
   if (args.has("progress")) {
     builder.progress([](const PipelineProgress& p) {
       std::fprintf(stderr, "\rrun %llu/%llu  %llu docs  %.1f MB/s",
@@ -255,10 +256,8 @@ int cmd_build(int argc, char** argv) {
               report.total_seconds, report.throughput_mb_s(),
               static_cast<unsigned long long>(report.cpu_total().tokens),
               static_cast<unsigned long long>(report.gpu_total().tokens));
-  if (report.segment_bytes > 0) {
-    std::printf("segment: %s written in %.2f s\n",
-                format_bytes(report.segment_bytes).c_str(), report.segment_seconds);
-  }
+  std::printf("segment: %s written in %.2f s\n", format_bytes(report.segment_bytes).c_str(),
+              report.segment_seconds);
   const std::string report_json_path = args.str("report-json");
   if (!report_json_path.empty()) {
     std::ofstream out(report_json_path, std::ios::binary);
@@ -819,16 +818,10 @@ int cmd_stats(int argc, char** argv) {
   auto opened = InvertedIndex::open(dir, {});
   if (!opened.has_value()) return report_error(opened.error());
   const auto& index = opened.value();
-  if (index.segment_backed()) {
-    const auto* seg = index.segment();
-    std::printf("segment: %s (%s, %s mapped), %llu terms\n", seg->path().c_str(),
-                format_bytes(seg->file_bytes()).c_str(),
-                format_bytes(seg->mapped_bytes()).c_str(),
-                static_cast<unsigned long long>(seg->term_count()));
-  } else {
-    std::printf("terms: %llu, runs: %zu\n",
-                static_cast<unsigned long long>(index.term_count()), index.run_count());
-  }
+  const auto* seg = index.segment();
+  std::printf("segment: %s (%s, %s mapped), %llu terms\n", seg->path().c_str(),
+              format_bytes(seg->file_bytes()).c_str(), format_bytes(seg->mapped_bytes()).c_str(),
+              static_cast<unsigned long long>(seg->term_count()));
   // Top-10 longest postings lists.
   std::vector<std::pair<std::size_t, std::string>> top;
   index.for_each_term([&](std::string_view term) {

@@ -5,6 +5,7 @@
 ///
 ///   ./quickstart [work_dir]
 
+#include <algorithm>
 #include <cstdio>
 
 #include "core/hetindex.hpp"
@@ -22,9 +23,10 @@ int main(int argc, char** argv) {
               collection.files.size());
 
   // 2. Build the inverted files. Defaults follow the paper's best single-
-  //    node configuration; tune parsers/indexers to your machine.
+  //    node configuration; tune parsers/indexers to your machine. The
+  //    per-run files are then folded into index.seg, the file queries read.
   hetindex::IndexBuilder builder;
-  builder.parsers(2).cpu_indexers(2).gpus(2);
+  builder.parsers(2).cpu_indexers(2).gpus(2).emit_segment(true);
   const auto report = builder.build(collection.paths(), work_dir + "/index");
   std::printf("indexed %llu tokens into %llu terms in %.2f s (%.1f MB/s)\n",
               static_cast<unsigned long long>(report.tokens),
@@ -47,10 +49,11 @@ int main(int argc, char** argv) {
   //    to show that those were removed at parse time.
   const auto index = hetindex::InvertedIndex::open(work_dir + "/index", {}).value();
   std::vector<std::string> queries;
-  for (std::size_t i = 0; i < index.entries().size() && queries.size() < 3;
-       i += index.entries().size() / 3) {
-    queries.push_back(index.entries()[i].term);
-  }
+  const std::uint64_t step = std::max<std::uint64_t>(1, index.term_count() / 3);
+  std::uint64_t i = 0;
+  index.for_each_term([&](std::string_view term) {
+    if (queries.size() < 3 && i++ % step == 0) queries.emplace_back(term);
+  });
   queries.emplace_back("the");  // stop word → never indexed
   for (const auto& raw : queries) {
     const auto term = hetindex::normalize_term(raw);

@@ -5,12 +5,14 @@
 ///   - ingesting raw HTML documents into container files,
 ///   - sizing the worker split (sampling report),
 ///   - building with the heterogeneous pipeline,
-///   - the per-run output layout and doc-ID-range narrowed queries
-///     (§III.F: fetch only the runs that overlap a crawl window),
-///   - merging partial postings into a monolithic file.
+///   - the per-run output layout and doc-ID-range narrowing (§III.F: only
+///     the runs that overlap a crawl window hold its postings),
+///   - merging partial postings into a monolithic file, and folding them
+///     into the single-file serving segment that queries read.
 ///
 ///   ./web_archive_indexing [work_dir]
 
+#include <algorithm>
 #include <cstdio>
 
 #include "core/hetindex.hpp"
@@ -50,7 +52,7 @@ int main(int argc, char** argv) {
 
   // ---- Build.
   IndexBuilder builder;
-  builder.parsers(2).cpu_indexers(2).gpus(2).merge_output(true);
+  builder.parsers(2).cpu_indexers(2).gpus(2).merge_output(true).emit_segment(true);
   const auto report = builder.build(crawl.paths(), work_dir + "/index");
   std::printf("build: %llu docs, %llu terms, %zu runs, merge pass %.3f s\n",
               static_cast<unsigned long long>(report.documents),
@@ -60,17 +62,22 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(report.cpu_total().tokens),
               static_cast<unsigned long long>(report.gpu_total().tokens));
 
-  // ---- Query with doc-ID-range narrowing: a crawl window corresponds to
-  // a doc-id range; only overlapping run files are decoded.
+  // ---- Query a crawl window: it corresponds to a doc-id range, and the
+  // run directory's per-run doc ranges say which runs hold its postings.
   const auto index = InvertedIndex::open(work_dir + "/index", {}).value();
   const auto term = normalize_term("contact");
   const std::uint32_t window_lo = 0;
   const std::uint32_t window_hi = report.documents / 4;
-  std::size_t runs_touched = 0;
-  const auto hits = index.lookup_range(term, window_lo, window_hi, &runs_touched);
+  const auto hits = index.lookup_range(term, window_lo, window_hi);
+  const auto runs = index_directory_read(IndexLayout::directory_path(work_dir + "/index"));
+  // The window starts at doc 0, so a run overlaps it when it starts inside.
+  const auto runs_touched = static_cast<std::size_t>(
+      std::count_if(runs.begin(), runs.end(), [&](const IndexDirectoryEntry& run) {
+        return hits.has_value() && run.min_doc <= window_hi;
+      }));
   std::printf("range query '%s' over docs [%u, %u]: %zu hits, touched %zu of %zu runs\n",
               term.c_str(), window_lo, window_hi, hits ? hits->doc_ids.size() : 0,
-              runs_touched, index.run_count());
+              runs_touched, runs.size());
 
   const auto full = index.lookup(term);
   std::printf("full query '%s': %zu hits across the whole crawl\n", term.c_str(),

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 verification: the plain Release build + full test suite (plus the
-# hetbench benchmark tree and its harness self-test), then two
-# sanitizer legs over the concurrency- and memory-critical tests:
+# Tier-1 verification: the plain Release build + full test suite, the
+# quickstart and web_archive_indexing examples run end to end (work dirs
+# under build/, so an example that can no longer open the index it built
+# fails here), the hetbench benchmark tree and its harness self-test, then
+# two sanitizer legs over the concurrency- and memory-critical tests:
 #   - ThreadSanitizer on the threaded pipeline/observability/segment/live/
 #     search/cluster tests (metric emission from parser threads, shared
 #     SegmentReader lookups, snapshot readers racing live flushes,
@@ -68,6 +70,9 @@ leg_begin
 cmake -B build -S .
 cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
+rm -rf build/example-runs
+./build/examples/quickstart build/example-runs/quickstart
+./build/examples/web_archive_indexing build/example-runs/web_archive
 # The benchmark compiles against the public request/response types, so it
 # is built (and its harness self-test run) here too: an API change that
 # breaks hetbench fails tier-1 instead of the next benchmark run.

@@ -15,9 +15,10 @@
 ///   Observe      obs::MetricsRegistry / MetricsSnapshot / StageSpan — live
 ///                queue depths, stall times and per-stage rates
 ///                (docs/OBSERVABILITY.md); PipelineReport::to_json()
-///   Query        InvertedIndex (run-file or mmapped-segment backed),
-///                boolean/phrase ops, BM25 ranking, DocMap, index
-///                verification, the run-file merger, segment compaction
+///   Query        InvertedIndex (serves the mmapped `index.seg`), BM25
+///                ranking, DocMap, index verification, the run-file
+///                merger, segment compaction (compact_index folds a
+///                directory of run files into its `index.seg`)
 ///   Serve        SearchBackend (the serving interface: QueryRequest in,
 ///                Expected<QueryResponse> out) with its implementations —
 ///                Searcher (single-node query facade, opened via
@@ -45,6 +46,7 @@
 ///
 /// Quick start:
 ///   hetindex::IndexBuilder builder;                 // paper defaults
+///   builder.emit_segment(true);                     // + serving index.seg
 ///   auto report = builder.build(files, "out_dir");  // construct index
 ///   auto index = hetindex::InvertedIndex::open("out_dir", {}).value();
 ///   hetindex::DocMap docs =
@@ -78,7 +80,6 @@
 #include "live/writer.hpp"
 
 // Query.
-#include "postings/boolean_ops.hpp"
 #include "postings/doc_map.hpp"
 #include "postings/merger.hpp"
 #include "postings/query.hpp"
@@ -152,8 +153,9 @@ class IndexBuilder {
     config_.merge_after_build = merge;
     return *this;
   }
-  /// Also emit the single-file serving segment (see postings/segment.hpp);
-  /// InvertedIndex::open() then serves from it via mmap.
+  /// Also emit the single-file serving segment (see postings/segment.hpp)
+  /// that InvertedIndex::open() serves via mmap. Without it the directory
+  /// holds only run files until compact_index() folds them.
   IndexBuilder& emit_segment(bool emit) {
     config_.emit_segment = emit;
     return *this;

@@ -51,8 +51,8 @@ struct PipelineConfig {
   /// Run the <10% post-pass that merges partial postings lists (§III.F).
   bool merge_after_build = false;
   /// Also fold the run files into a single-file serving segment
-  /// (`index.seg`, postings/segment.hpp) at finalize; InvertedIndex::open
-  /// then serves from the segment.
+  /// (`index.seg`, postings/segment.hpp) at finalize — what
+  /// InvertedIndex::open serves.
   bool emit_segment = false;
   /// Parsed-block buffers per parser before back-pressure stalls it.
   std::size_t buffers_per_parser = 2;

@@ -111,8 +111,8 @@ std::unique_ptr<PostingsCursor> make_segment_cursor(
     const std::uint8_t* blob, std::size_t blob_bytes, const PostingBlockEntry* entries,
     std::size_t entry_count, std::shared_ptr<const void> pin);
 
-/// Cursor over an already-decoded list (runs backend, positional memtable
-/// parts, router-fetched lists). Blocks are synthesized every
+/// Cursor over an already-decoded list (positional memtable parts,
+/// router-fetched lists). Blocks are synthesized every
 /// kPostingsBlockSize docs; block maxima are computed on first use.
 std::unique_ptr<PostingsCursor> make_decoded_cursor(
     std::shared_ptr<const QueryPostings> postings);
@@ -143,8 +143,8 @@ std::unique_ptr<PostingsCursor> make_memtable_cursor(
     std::shared_ptr<const void> pin);
 
 /// Decodes whatever the cursor has not consumed yet into a flat list —
-/// the bridge from cursor-only backends to the decoded-list operators in
-/// boolean_ops.hpp. Call on a fresh cursor to materialize the whole list.
+/// the bridge from cursor-only backends to decoded-list code. Call on a
+/// fresh cursor to materialize the whole list.
 QueryPostings materialize_cursor(PostingsCursor& cursor);
 
 }  // namespace hetindex

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "live/tombstones.hpp"
-#include "postings/boolean_ops.hpp"
 #include "util/timer.hpp"
 
 namespace hetindex {
@@ -329,6 +328,35 @@ class Compiler {
 };
 
 }  // namespace
+
+std::uint32_t phrase_match_count(const DocTermPositions& term_positions) {
+  if (term_positions.empty()) return 0;
+  std::uint32_t matches = 0;
+  for (const std::uint32_t p : term_positions[0]) {
+    bool all = true;
+    for (std::size_t t = 1; t < term_positions.size() && all; ++t) {
+      all = std::binary_search(term_positions[t].begin(), term_positions[t].end(),
+                               p + static_cast<std::uint32_t>(t));
+    }
+    if (all) ++matches;
+  }
+  return matches;
+}
+
+std::uint32_t near_match_count(const DocTermPositions& term_positions, std::uint32_t window) {
+  if (term_positions.empty()) return 0;
+  std::uint32_t matches = 0;
+  for (const std::uint32_t p : term_positions[0]) {
+    const std::uint32_t lo = p >= window ? p - window : 0;
+    bool all = true;
+    for (std::size_t t = 1; t < term_positions.size() && all; ++t) {
+      const auto q = std::lower_bound(term_positions[t].begin(), term_positions[t].end(), lo);
+      all = q != term_positions[t].end() && *q <= p + window;  // nearest candidate >= lo
+    }
+    if (all) ++matches;
+  }
+  return matches;
+}
 
 Expected<ExecResult> execute_query(
     const QueryNode& root, const LeafSource& leaves, std::size_t k,

@@ -74,6 +74,21 @@ struct ExecResult {
   double score_seconds = 0;   ///< drain, positional checks, ranking
 };
 
+/// Per-term positions of one document, in query order: entry t holds the
+/// ascending in-doc positions of term t (as current_positions() yields
+/// them). The currency of the PHRASE/NEAR verifiers below.
+using DocTermPositions = std::vector<std::vector<std::uint32_t>>;
+
+/// Number of phrase starts in one document: positions p of term 0 such
+/// that term t occurs at p + t for every t. The tf of a phrase match.
+[[nodiscard]] std::uint32_t phrase_match_count(const DocTermPositions& term_positions);
+
+/// Number of proximity anchors in one document: positions p of term 0
+/// (the anchor term) such that every other term has an occurrence within
+/// distance `window` of p, in either direction. The tf of a NEAR match.
+[[nodiscard]] std::uint32_t near_match_count(const DocTermPositions& term_positions,
+                                             std::uint32_t window);
+
 /// Runs a boolean/positional tree. `excluded` (optional) drops tombstoned
 /// docs. Errors: kInvalidArgument when a PHRASE/NEAR candidate's leaves
 /// carry no positions (a non-positional index).

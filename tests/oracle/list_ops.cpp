@@ -1,8 +1,10 @@
-#include "postings/boolean_ops.hpp"
+#include "oracle/list_ops.hpp"
 
 #include <algorithm>
 
-namespace hetindex {
+#include "search/executor.hpp"
+
+namespace hetindex::oracle {
 
 QueryPostings postings_and(const QueryPostings& a, const QueryPostings& b) {
   QueryPostings out;
@@ -87,65 +89,23 @@ QueryPostings postings_and_galloping(const QueryPostings& a, const QueryPostings
 
 namespace {
 
-/// Positions of a term inside one document: the slice of the flattened
-/// position stream owned by one posting.
-struct PosSlice {
-  const std::uint32_t* begin = nullptr;
-  const std::uint32_t* end = nullptr;
-};
-
-/// Builds a doc → slice resolver over a positional QueryPostings.
-std::vector<std::size_t> position_offsets(const QueryPostings& p) {
-  std::vector<std::size_t> offsets(p.doc_ids.size() + 1, 0);
-  for (std::size_t i = 0; i < p.tfs.size(); ++i) offsets[i + 1] = offsets[i] + p.tfs[i];
-  return offsets;
-}
-
-/// Count phrase starts over one doc's per-term position slices: positions
-/// p of term 0 with term t at p + t for every t.
-std::uint32_t phrase_count_slices(const std::vector<PosSlice>& tp) {
-  std::uint32_t matches = 0;
-  for (const auto* it = tp[0].begin; it != tp[0].end; ++it) {
-    const std::uint32_t p = *it;
-    bool all = true;
-    for (std::size_t t = 1; t < tp.size() && all; ++t) {
-      all = std::binary_search(tp[t].begin, tp[t].end, p + static_cast<std::uint32_t>(t));
-    }
-    if (all) ++matches;
-  }
-  return matches;
-}
-
-/// Count proximity anchors: positions p of term 0 with every other term
-/// within `window` of p in either direction.
-std::uint32_t near_count_slices(const std::vector<PosSlice>& tp, std::uint32_t window) {
-  std::uint32_t matches = 0;
-  for (const auto* it = tp[0].begin; it != tp[0].end; ++it) {
-    const std::uint32_t p = *it;
-    const std::uint32_t lo = p >= window ? p - window : 0;
-    bool all = true;
-    for (std::size_t t = 1; t < tp.size() && all; ++t) {
-      const auto* q = std::lower_bound(tp[t].begin, tp[t].end, lo);
-      all = q != tp[t].end && *q <= p + window;  // nearest candidate ≥ lo
-    }
-    if (all) ++matches;
-  }
-  return matches;
-}
-
 /// Walks documents present in every list; for each aligned doc, calls
-/// `count` on the per-term position slices and keeps docs with count > 0.
+/// `count` on the per-term positions and keeps docs with count > 0.
 template <typename CountFn>
 QueryPostings positional_join(const std::vector<const QueryPostings*>& lists,
                               CountFn&& count) {
   QueryPostings out;
   if (lists.empty()) return out;
+  // offsets[t][i]: where posting i of list t starts in its position stream.
   std::vector<std::vector<std::size_t>> offsets;
   offsets.reserve(lists.size());
-  for (const auto* list : lists) offsets.push_back(position_offsets(*list));
+  for (const auto* list : lists) {
+    std::vector<std::size_t>& o = offsets.emplace_back(list->doc_ids.size() + 1, 0);
+    for (std::size_t i = 0; i < list->tfs.size(); ++i) o[i + 1] = o[i] + list->tfs[i];
+  }
 
   std::vector<std::size_t> cursor(lists.size(), 0);
-  std::vector<PosSlice> slices(lists.size());
+  DocTermPositions positions(lists.size());
   while (true) {
     // Align all cursors on the same doc id: advance everyone to the max of
     // the current heads until they agree (or some list ends).
@@ -176,11 +136,11 @@ QueryPostings positional_join(const std::vector<const QueryPostings*>& lists,
     if (done) break;
 
     for (std::size_t t = 0; t < lists.size(); ++t) {
-      const auto& lt = *lists[t];
-      slices[t] = {lt.positions.data() + offsets[t][cursor[t]],
-                   lt.positions.data() + offsets[t][cursor[t] + 1]};
+      const auto& pos = lists[t]->positions;
+      positions[t].assign(pos.begin() + static_cast<std::ptrdiff_t>(offsets[t][cursor[t]]),
+                          pos.begin() + static_cast<std::ptrdiff_t>(offsets[t][cursor[t] + 1]));
     }
-    const std::uint32_t matches = count(slices);
+    const std::uint32_t matches = count(positions);
     if (matches > 0) {
       out.doc_ids.push_back(doc);
       out.tfs.push_back(matches);
@@ -190,38 +150,16 @@ QueryPostings positional_join(const std::vector<const QueryPostings*>& lists,
   return out;
 }
 
-std::vector<PosSlice> to_slices(const DocTermPositions& term_positions) {
-  std::vector<PosSlice> slices(term_positions.size());
-  for (std::size_t t = 0; t < term_positions.size(); ++t) {
-    slices[t] = {term_positions[t].data(),
-                 term_positions[t].data() + term_positions[t].size()};
-  }
-  return slices;
-}
-
 }  // namespace
 
-std::uint32_t phrase_match_count(const DocTermPositions& term_positions) {
-  if (term_positions.empty()) return 0;
-  return phrase_count_slices(to_slices(term_positions));
-}
-
-std::uint32_t near_match_count(const DocTermPositions& term_positions,
-                               std::uint32_t window) {
-  if (term_positions.empty()) return 0;
-  return near_count_slices(to_slices(term_positions), window);
-}
-
 QueryPostings phrase_join(const std::vector<const QueryPostings*>& lists) {
-  return positional_join(lists,
-                         [](const std::vector<PosSlice>& tp) { return phrase_count_slices(tp); });
+  return positional_join(lists, [](const DocTermPositions& p) { return phrase_match_count(p); });
 }
 
 QueryPostings near_join(const std::vector<const QueryPostings*>& lists,
                         std::uint32_t window) {
-  return positional_join(lists, [window](const std::vector<PosSlice>& tp) {
-    return near_count_slices(tp, window);
-  });
+  return positional_join(
+      lists, [window](const DocTermPositions& p) { return near_match_count(p, window); });
 }
 
 std::optional<QueryPostings> phrase_query(const InvertedIndex& index,
@@ -245,4 +183,4 @@ std::optional<QueryPostings> phrase_query(const InvertedIndex& index,
   return phrase_join(refs);
 }
 
-}  // namespace hetindex
+}  // namespace hetindex::oracle

@@ -121,7 +121,7 @@ TEST(LiveEquivalence, RandomFlushPointsMatchBatchBuild) {
   builder.emit_segment(true);
   builder.build(corpus.files, batch_dir.path());
   const auto batch =
-      InvertedIndex::open(batch_dir.path(), {IndexBackend::kSegment}).value();
+      InvertedIndex::open(batch_dir.path(), {}).value();
 
   // Random flush points; seeded so failures reproduce.
   std::mt19937 rng(42);
@@ -162,7 +162,7 @@ TEST(LiveEquivalence, PositionalPostingsSurviveFlushAndMerge) {
   builder.config().parser.record_positions = true;
   builder.build(corpus.files, batch_dir.path());
   const auto batch =
-      InvertedIndex::open(batch_dir.path(), {IndexBackend::kSegment}).value();
+      InvertedIndex::open(batch_dir.path(), {}).value();
 
   IndexWriterOptions opts;
   opts.flush_threshold_bytes = 0;

@@ -1,5 +1,7 @@
 // End-to-end pipeline tests: build an index with the full Fig. 9 pipeline,
-// query it, and check it against a brute-force reference index. Also
+// read its run files back through the test-side run-file reader
+// (oracle/run_index.hpp), and check them against a brute-force reference
+// index. Also
 // verifies the CPU+GPU configuration is bit-identical to CPU-only.
 
 #include <gtest/gtest.h>
@@ -11,6 +13,7 @@
 #include "core/hetindex.hpp"
 #include "corpus/container.hpp"
 #include "corpus/synthetic.hpp"
+#include "oracle/run_index.hpp"
 #include "parse/parser.hpp"
 #include "pipeline/reorder_buffer.hpp"
 #include "postings/merger.hpp"
@@ -92,7 +95,7 @@ TEST_F(PipelineFixture, BuildsQueryableIndexMatchingReference) {
   const auto ref = reference_index(collection_->paths());
   EXPECT_EQ(report.terms, ref.size());
 
-  const auto index = InvertedIndex::open(out.path(), {}).value();
+  const auto index = oracle::RunIndex::open(out.path());
   EXPECT_EQ(index.term_count(), ref.size());
   // Every reference term must be retrievable with exactly the reference
   // postings.
@@ -118,8 +121,8 @@ TEST_F(PipelineFixture, GpuAndCpuOnlyBuildsProduceIdenticalIndexes) {
   cpu_builder.build(collection_->paths(), out_cpu.path());
   gpu_builder.build(collection_->paths(), out_gpu.path());
 
-  const auto a = InvertedIndex::open(out_cpu.path(), {}).value();
-  const auto b = InvertedIndex::open(out_gpu.path(), {}).value();
+  const auto a = oracle::RunIndex::open(out_cpu.path());
+  const auto b = oracle::RunIndex::open(out_gpu.path());
   ASSERT_EQ(a.term_count(), b.term_count());
   for (std::size_t i = 0; i < a.entries().size(); ++i) {
     ASSERT_EQ(a.entries()[i].term, b.entries()[i].term);
@@ -166,7 +169,7 @@ TEST_F(PipelineFixture, MergedOutputMatchesPerRunOutput) {
   const auto report = builder.build(collection_->paths(), out.path());
   EXPECT_GT(report.merge_seconds, 0.0);
 
-  const auto index = InvertedIndex::open(out.path(), {}).value();
+  const auto index = oracle::RunIndex::open(out.path());
   const auto merged = RunFile::open(IndexLayout::merged_path(out.path()));
   std::size_t checked = 0;
   for (const auto& e : index.entries()) {
@@ -197,7 +200,7 @@ TEST_F(PipelineFixture, ManyParsersDoNotBreakOrdering) {
   EXPECT_EQ(report.documents, collection_->total_docs());
   // Postings sortedness is validated inside run-file writing (checks), and
   // queries must see monotone doc ids.
-  const auto index = InvertedIndex::open(out.path(), {}).value();
+  const auto index = oracle::RunIndex::open(out.path());
   std::size_t checked = 0;
   for (const auto& e : index.entries()) {
     const auto got = index.lookup(e.term);

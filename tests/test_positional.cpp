@@ -11,8 +11,8 @@
 #include "core/hetindex.hpp"
 #include "corpus/container.hpp"
 #include "index/indexer.hpp"
+#include "oracle/list_ops.hpp"
 #include "parse/parser.hpp"
-#include "postings/boolean_ops.hpp"
 #include "postings/merger.hpp"
 #include "postings/run_file.hpp"
 #include "util/rng.hpp"
@@ -107,7 +107,7 @@ class PositionalIndexFixture : public ::testing::Test {
     const auto corpus = dir_ + "/c.hdc";
     container_write(corpus, docs);
     IndexBuilder builder;
-    builder.parsers(1).cpu_indexers(1).gpus(1);
+    builder.parsers(1).cpu_indexers(1).gpus(1).emit_segment(true);
     builder.config().parser.record_positions = true;
     builder.build({corpus}, dir_ + "/index");
   }
@@ -131,7 +131,7 @@ TEST_F(PositionalIndexFixture, PhraseQueryRequiresAdjacency) {
   const auto index = InvertedIndex::open(dir_ + "/index", {}).value();
   const std::vector<std::string> phrase = {normalize_term("inverted"),
                                            normalize_term("file")};
-  const auto hits = phrase_query(index, phrase);
+  const auto hits = oracle::phrase_query(index, phrase);
   ASSERT_TRUE(hits.has_value());
   // Docs 0, 1, 4 contain "inverted file" adjacently; doc 2 has the words
   // reversed; doc 3 has them adjacent too ("the inverted file wins" →
@@ -144,21 +144,21 @@ TEST_F(PositionalIndexFixture, ThreeTermPhrase) {
   const std::vector<std::string> phrase = {normalize_term("inverted"),
                                            normalize_term("file"),
                                            normalize_term("construction")};
-  const auto hits = phrase_query(index, phrase);
+  const auto hits = oracle::phrase_query(index, phrase);
   ASSERT_TRUE(hits.has_value());
   EXPECT_EQ(hits->doc_ids, (std::vector<std::uint32_t>{0, 1}));
 }
 
 TEST_F(PositionalIndexFixture, PhraseQueryMissingTerm) {
   const auto index = InvertedIndex::open(dir_ + "/index", {}).value();
-  EXPECT_FALSE(phrase_query(index, {"nonexistentterm"}).has_value());
+  EXPECT_FALSE(oracle::phrase_query(index, {"nonexistentterm"}).has_value());
 }
 
 TEST_F(PositionalIndexFixture, RepeatedTermCountsPhraseOccurrences) {
   const auto index = InvertedIndex::open(dir_ + "/index", {}).value();
   // Doc 4: "inverted inverted file file" — "inverted file" matches once
   // (position 1 → 2).
-  const auto hits = phrase_query(
+  const auto hits = oracle::phrase_query(
       index, {normalize_term("inverted"), normalize_term("file")});
   ASSERT_TRUE(hits.has_value());
   const auto it = std::find(hits->doc_ids.begin(), hits->doc_ids.end(), 4u);

@@ -1,5 +1,5 @@
-// Tests for postings accumulation, run files, merging and the query path
-// (§III.F output organization).
+// Tests for postings accumulation, run files, merging and the run-file read
+// path with its doc-ID range narrowing (§III.F output organization).
 
 #include <gtest/gtest.h>
 
@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <string>
 
+#include "oracle/run_index.hpp"
 #include "postings/merger.hpp"
 #include "postings/postings_store.hpp"
 #include "postings/query.hpp"
@@ -276,9 +277,9 @@ TEST(IndexDirectory, RoundTrip) {
   EXPECT_EQ(loaded[1].max_doc, 199u);
 }
 
-/// Builds a small two-run index directory by hand to exercise the query
-/// path without the full pipeline.
-class InvertedIndexFixture : public ::testing::Test {
+/// Builds a small two-run index directory by hand to exercise the run-file
+/// read path (the test-side oracle::RunIndex) without the full pipeline.
+class RunIndexFixture : public ::testing::Test {
  protected:
   void SetUp() override {
     Dictionary dict;
@@ -316,8 +317,8 @@ class InvertedIndexFixture : public ::testing::Test {
   TempDir dir_;
 };
 
-TEST_F(InvertedIndexFixture, LookupConcatenatesRuns) {
-  const auto idx = InvertedIndex::open(dir_.path(), {}).value();
+TEST_F(RunIndexFixture, LookupConcatenatesRuns) {
+  const auto idx = oracle::RunIndex::open(dir_.path());
   EXPECT_EQ(idx.term_count(), 2u);
   const auto apple = idx.lookup("apple");
   ASSERT_TRUE(apple.has_value());
@@ -326,8 +327,8 @@ TEST_F(InvertedIndexFixture, LookupConcatenatesRuns) {
   EXPECT_FALSE(idx.lookup("cherry").has_value());
 }
 
-TEST_F(InvertedIndexFixture, RangeLookupSkipsNonOverlappingRuns) {
-  const auto idx = InvertedIndex::open(dir_.path(), {}).value();
+TEST_F(RunIndexFixture, RangeLookupSkipsNonOverlappingRuns) {
+  const auto idx = oracle::RunIndex::open(dir_.path());
   std::size_t touched = 0;
   const auto hits = idx.lookup_range("apple", 0, 10, &touched);
   ASSERT_TRUE(hits.has_value());
@@ -339,8 +340,8 @@ TEST_F(InvertedIndexFixture, RangeLookupSkipsNonOverlappingRuns) {
   EXPECT_EQ(touched, 1u);
 }
 
-TEST_F(InvertedIndexFixture, RangeLookupFiltersWithinRun) {
-  const auto idx = InvertedIndex::open(dir_.path(), {}).value();
+TEST_F(RunIndexFixture, RangeLookupFiltersWithinRun) {
+  const auto idx = oracle::RunIndex::open(dir_.path());
   const auto hits = idx.lookup_range("apple", 5, 7, nullptr);
   ASSERT_TRUE(hits.has_value());
   EXPECT_EQ(hits->doc_ids, (std::vector<std::uint32_t>{7}));

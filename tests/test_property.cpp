@@ -150,7 +150,7 @@ TEST(ConcurrentQueries, ManyReadersShareOneIndex) {
   const auto corpus = dir + "/c.hdc";
   container_write(corpus, docs);
   IndexBuilder builder;
-  builder.parsers(1).cpu_indexers(1).gpus(1);
+  builder.parsers(1).cpu_indexers(1).gpus(1).emit_segment(true);
   builder.build({corpus}, dir + "/index");
 
   const auto index = InvertedIndex::open(dir + "/index", {}).value();

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/hetindex.hpp"
+#include "oracle/list_ops.hpp"
 #include "search/searcher.hpp"
 
 namespace hetindex {
@@ -480,8 +481,10 @@ using PostingsFetch = std::function<std::optional<QueryPostings>(const std::stri
 
 /// The decoded-list reference evaluator: whole lists folded with
 /// postings_and / postings_or, positional groups through phrase_join /
-/// near_join. It shares no code with the cursor-tree executor. Returns raw
-/// doc/tf pairs; tombstones are dropped at ranking.
+/// near_join (oracle/list_ops.hpp). Of the cursor-tree executor it shares
+/// only the per-document phrase/NEAR match counters, which
+/// naive_positional checks on their own. Returns raw doc/tf pairs;
+/// tombstones are dropped at ranking.
 QueryPostings oracle_eval(const QueryNode& node, const PostingsFetch& fetch) {
   switch (node.op) {
     case QueryOp::kTerm: {
@@ -502,13 +505,15 @@ QueryPostings oracle_eval(const QueryNode& node, const PostingsFetch& fetch) {
       }
       std::vector<const QueryPostings*> refs;
       for (const auto& list : lists) refs.push_back(&list);
-      return node.op == QueryOp::kPhrase ? phrase_join(refs) : near_join(refs, node.window);
+      return node.op == QueryOp::kPhrase ? oracle::phrase_join(refs)
+                                         : oracle::near_join(refs, node.window);
     }
     default: {
       QueryPostings acc = oracle_eval(node.children.front(), fetch);
       for (std::size_t i = 1; i < node.children.size(); ++i) {
         const QueryPostings part = oracle_eval(node.children[i], fetch);
-        acc = node.op == QueryOp::kAnd ? postings_and(acc, part) : postings_or(acc, part);
+        acc = node.op == QueryOp::kAnd ? oracle::postings_and(acc, part)
+                                       : oracle::postings_or(acc, part);
       }
       return acc;
     }

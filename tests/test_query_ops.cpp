@@ -1,4 +1,5 @@
-// Tests for boolean retrieval operators and index verification. Query-level
+// Tests for the reference boolean list operators (oracle/list_ops.hpp) and
+// index verification. Query-level
 // conjunction goes through the Searcher facade (an AND Query AST) —
 // the old conjunctive_query free function is gone.
 
@@ -10,7 +11,7 @@
 
 #include "core/hetindex.hpp"
 #include "corpus/container.hpp"
-#include "postings/boolean_ops.hpp"
+#include "oracle/list_ops.hpp"
 #include "postings/verify.hpp"
 #include "search/searcher.hpp"
 #include "util/binary_io.hpp"
@@ -29,35 +30,35 @@ QueryPostings make(std::initializer_list<std::uint32_t> ids) {
 }
 
 TEST(BooleanOps, AndBasics) {
-  const auto r = postings_and(make({1, 3, 5, 7}), make({2, 3, 5, 9}));
+  const auto r = oracle::postings_and(make({1, 3, 5, 7}), make({2, 3, 5, 9}));
   EXPECT_EQ(r.doc_ids, (std::vector<std::uint32_t>{3, 5}));
   // tfs sum across both sides.
   EXPECT_EQ(r.tfs[0], (3 % 5 + 1) * 2u);
 }
 
 TEST(BooleanOps, AndWithEmptyAndDisjoint) {
-  EXPECT_TRUE(postings_and(make({}), make({1, 2})).doc_ids.empty());
-  EXPECT_TRUE(postings_and(make({1, 3}), make({2, 4})).doc_ids.empty());
+  EXPECT_TRUE(oracle::postings_and(make({}), make({1, 2})).doc_ids.empty());
+  EXPECT_TRUE(oracle::postings_and(make({1, 3}), make({2, 4})).doc_ids.empty());
 }
 
 TEST(BooleanOps, OrMergesAndSums) {
-  const auto r = postings_or(make({1, 3}), make({2, 3, 4}));
+  const auto r = oracle::postings_or(make({1, 3}), make({2, 3, 4}));
   EXPECT_EQ(r.doc_ids, (std::vector<std::uint32_t>{1, 2, 3, 4}));
   EXPECT_EQ(r.tfs[2], (3 % 5 + 1) * 2u);  // doc 3 present in both
 }
 
 TEST(BooleanOps, OrWithEmpty) {
-  const auto r = postings_or(make({}), make({5, 6}));
+  const auto r = oracle::postings_or(make({}), make({5, 6}));
   EXPECT_EQ(r.doc_ids, (std::vector<std::uint32_t>{5, 6}));
 }
 
 TEST(BooleanOps, AndNot) {
-  const auto r = postings_and_not(make({1, 2, 3, 4, 5}), make({2, 4, 9}));
+  const auto r = oracle::postings_and_not(make({1, 2, 3, 4, 5}), make({2, 4, 9}));
   EXPECT_EQ(r.doc_ids, (std::vector<std::uint32_t>{1, 3, 5}));
 }
 
 TEST(BooleanOps, AndNotEverythingRemoved) {
-  EXPECT_TRUE(postings_and_not(make({1, 2}), make({1, 2, 3})).doc_ids.empty());
+  EXPECT_TRUE(oracle::postings_and_not(make({1, 2}), make({1, 2, 3})).doc_ids.empty());
 }
 
 TEST(BooleanOps, GallopingMatchesLinearOnRandomLists) {
@@ -77,8 +78,8 @@ TEST(BooleanOps, GallopingMatchesLinearOnRandomLists) {
       b.doc_ids.push_back(id);
       b.tfs.push_back(2);
     }
-    const auto linear = postings_and(a, b);
-    const auto gallop = postings_and_galloping(a, b);
+    const auto linear = oracle::postings_and(a, b);
+    const auto gallop = oracle::postings_and_galloping(a, b);
     ASSERT_EQ(gallop.doc_ids, linear.doc_ids) << "trial " << trial;
     ASSERT_EQ(gallop.tfs, linear.tfs) << "trial " << trial;
   }
@@ -98,7 +99,8 @@ TEST(BooleanOps, OperatorsPreserveSortedness) {
     b.doc_ids.push_back(id);
     b.tfs.push_back(1);
   }
-  for (const auto& r : {postings_and(a, b), postings_or(a, b), postings_and_not(a, b)}) {
+  for (const auto& r : {oracle::postings_and(a, b), oracle::postings_or(a, b),
+                        oracle::postings_and_not(a, b)}) {
     EXPECT_TRUE(std::is_sorted(r.doc_ids.begin(), r.doc_ids.end()));
     EXPECT_EQ(r.doc_ids.size(), r.tfs.size());
   }
@@ -119,7 +121,7 @@ class QueryIndexFixture : public ::testing::Test {
     const auto corpus = dir_ + "/c.hdc";
     container_write(corpus, docs);
     IndexBuilder builder;
-    builder.parsers(1).cpu_indexers(1).gpus(1);
+    builder.parsers(1).cpu_indexers(1).gpus(1).emit_segment(true);
     builder.build({corpus}, dir_ + "/index");
   }
   static void TearDownTestSuite() { std::filesystem::remove_all(dir_); }

@@ -1,5 +1,7 @@
 // Failure-injection and edge-case tests: corrupted on-disk artifacts must
-// die loudly (never silently return a wrong index), and degenerate inputs
+// die loudly or come back as structured errors (never silently return a
+// wrong index), a directory holding only run files is refused with a
+// pointer to `hetindex_cli compact`, and degenerate inputs
 // (empty docs, stop-word-only docs, unicode-heavy text, giant tokens) must
 // flow through the full pipeline correctly.
 
@@ -49,7 +51,7 @@ class CorruptionFixture : public ::testing::Test {
     container_write(corpus_file_, docs);
 
     IndexBuilder builder;
-    builder.parsers(1).cpu_indexers(1).gpus(0);
+    builder.parsers(1).cpu_indexers(1).gpus(0).emit_segment(true);
     index_dir_ = dir_->path() + "/index";
     builder.build({corpus_file_}, index_dir_);
   }
@@ -99,11 +101,38 @@ TEST_F(CorruptionFixture, CorruptDictionaryMagicDies) {
   EXPECT_DEATH((void)dictionary_read(dict_path), "dictionary");
 }
 
-TEST_F(CorruptionFixture, MissingRunFileDies) {
-  // The dictionary opens fine, so the failure surfaces inside the run-file
-  // loader, which keeps its hard-fail behavior.
-  std::filesystem::remove(IndexLayout::run_path(index_dir_, 0));
-  EXPECT_DEATH((void)InvertedIndex::open(index_dir_, {}), "open|file");
+TEST_F(CorruptionFixture, RunsOnlyDirectoryReportsNotFoundNamingCompact) {
+  // Run files and dictionary intact, no index.seg: open refuses without
+  // reading them and names the fold that makes the directory servable.
+  std::filesystem::remove(IndexLayout::segment_path(index_dir_));
+  const auto result = InvertedIndex::open(index_dir_, {});
+  ASSERT_FALSE(result.has_value());
+  EXPECT_EQ(result.error().code, ErrorCode::kNotFound);
+  EXPECT_NE(result.error().message.find("hetindex_cli compact " + index_dir_),
+            std::string::npos)
+      << result.error().message;
+}
+
+TEST_F(CorruptionFixture, CorruptRunFileBesideSegmentStillServes) {
+  // Serving reads only index.seg, so a damaged run file beside it (the
+  // build's intermediate output) changes nothing a query sees.
+  const auto before = InvertedIndex::open(index_dir_, {}).value().lookup("alpha");
+  ASSERT_TRUE(before.has_value());
+  flip_byte(IndexLayout::run_path(index_dir_, 0), 3);
+  const auto index = InvertedIndex::open(index_dir_, {});
+  ASSERT_TRUE(index.has_value()) << index.error().to_string();
+  const auto after = index.value().lookup("alpha");
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->doc_ids, before->doc_ids);
+  EXPECT_EQ(after->tfs, before->tfs);
+  const auto docs = DocMap::open(doc_map_path(index_dir_));
+  const auto searcher = Searcher::open(SearchSource::batch(index.value(), docs)).value();
+  QueryRequest request;
+  request.query = Query::bag({"alpha", "beta"});
+  request.k = 20;
+  const auto response = searcher->search(request);
+  ASSERT_TRUE(response.has_value()) << response.error().to_string();
+  EXPECT_EQ(response.value().hits.size(), 20u);  // every doc holds both terms
 }
 
 TEST_F(CorruptionFixture, MissingIndexReportsNotFound) {
@@ -111,14 +140,6 @@ TEST_F(CorruptionFixture, MissingIndexReportsNotFound) {
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, ErrorCode::kNotFound);
   EXPECT_NE(result.error().message.find("no index"), std::string::npos);
-}
-
-TEST_F(CorruptionFixture, ForcedSegmentBackendReportsNotFound) {
-  // No index.seg was built: forcing the segment backend reports instead of
-  // aborting, so a caller can fall back to the run-file backend.
-  const auto result = InvertedIndex::open(index_dir_, {IndexBackend::kSegment});
-  ASSERT_FALSE(result.has_value());
-  EXPECT_EQ(result.error().code, ErrorCode::kNotFound);
 }
 
 TEST_F(CorruptionFixture, IntactIndexStillOpens) {
@@ -134,7 +155,7 @@ std::string build_and_lookup_dir(const std::vector<Document>& docs, const TempDi
   const auto corpus = dir.path() + "/c.hdc";
   container_write(corpus, docs);
   IndexBuilder builder;
-  builder.parsers(1).cpu_indexers(1).gpus(1);
+  builder.parsers(1).cpu_indexers(1).gpus(1).emit_segment(true);
   const auto out = dir.path() + "/index";
   builder.build({corpus}, out);
   return out;
@@ -208,7 +229,7 @@ TEST(DegenerateInput, ManyFilesFewDocs) {
     files.push_back(path);
   }
   IndexBuilder builder;
-  builder.parsers(3).cpu_indexers(1).gpus(1);
+  builder.parsers(3).cpu_indexers(1).gpus(1).emit_segment(true);
   const auto out = dir.path() + "/index";
   const auto report = builder.build(files, out);
   EXPECT_EQ(report.runs.size(), 12u);

@@ -98,7 +98,7 @@ class SearchFixture : public ::testing::Test {
     const auto corpus = dir_ + "/c.hdc";
     container_write(corpus, docs);
     IndexBuilder builder;
-    builder.parsers(1).cpu_indexers(1).gpus(1);
+    builder.parsers(1).cpu_indexers(1).gpus(1).emit_segment(true);
     builder.build({corpus}, dir_ + "/index");
   }
   static void TearDownTestSuite() { std::filesystem::remove_all(dir_); }

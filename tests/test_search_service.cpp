@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/hetindex.hpp"
+#include "oracle/list_ops.hpp"
 
 namespace hetindex {
 namespace {
@@ -147,17 +148,6 @@ TEST_F(BatchServeFixture, MaxScoreMatchesExhaustiveOnRandomQueries) {
   }
 }
 
-TEST_F(BatchServeFixture, MaxScoreMatchesExhaustiveOnRunFiles) {
-  // The run-file backend serves decoded cursors, whose bounds come from a
-  // scan of the list — pruning must stay exact there too.
-  const auto index = InvertedIndex::open(index_dir_->path(), {IndexBackend::kRuns}).value();
-  const auto docs = DocMap::open(doc_map_path(index_dir_->path()));
-  const auto searcher_ptr = Searcher::open(SearchSource::batch(index, docs)).value();
-  const Searcher& searcher = *searcher_ptr;
-  expect_identical_rankings(searcher, sample_queries(batch_vocabulary(index), 20, 2),
-                            10);
-}
-
 TEST_F(BatchServeFixture, ConjunctiveCursorsMatchDecodedIntersection) {
   // The cursor-driven intersection must agree with the boolean operators
   // over fully decoded lists — same docs, same summed tfs.
@@ -175,7 +165,7 @@ TEST_F(BatchServeFixture, ConjunctiveCursorsMatchDecodedIntersection) {
         all_present = false;
         break;
       }
-      joint = joint ? postings_and(*joint, p.value()) : std::move(p);
+      joint = joint ? oracle::postings_and(*joint, p.value()) : std::move(p);
     }
     QueryRequest conj;
     conj.query = Query::conjunction(terms);
@@ -223,11 +213,26 @@ TEST(LiveServe, MaxScoreMatchesExhaustiveAcrossFlushAndCompaction) {
   }
 
   w.compact_now();  // merged segments: skip rows carried without decode
+  {
+    const auto snap = w.snapshot();
+    collect(*snap);
+    const auto searcher_ptr = Searcher::open(SearchSource::snapshot(snap)).value();
+    const Searcher& searcher = *searcher_ptr;
+    expect_identical_rankings(searcher, sample_queries(vocab, 25, 5), 10);
+  }
+
+  // Unflushed memtable beside the compacted segment: memtable cursors
+  // bound their blocks from a scan of the postings, and pruning must stay
+  // exact across the segment/memtable seam.
+  const auto extra = make_corpus(corpus_dir.path() + "/extra", 64 << 10, 0xF00E);
+  for (const auto& doc : extra.docs) w.add_document(doc.url, doc.body);
   const auto snap = w.snapshot();
+  ASSERT_NE(snap->memtable(), nullptr);
+  ASSERT_GT(snap->memtable()->doc_count(), 0u);
   collect(*snap);
   const auto searcher_ptr = Searcher::open(SearchSource::snapshot(snap)).value();
   const Searcher& searcher = *searcher_ptr;
-  expect_identical_rankings(searcher, sample_queries(vocab, 25, 5), 10);
+  expect_identical_rankings(searcher, sample_queries(vocab, 25, 6), 10);
 }
 
 // ------------------------------------------------- per-snapshot statistics

@@ -1,8 +1,9 @@
 // Single-file segment tests: writer/reader round trip, run-file fold
-// equivalence (the segment must answer every query exactly like the legacy
-// backend), corruption detection (truncation, bit flips, bad footers and
-// tampered sections come back from SegmentReader::try_open as structured
-// errors, never decode garbage and never abort), the section-by-section
+// equivalence (the segment must answer every query exactly like the
+// test-side run-file reader, oracle/run_index.hpp), corruption detection
+// (truncation, bit flips, bad footers and tampered sections come back from
+// SegmentReader::try_open as structured errors, never decode garbage and
+// never abort), the section-by-section
 // concatenation merge (byte-identical to the decode-derived write path,
 // structured errors on bad inputs), the range-parallel run fold (byte-
 // identical to a serial oracle fold; a term without postings is kCorrupt),
@@ -25,6 +26,7 @@
 #include "core/hetindex.hpp"
 #include "corpus/container.hpp"
 #include "io/mmap_file.hpp"
+#include "oracle/run_index.hpp"
 #include "util/binary_io.hpp"
 #include "util/crc32.hpp"
 
@@ -188,28 +190,24 @@ TEST_F(SegmentEquivalenceFixture, CompactionFoldsAllRuns) {
   EXPECT_GT(stats_.output_bytes, 0u);
 }
 
-TEST_F(SegmentEquivalenceFixture, AutoOpenPrefersSegment) {
+TEST_F(SegmentEquivalenceFixture, OpenServesTheSegment) {
   const auto index = InvertedIndex::open(index_dir_, {}).value();
-  EXPECT_TRUE(index.segment_backed());
   ASSERT_NE(index.segment(), nullptr);
-  EXPECT_EQ(index.run_count(), 0u);
-  const auto legacy = InvertedIndex::open(index_dir_, {IndexBackend::kRuns}).value();
-  EXPECT_FALSE(legacy.segment_backed());
-  EXPECT_EQ(legacy.segment(), nullptr);
+  const auto legacy = oracle::RunIndex::open(index_dir_);
   EXPECT_EQ(legacy.run_count(), 3u);
   EXPECT_EQ(index.term_count(), legacy.term_count());
 }
 
-TEST_F(SegmentEquivalenceFixture, EntriesRequiresRunBackend) {
-  const auto index = InvertedIndex::open(index_dir_, {IndexBackend::kSegment}).value();
-  EXPECT_DEATH((void)index.entries(), "run-file backend");
-}
-
 TEST_F(SegmentEquivalenceFixture, LookupsMatchLegacyForEveryTerm) {
-  const auto segment = InvertedIndex::open(index_dir_, {IndexBackend::kSegment}).value();
-  const auto legacy = InvertedIndex::open(index_dir_, {IndexBackend::kRuns}).value();
+  const auto segment = InvertedIndex::open(index_dir_, {}).value();
+  const auto legacy = oracle::RunIndex::open(index_dir_);
   std::size_t checked = 0;
-  legacy.for_each_term([&](std::string_view term) {
+  std::vector<std::string> segment_terms;
+  segment.for_each_term([&](std::string_view term) { segment_terms.emplace_back(term); });
+  ASSERT_EQ(segment_terms.size(), legacy.entries().size());
+  for (const auto& entry : legacy.entries()) {
+    const std::string_view term = entry.term;
+    EXPECT_EQ(segment_terms[checked], term);
     const auto a = legacy.lookup(term);
     const auto b = segment.lookup(term);
     ASSERT_TRUE(a.has_value() && b.has_value()) << term;
@@ -220,15 +218,15 @@ TEST_F(SegmentEquivalenceFixture, LookupsMatchLegacyForEveryTerm) {
     ASSERT_TRUE(ap.has_value() && bp.has_value()) << term;
     EXPECT_EQ(ap->positions, bp->positions) << term;
     ++checked;
-  });
+  }
   EXPECT_EQ(checked, legacy.term_count());
   EXPECT_FALSE(segment.lookup("zzzznope").has_value());
   EXPECT_FALSE(legacy.lookup("zzzznope").has_value());
 }
 
 TEST_F(SegmentEquivalenceFixture, RangeLookupsMatchLegacy) {
-  const auto segment = InvertedIndex::open(index_dir_, {IndexBackend::kSegment}).value();
-  const auto legacy = InvertedIndex::open(index_dir_, {IndexBackend::kRuns}).value();
+  const auto segment = InvertedIndex::open(index_dir_, {}).value();
+  const auto legacy = oracle::RunIndex::open(index_dir_);
   const std::string shared = normalize_term("shared");
   const struct {
     std::uint32_t lo, hi;
@@ -252,21 +250,28 @@ TEST_F(SegmentEquivalenceFixture, RangeLookupsMatchLegacy) {
 }
 
 TEST_F(SegmentEquivalenceFixture, PrefixScansMatchLegacy) {
-  const auto segment = InvertedIndex::open(index_dir_, {IndexBackend::kSegment}).value();
-  const auto legacy = InvertedIndex::open(index_dir_, {IndexBackend::kRuns}).value();
+  const auto segment = InvertedIndex::open(index_dir_, {}).value();
+  const auto legacy = oracle::RunIndex::open(index_dir_);
   for (const std::string prefix : {"", "s", "file", "doc1", "zzz"}) {
-    EXPECT_EQ(segment.terms_with_prefix(prefix), legacy.terms_with_prefix(prefix))
-        << "prefix '" << prefix << "'";
+    std::vector<std::string> expected;
+    for (const auto& e : legacy.entries()) {
+      if (e.term.starts_with(prefix)) expected.push_back(e.term);
+    }
+    EXPECT_EQ(segment.terms_with_prefix(prefix), expected) << "prefix '" << prefix << "'";
   }
 }
 
 TEST_F(SegmentEquivalenceFixture, ReadMetricsAccumulate) {
-  const auto index = InvertedIndex::open(index_dir_, {IndexBackend::kSegment}).value();
+  const auto index = InvertedIndex::open(index_dir_, {}).value();
   (void)index.lookup(normalize_term("shared"));
   (void)index.lookup("zzzznope");
+  // Cursor opens count as lookups too (hetbench reads lookups per query
+  // off this counter); a miss counts once more.
+  ASSERT_NE(index.open_cursor(normalize_term("shared")), nullptr);
+  EXPECT_EQ(index.open_cursor("zzzznope"), nullptr);
   const auto snap = index.metrics().snapshot();
-  EXPECT_EQ(snap.counter("query_lookups_total"), 2u);
-  EXPECT_EQ(snap.counter("query_lookup_misses_total"), 1u);
+  EXPECT_EQ(snap.counter("query_lookups_total"), 4u);
+  EXPECT_EQ(snap.counter("query_lookup_misses_total"), 2u);
   EXPECT_GT(snap.counter("query_postings_decoded_total"), 0u);
   EXPECT_GT(snap.counter("query_bytes_decoded_total"), 0u);
   const auto* mapped = snap.gauge("segment_bytes_mapped");
@@ -708,17 +713,17 @@ TEST_F(SegmentEquivalenceFixture, TermWithoutPostingsIsCorrupt) {
 // ------------------------------------------------ concurrent readers
 
 TEST_F(SegmentEquivalenceFixture, ConcurrentReadersMatchLegacy) {
-  // Expected answers collected single-threaded from the legacy backend.
-  const auto legacy = InvertedIndex::open(index_dir_, {IndexBackend::kRuns}).value();
+  // Expected answers collected single-threaded from the run-file oracle.
+  const auto legacy = oracle::RunIndex::open(index_dir_);
   std::vector<std::string> terms;
-  legacy.for_each_term([&](std::string_view t) { terms.emplace_back(t); });
+  for (const auto& e : legacy.entries()) terms.push_back(e.term);
   std::vector<QueryPostings> expected;
   expected.reserve(terms.size());
   for (const auto& t : terms) expected.push_back(*legacy.lookup(t));
 
   // One shared reader, no locks: lookups, range lookups and prefix scans
   // hammered from many threads must all agree with the legacy answers.
-  const auto index = InvertedIndex::open(index_dir_, {IndexBackend::kSegment}).value();
+  const auto index = InvertedIndex::open(index_dir_, {}).value();
   constexpr int kThreads = 8;
   constexpr int kIters = 150;
   std::atomic<int> failures{0};
