@@ -10,7 +10,8 @@
 #     deletes and compaction, the SearchService pool racing the live
 #     writer, and the ShardRouter fan-out racing shard writers)
 #   - ASan+UBSan on the binary-format and serving tests (run files,
-#     segments, query path, MaxScore executor and caches), the util tests
+#     segments, query path, MaxScore executor and caches), the robustness
+#     tests (damaged run files, containers and dictionaries), the util tests
 #     (the slice-by-8 CRC32's word loads at every alignment) and the property
 #     tests (LzFuzz, the decoder fuzz test) to catch overruns and UB in the
 #     decoders, the checksum and the mmap reader
@@ -96,8 +97,8 @@ if [[ "$run_asan" == 1 ]]; then
   cmake -B build-asan -S . -DHETINDEX_SANITIZE=address \
         -DHETINDEX_BUILD_BENCH=OFF -DHETINDEX_BUILD_EXAMPLES=OFF \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build-asan -j "$(nproc)" --target test_segment test_postings test_codec test_query_ops test_query_ast test_live test_search_service test_block_max test_cluster test_ingest_faults test_property test_util
-  ctest --test-dir build-asan --output-on-failure -R '^(test_segment|test_postings|test_codec|test_query_ops|test_query_ast|test_live|test_search_service|test_block_max|test_cluster|test_ingest_faults|test_property|test_util)$'
+  cmake --build build-asan -j "$(nproc)" --target test_segment test_postings test_codec test_query_ops test_query_ast test_live test_search_service test_block_max test_cluster test_ingest_faults test_property test_util test_robustness
+  ctest --test-dir build-asan --output-on-failure -R '^(test_segment|test_postings|test_codec|test_query_ops|test_query_ast|test_live|test_search_service|test_block_max|test_cluster|test_ingest_faults|test_property|test_util|test_robustness)$'
   leg_end "asan"
 fi
 

@@ -17,4 +17,11 @@ struct Document {
   std::string body;
 };
 
+/// Bytes the document occupies in its container's raw payload (two u32
+/// length prefixes plus url and body): the unit of "source bytes" and of
+/// the sampler's budget.
+inline std::uint64_t document_raw_bytes(const Document& doc) {
+  return doc.url.size() + doc.body.size() + 8;
+}
+
 }  // namespace hetindex

@@ -122,11 +122,10 @@ namespace {
 constexpr std::uint32_t kDictMagic = 0x48444943;  // "CIDH"
 }
 
-void dictionary_write(const Dictionary& dict, const std::string& path) {
+void dictionary_write(const std::vector<DictionaryEntry>& entries, const std::string& path) {
   // Group the combined (already sorted) entries by collection; inside a
   // collection, terms share the trie prefix so front-coding compresses both
   // the prefix and B-tree-local suffix overlaps.
-  const auto entries = dict.combine();
   std::vector<std::uint8_t> out;
   ByteWriter w(out);
   w.u32(kDictMagic);

@@ -103,7 +103,8 @@ class Dictionary {
 
 /// On-disk dictionary format ("Dictionary Write" of Table VI): per
 /// collection, a front-coded suffix block plus the postings handles.
-void dictionary_write(const Dictionary& dict, const std::string& path);
+/// `entries` is the combined dictionary, sorted by term (Dictionary::combine()).
+void dictionary_write(const std::vector<DictionaryEntry>& entries, const std::string& path);
 /// Loads entries written by dictionary_write.
 std::vector<DictionaryEntry> dictionary_read(const std::string& path);
 

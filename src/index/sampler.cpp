@@ -17,6 +17,34 @@ bool WorkSplit::is_popular(std::uint32_t trie_idx) const {
   return std::find(popular.begin(), popular.end(), trie_idx) != popular.end();
 }
 
+std::uint64_t sample_budget_bytes(std::uint64_t raw_size, const SamplerConfig& config) {
+  return std::max<std::uint64_t>(
+      64 << 10, static_cast<std::uint64_t>(config.sample_fraction * static_cast<double>(raw_size)));
+}
+
+Expected<std::vector<Document>> sample_documents(const std::vector<std::uint8_t>& file_bytes,
+                                                 const SamplerConfig& config) {
+  if (auto header = container_try_header_doc_count(file_bytes.data(), file_bytes.size());
+      !header.has_value()) {
+    return header.error();
+  }
+  const std::uint64_t want =
+      sample_budget_bytes(lz_raw_size(file_bytes.data() + 8, file_bytes.size() - 8), config);
+  // The LZ frame inflates whole blocks (each CRC-checked), so the prefix
+  // holds far more than `want`; keep only the documents the budget covers.
+  auto docs = container_sample(file_bytes.data(), file_bytes.size(), want);
+  if (docs.size() < config.min_docs_per_file) {
+    docs = container_decompress(file_bytes.data(), file_bytes.size());
+  }
+  std::size_t keep = 0;
+  std::uint64_t taken = 0;
+  while (keep < docs.size() && (taken < want || keep < config.min_docs_per_file)) {
+    taken += document_raw_bytes(docs[keep++]);
+  }
+  docs.resize(keep);
+  return docs;
+}
+
 Expected<WorkSplit> sample_and_split(const std::vector<std::string>& files,
                                      const SamplerConfig& config) {
   WallTimer timer;
@@ -29,21 +57,11 @@ Expected<WorkSplit> sample_and_split(const std::vector<std::string>& files,
     // never the whole thing.
     auto read = io::read_file_via_env(file);
     if (!read.has_value()) return read.error();
-    const auto bytes = std::move(read).value();
-    if (auto header = container_try_header_doc_count(bytes.data(), bytes.size());
-        !header.has_value()) {
-      return Error{header.error().code, header.error().message + " (" + file + ")"};
+    auto docs = sample_documents(read.value(), config);
+    if (!docs.has_value()) {
+      return Error{docs.error().code, docs.error().message + " (" + file + ")"};
     }
-    const std::uint64_t raw_size = lz_raw_size(bytes.data() + 8, bytes.size() - 8);
-    const std::uint64_t want = std::max<std::uint64_t>(
-        64 << 10,
-        static_cast<std::uint64_t>(config.sample_fraction * static_cast<double>(raw_size)));
-    auto docs = container_sample(bytes.data(), bytes.size(), want);
-    if (docs.size() < config.min_docs_per_file) {
-      docs = container_decompress(bytes.data(), bytes.size());
-      if (docs.size() > config.min_docs_per_file) docs.resize(config.min_docs_per_file);
-    }
-    const auto block = parser.parse(docs, 0, 0, 0);
+    const auto block = parser.parse(docs.value(), 0, 0, 0);
     for (const auto& g : block.groups) split.sampled_tokens[g.trie_idx] += g.tokens;
   }
 

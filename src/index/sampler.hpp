@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "corpus/document.hpp"
 #include "util/error.hpp"
 
 namespace hetindex {
@@ -40,6 +41,18 @@ struct WorkSplit {
 
   [[nodiscard]] bool is_popular(std::uint32_t trie_idx) const;
 };
+
+/// Raw bytes a file's sample may hold (§III.E: `sample_fraction` of the
+/// file's uncompressed payload, at least 64 KiB).
+std::uint64_t sample_budget_bytes(std::uint64_t raw_size, const SamplerConfig& config);
+
+/// The sample of one in-memory container file: its leading whole documents
+/// until they hold sample_budget_bytes() raw bytes (document_raw_bytes), so
+/// at most one document past the budget, and never fewer than
+/// min_docs_per_file documents (or the whole file, if it has fewer).
+/// kCorrupt when the container header is damaged.
+Expected<std::vector<Document>> sample_documents(const std::vector<std::uint8_t>& file_bytes,
+                                                 const SamplerConfig& config);
 
 /// Runs the sampling pass over the collection files (inflating only the
 /// sampled prefix of each file's documents through the real parse path).

@@ -48,7 +48,7 @@ ParsedBlock Parser::parse(const std::vector<Document>& docs, std::uint64_t seq,
     for (std::size_t d = 0; d < docs.size(); ++d) {
       doc_start[d] = toks.size();
       const auto& doc = docs[d];
-      block.source_bytes += doc.body.size() + doc.url.size() + 8;
+      block.source_bytes += document_raw_bytes(doc);
       const std::string stripped = config_.strip_html ? html_strip(doc.body) : std::string();
       const std::string_view text = config_.strip_html ? stripped : doc.body;
       tokenize(text, [&](std::string_view tok) {

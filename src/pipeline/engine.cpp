@@ -1,6 +1,7 @@
 #include "pipeline/engine.hpp"
 
 #include <filesystem>
+#include <span>
 #include <thread>
 
 #include "index/indexer.hpp"
@@ -14,6 +15,7 @@
 #include "postings/run_file.hpp"
 #include "postings/segment.hpp"
 #include "util/check.hpp"
+#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace hetindex {
@@ -69,6 +71,42 @@ Ownership assign_collections(const WorkSplit& split, std::size_t n_cpu, std::siz
   return own;
 }
 
+/// One store's lists for the current run, encoded by the indexer thread
+/// that owns the store. Rows ascend by handle; `bytes` holds their blobs
+/// back to back.
+struct EncodedShard {
+  struct Row {
+    std::uint32_t handle;
+    std::size_t offset;
+    std::uint32_t bytes;
+    std::uint32_t count;
+    std::uint32_t min_doc;
+    std::uint32_t max_doc;
+  };
+  std::vector<Row> rows;
+  std::vector<std::uint8_t> bytes;
+  double encode_seconds = 0;  ///< thread CPU time of the encode
+};
+
+/// Encodes every non-empty list of `store` into `out` exactly as
+/// RunFileWriter::add_list would, then empties the lists (keeping their
+/// capacity for the next run).
+void encode_shard(PostingsStore& store, PostingCodec codec, EncodedShard& out) {
+  out.rows.clear();
+  out.bytes.clear();
+  for (std::uint32_t h = 1; h <= store.list_count(); ++h) {
+    const auto& list = store.list(h);
+    if (list.empty()) continue;
+    const auto encoded = encode_postings_blocked(codec, list.doc_ids, list.tfs,
+                                                 list.positional() ? &list.positions : nullptr);
+    out.rows.push_back({h, out.bytes.size(), static_cast<std::uint32_t>(encoded.size()),
+                        static_cast<std::uint32_t>(list.size()), list.doc_ids.front(),
+                        list.doc_ids.back()});
+    out.bytes.insert(out.bytes.end(), encoded.begin(), encoded.end());
+  }
+  store.clear_lists();
+}
+
 /// The engine-wide instrument handles, resolved once per build so hot
 /// paths never touch the registry's name map. Names and units are
 /// documented in docs/OBSERVABILITY.md.
@@ -87,6 +125,10 @@ struct PipelineInstruments {
         disk_wait_seconds(m.time_counter("stage_disk_wait_seconds_total")),
         decompress_seconds(m.time_counter("stage_decompress_seconds_total")),
         parse_seconds(m.time_counter("stage_parse_seconds_total")),
+        parse_tokenize_seconds(m.time_counter("stage_parse_tokenize_seconds_total")),
+        parse_stem_seconds(m.time_counter("stage_parse_stem_seconds_total")),
+        parse_stopword_seconds(m.time_counter("stage_parse_stopword_seconds_total")),
+        parse_regroup_seconds(m.time_counter("stage_parse_regroup_seconds_total")),
         cpu_index_seconds(m.time_counter("stage_cpu_index_seconds_total")),
         gpu_index_seconds(m.time_counter("stage_gpu_index_seconds_total")),
         flush_seconds(m.time_counter("stage_flush_seconds_total")),
@@ -117,6 +159,10 @@ struct PipelineInstruments {
   obs::TimeCounter& disk_wait_seconds;
   obs::TimeCounter& decompress_seconds;
   obs::TimeCounter& parse_seconds;
+  obs::TimeCounter& parse_tokenize_seconds;
+  obs::TimeCounter& parse_stem_seconds;
+  obs::TimeCounter& parse_stopword_seconds;
+  obs::TimeCounter& parse_regroup_seconds;
   obs::TimeCounter& cpu_index_seconds;
   obs::TimeCounter& gpu_index_seconds;
   obs::TimeCounter& flush_seconds;
@@ -255,6 +301,10 @@ PipelineReport PipelineEngine::build(const std::vector<std::string>& files) {
         work.block = parser.parse(read.docs, read.seq, static_cast<std::uint32_t>(p),
                                   read.doc_id_base, &times);
         work.parse_seconds = span.stop();
+        ins.parse_tokenize_seconds.add(times.tokenize);
+        ins.parse_stem_seconds.add(times.stem);
+        ins.parse_stopword_seconds.add(times.stopword);
+        ins.parse_regroup_seconds.add(times.regroup);
         ins.tokens.add(work.block.tokens);
         ins.payload_bytes.add(work.block.payload_bytes());
         if (!buffer.push(read.seq, std::move(work))) break;
@@ -274,98 +324,120 @@ PipelineReport PipelineEngine::build(const std::vector<std::string>& files) {
   std::vector<IndexDirectoryEntry> directory;
   DocMapBuilder doc_map;  // Fig. 3 Step 1's <doc ID, location> table
   WallTimer index_stage_timer;
-  while (auto work = buffer.pop_next()) {
-    RunRecord run;
-    run.run_id = work->block.seq;
-    run.doc_count = work->doc_count;
-    run.compressed_bytes = work->compressed_bytes;
-    run.source_bytes = work->uncompressed_bytes;
-    run.payload_bytes = work->block.payload_bytes();
-    run.tokens = work->block.tokens;
-    run.read_seconds = work->read_seconds;
-    run.decompress_seconds = work->decompress_seconds;
-    run.parse_seconds = work->parse_seconds;
-    doc_map.add_file(work->block.doc_id_base, static_cast<std::uint32_t>(work->block.seq),
-                     work->urls, work->block.doc_tokens);
+  {
+    // One pool thread per indexer, forked and joined once per block. The
+    // pool ends with the stage, so its threads' malloc arenas (and the
+    // memory freed into them) pass on to the segment fold's threads.
+    ThreadPool indexer_pool(stores.size());
+    std::vector<EncodedShard> parts(stores.size());
+    while (auto work = buffer.pop_next()) {
+      RunRecord run;
+      run.run_id = work->block.seq;
+      run.doc_count = work->doc_count;
+      run.compressed_bytes = work->compressed_bytes;
+      run.source_bytes = work->uncompressed_bytes;
+      run.payload_bytes = work->block.payload_bytes();
+      run.tokens = work->block.tokens;
+      run.read_seconds = work->read_seconds;
+      run.decompress_seconds = work->decompress_seconds;
+      run.parse_seconds = work->parse_seconds;
+      doc_map.add_file(work->block.doc_id_base, static_cast<std::uint32_t>(work->block.seq),
+                       work->urls, work->block.doc_tokens);
 
-    // Parallel indexing: each CPU indexer's work is measured individually
-    // (the DES schedules them onto dedicated cores).
-    obs::StageSpan index_span(nullptr, &ins.run_index);
-    run.cpu_index_seconds.resize(n_cpu);
-    for (std::size_t i = 0; i < n_cpu; ++i) {
-      obs::StageSpan span(&ins.cpu_index_seconds);
-      cpu_indexers[i].index_block(work->block);
-      run.cpu_index_seconds[i] = span.stop();
-      cpu_busy[i]->add(run.cpu_index_seconds[i]);
-    }
-    run.gpu_timings.resize(n_gpu);
-    for (std::size_t g = 0; g < n_gpu; ++g) {
-      gpu_indexers[g].index_block(work->block, &run.gpu_timings[g]);
-      const auto& t = run.gpu_timings[g];
-      const double busy = t.pre_seconds + t.index_seconds + t.post_seconds;
-      ins.gpu_index_seconds.add(busy);
-      gpu_busy[g]->add(busy);
-    }
-    index_span.stop();
-
-    // Post-processing: flush every store's lists into this run's file.
-    {
-      obs::StageSpan span(&ins.flush_seconds, &ins.run_flush);
+      // Parallel indexing + post-processing (Fig. 8): every indexer indexes
+      // the block into its own shard and store, then encodes that store's
+      // lists for this run, on its own pool thread. Shards share nothing, so
+      // no locks (§III.E); the consumer only concatenates the encoded parts.
       const auto run_id = static_cast<std::uint32_t>(run.run_id);
-      RunFileWriter writer(IndexLayout::run_path(config_.output_dir, run_id), run_id,
-                           config_.codec);
-      std::uint32_t min_doc = 0xFFFFFFFFu, max_doc = 0;
-      bool any = false;
-      std::uint64_t run_postings = 0;
-      for (std::size_t s = 0; s < stores.size(); ++s) {
-        for (std::uint32_t h = 1; h <= stores[s].list_count(); ++h) {
-          const auto& list = stores[s].list(h);
-          if (list.empty()) continue;
-          any = true;
-          min_doc = std::min(min_doc, list.doc_ids.front());
-          max_doc = std::max(max_doc, list.doc_ids.back());
-          run_postings += list.doc_ids.size();
-          writer.add_list({static_cast<std::uint32_t>(s), h}, list);
-        }
-        stores[s].clear_lists();
+      run.cpu_index_seconds.resize(n_cpu);
+      run.gpu_timings.resize(n_gpu);
+      {
+        obs::StageSpan span(nullptr, &ins.run_index);
+        indexer_pool.parallel_for(stores.size(), [&](std::size_t s) {
+          ThreadCpuTimer cpu;
+          if (s < n_cpu) {
+            cpu_indexers[s].index_block(work->block);
+            run.cpu_index_seconds[s] = cpu.seconds();
+          } else {
+            gpu_indexers[s - n_cpu].index_block(work->block, &run.gpu_timings[s - n_cpu]);
+          }
+          cpu.reset();
+          encode_shard(stores[s], config_.codec, parts[s]);
+          parts[s].encode_seconds = cpu.seconds();
+        });
       }
-      writer.finalize();
-      if (!any) min_doc = 0;
-      directory.push_back({"run_" + std::to_string(run_id) + ".post", run_id, min_doc,
-                           max_doc});
-      run.flush_seconds = span.stop();
-      ins.postings.add(run_postings);
-    }
+      for (std::size_t i = 0; i < n_cpu; ++i) {
+        ins.cpu_index_seconds.add(run.cpu_index_seconds[i]);
+        cpu_busy[i]->add(run.cpu_index_seconds[i]);
+      }
+      for (std::size_t g = 0; g < n_gpu; ++g) {
+        const auto& t = run.gpu_timings[g];
+        const double busy = t.pre_seconds + t.index_seconds + t.post_seconds;
+        ins.gpu_index_seconds.add(busy);
+        gpu_busy[g]->add(busy);
+      }
 
-    report.documents += run.doc_count;
-    report.tokens += run.tokens;
-    report.uncompressed_bytes += run.source_bytes;
-    report.compressed_bytes += run.compressed_bytes;
+      // Concatenate the shard parts into this run's file in (shard, handle)
+      // order: the same bytes RunFileWriter::add_list writes list by list.
+      {
+        WallTimer write_timer;
+        RunFileWriter writer(IndexLayout::run_path(config_.output_dir, run_id), run_id,
+                             config_.codec);
+        std::uint32_t min_doc = 0xFFFFFFFFu, max_doc = 0;
+        std::uint64_t run_postings = 0;
+        double encode_seconds = 0;
+        for (std::size_t s = 0; s < parts.size(); ++s) {
+          const EncodedShard& part = parts[s];
+          for (const auto& row : part.rows) {
+            min_doc = std::min(min_doc, row.min_doc);
+            max_doc = std::max(max_doc, row.max_doc);
+            run_postings += row.count;
+            writer.add_raw({static_cast<std::uint32_t>(s), row.handle},
+                           std::span(part.bytes).subspan(row.offset, row.bytes), row.count,
+                           row.min_doc, row.max_doc);
+          }
+          encode_seconds += part.encode_seconds;
+        }
+        writer.finalize();
+        if (run_postings == 0) min_doc = 0;
+        directory.push_back({"run_" + std::to_string(run_id) + ".post", run_id, min_doc,
+                             max_doc});
+        run.flush_seconds = encode_seconds + write_timer.seconds();
+        ins.flush_seconds.add(run.flush_seconds);
+        ins.run_flush.add(run.flush_seconds);
+        ins.postings.add(run_postings);
+      }
 
-    // Per-run throughput profile: this run's source MB over the stage work
-    // it consumed end to end (read → flush).
-    double run_work_seconds = run.read_seconds + run.decompress_seconds +
-                              run.parse_seconds + run.flush_seconds;
-    for (const double s : run.cpu_index_seconds) run_work_seconds += s;
-    for (const auto& g : run.gpu_timings) {
-      run_work_seconds += g.pre_seconds + g.index_seconds + g.post_seconds;
-    }
-    if (run_work_seconds > 0) {
-      ins.run_throughput.add(static_cast<double>(run.source_bytes) / (1024.0 * 1024.0) /
-                             run_work_seconds);
-    }
-    ins.runs.add(1);
-    report.runs.push_back(std::move(run));
+      report.documents += run.doc_count;
+      report.tokens += run.tokens;
+      report.uncompressed_bytes += run.source_bytes;
+      report.compressed_bytes += run.compressed_bytes;
 
-    if (config_.progress) {
-      PipelineProgress progress;
-      progress.runs_completed = report.runs.size();
-      progress.files_total = files.size();
-      progress.documents = report.documents;
-      progress.tokens = report.tokens;
-      progress.source_bytes = report.uncompressed_bytes;
-      progress.elapsed_seconds = total_timer.seconds();
-      config_.progress(progress);
+      // Per-run throughput profile: this run's source MB over the stage work
+      // it consumed end to end (read → flush).
+      double run_work_seconds = run.read_seconds + run.decompress_seconds +
+                                run.parse_seconds + run.flush_seconds;
+      for (const double s : run.cpu_index_seconds) run_work_seconds += s;
+      for (const auto& g : run.gpu_timings) {
+        run_work_seconds += g.pre_seconds + g.index_seconds + g.post_seconds;
+      }
+      if (run_work_seconds > 0) {
+        ins.run_throughput.add(static_cast<double>(run.source_bytes) / (1024.0 * 1024.0) /
+                               run_work_seconds);
+      }
+      ins.runs.add(1);
+      report.runs.push_back(std::move(run));
+
+      if (config_.progress) {
+        PipelineProgress progress;
+        progress.runs_completed = report.runs.size();
+        progress.files_total = files.size();
+        progress.documents = report.documents;
+        progress.tokens = report.tokens;
+        progress.source_bytes = report.uncompressed_bytes;
+        progress.elapsed_seconds = total_timer.seconds();
+        config_.progress(progress);
+      }
     }
   }
   report.index_stage_seconds = index_stage_timer.seconds();
@@ -389,7 +461,7 @@ PipelineReport PipelineEngine::build(const std::vector<std::string>& files) {
   }
 
   // ---- Dictionary combine + write (Table VI rows).
-  std::vector<DictionaryEntry> entries;  // kept for the optional segment fold
+  std::vector<DictionaryEntry> entries;  // written once, then folded into the segment
   {
     obs::StageSpan span(&ins.dict_combine_seconds);
     entries = dict.combine();
@@ -399,7 +471,7 @@ PipelineReport PipelineEngine::build(const std::vector<std::string>& files) {
   }
   {
     obs::StageSpan span(&ins.dict_write_seconds);
-    dictionary_write(dict, IndexLayout::dictionary_path(config_.output_dir));
+    dictionary_write(entries, IndexLayout::dictionary_path(config_.output_dir));
     index_directory_write(IndexLayout::directory_path(config_.output_dir), directory);
     doc_map.write(doc_map_path(config_.output_dir));
     report.dict_write_seconds = span.stop();
@@ -410,11 +482,13 @@ PipelineReport PipelineEngine::build(const std::vector<std::string>& files) {
     std::vector<std::string> run_paths;
     run_paths.reserve(directory.size());
     for (const auto& e : directory) run_paths.push_back(config_.output_dir + "/" + e.file);
-    merge_runs(run_paths, IndexLayout::merged_path(config_.output_dir), config_.codec);
+    const auto merged =
+        merge_runs(run_paths, IndexLayout::merged_path(config_.output_dir), config_.codec);
     report.merge_seconds = span.stop();
+    if (!merged.has_value()) report.error = merged.error();
   }
 
-  if (config_.emit_segment) {
+  if (config_.emit_segment && report.ok()) {
     obs::StageSpan span(&ins.segment_seconds);
     const auto stats = build_segment_from_runs(config_.output_dir, entries, directory);
     report.segment_seconds = span.stop();

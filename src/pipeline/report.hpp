@@ -33,9 +33,12 @@ struct RunRecord {
   double parse_seconds = 0;       ///< steps 2–5
 
   // Index stage.
-  std::vector<double> cpu_index_seconds;           ///< per CPU indexer (work time)
-  std::vector<GpuIndexer::Timing> gpu_timings;     ///< per GPU (simulated)
-  double flush_seconds = 0;  ///< post-processing: encode + write run file
+  /// Per CPU indexer: thread CPU time of its index_block (work, not wall).
+  std::vector<double> cpu_index_seconds;
+  std::vector<GpuIndexer::Timing> gpu_timings;  ///< per GPU (simulated)
+  /// Post-processing work: every indexer's encode of its own shard (thread
+  /// CPU, summed) plus the concatenation and write of the run file.
+  double flush_seconds = 0;
 };
 
 struct PipelineReport {

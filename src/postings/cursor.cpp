@@ -445,17 +445,4 @@ std::unique_ptr<PostingsCursor> make_memtable_cursor(
                                                   std::move(pin));
 }
 
-QueryPostings materialize_cursor(PostingsCursor& cursor) {
-  QueryPostings out;
-  out.doc_ids.reserve(cursor.size());
-  out.tfs.reserve(cursor.size());
-  if (cursor.valid() && !cursor.positioned()) cursor.seek(0);
-  while (cursor.valid()) {
-    out.doc_ids.push_back(cursor.docid());
-    out.tfs.push_back(cursor.tf());
-    cursor.next();
-  }
-  return out;
-}
-
 }  // namespace hetindex

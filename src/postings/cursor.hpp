@@ -142,9 +142,4 @@ std::unique_ptr<PostingsCursor> make_memtable_cursor(
     std::vector<MemtableBlockRef> blocks, std::uint32_t max_tf,
     std::shared_ptr<const void> pin);
 
-/// Decodes whatever the cursor has not consumed yet into a flat list —
-/// the bridge from cursor-only backends to decoded-list code. Call on a
-/// fresh cursor to materialize the whole list.
-QueryPostings materialize_cursor(PostingsCursor& cursor);
-
 }  // namespace hetindex

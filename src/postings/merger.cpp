@@ -4,16 +4,19 @@
 #include <optional>
 
 #include "postings/run_file.hpp"
-#include "util/check.hpp"
 
 namespace hetindex {
 
-MergeStats merge_runs(const std::vector<std::string>& run_paths, const std::string& out_path,
-                      PostingCodec codec) {
+Expected<MergeStats> merge_runs(const std::vector<std::string>& run_paths,
+                                const std::string& out_path, PostingCodec codec) {
   MergeStats stats;
   std::vector<RunFile> runs;
   runs.reserve(run_paths.size());
-  for (const auto& p : run_paths) runs.push_back(RunFile::open(p));
+  for (const auto& p : run_paths) {
+    auto run = RunFile::open(p);
+    if (!run.has_value()) return run.error();
+    runs.push_back(std::move(run).value());
+  }
   std::sort(runs.begin(), runs.end(),
             [](const RunFile& a, const RunFile& b) { return a.run_id() < b.run_id(); });
 
@@ -25,7 +28,10 @@ MergeStats merge_runs(const std::vector<std::string>& run_paths, const std::stri
   // metadata folds from the runs' rows and cross-run doc order is checked
   // from min/max alone.
   for (const auto& run : runs) {
-    HET_CHECK_MSG(run.codec() == codec, "merge requires a uniform posting codec");
+    if (run.codec() != codec) {
+      return Error{ErrorCode::kCorrupt, "merge requires a uniform posting codec: run " +
+                                            std::to_string(run.run_id())};
+    }
   }
   RunFileWriter writer(out_path, kMergedRunId, codec);
   std::vector<std::size_t> at(runs.size(), 0);  // next row of each run's table
@@ -44,8 +50,10 @@ MergeStats merge_runs(const std::vector<std::string>& run_paths, const std::stri
     for (std::size_t i = 0; i < runs.size(); ++i) {
       if (at[i] == runs[i].table().size() || runs[i].table()[at[i]].key != *key) continue;
       const RunTableEntry& e = runs[i].table()[at[i]++];
-      HET_CHECK_MSG(count == 0 || e.min_doc > max_doc,
-                    "doc ids must be globally increasing across runs");
+      if (count != 0 && e.min_doc <= max_doc) {
+        return Error{ErrorCode::kCorrupt, "doc ids must be globally increasing across runs: run " +
+                                              std::to_string(runs[i].run_id())};
+      }
       const auto segment = runs[i].raw_blob(e);
       blob.insert(blob.end(), segment.begin(), segment.end());
       stats.input_bytes += e.bytes;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "codec/posting_codecs.hpp"
+#include "util/error.hpp"
 
 namespace hetindex {
 
@@ -26,8 +27,12 @@ struct MergeStats {
 
 /// Merges `run_paths` (ascending run order) into `out_path`. Doc IDs must
 /// be globally increasing across runs for every key — guaranteed by the
-/// pipeline's round-robin buffer consumption and checked here.
-MergeStats merge_runs(const std::vector<std::string>& run_paths, const std::string& out_path,
-                      PostingCodec codec = PostingCodec::kVByte);
+/// pipeline's round-robin buffer consumption and checked here. kCorrupt
+/// (writing nothing) on a damaged run file, a codec other than `codec` or
+/// doc ranges that overlap across runs; a run file that cannot be read
+/// passes its read error through.
+Expected<MergeStats> merge_runs(const std::vector<std::string>& run_paths,
+                                const std::string& out_path,
+                                PostingCodec codec = PostingCodec::kVByte);
 
 }  // namespace hetindex

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "io/env.hpp"
 #include "util/binary_io.hpp"
 #include "util/check.hpp"
 #include "util/crc32.hpp"
@@ -80,10 +81,18 @@ std::uint64_t RunFileWriter::finalize() {
   return out.size();
 }
 
-RunFile RunFile::open(const std::string& path) {
-  const auto data = read_file(path);
+Expected<RunFile> RunFile::open(const std::string& path) {
+  auto read = io::env().read_file(path);
+  if (!read.has_value()) return read.error();
+  const auto data = std::move(read).value();
+  const auto corrupt = [&path](const char* what) -> Expected<RunFile> {
+    return Error{ErrorCode::kCorrupt, "run file " + path + ": " + what};
+  };
+  constexpr std::size_t kHeaderBytes = 4 + 4 + 1 + 4 + 4 + 4 + 8 + 4;
+  constexpr std::size_t kRowBytes = 32;
+  if (data.size() < kHeaderBytes) return corrupt("truncated header");
   ByteReader r(data);
-  HET_CHECK_MSG(r.u32() == kRunMagic, "not a hetindex run file");
+  if (r.u32() != kRunMagic) return corrupt("not a hetindex run file (bad magic)");
   RunFile rf;
   rf.run_id_ = r.u32();
   rf.codec_ = static_cast<PostingCodec>(r.u8());
@@ -92,6 +101,10 @@ RunFile RunFile::open(const std::string& path) {
   const std::uint32_t count = r.u32();
   const std::uint64_t blob_bytes = r.u64();
   const std::uint32_t blob_crc = r.u32();
+  if (r.remaining() / kRowBytes < count ||
+      r.remaining() - std::size_t{count} * kRowBytes != blob_bytes) {
+    return corrupt("table or blob area does not match the file size");
+  }
   rf.table_.resize(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     auto& e = rf.table_[i];
@@ -102,13 +115,18 @@ RunFile RunFile::open(const std::string& path) {
     e.count = r.u32();
     e.min_doc = r.u32();
     e.max_doc = r.u32();
-    HET_CHECK_MSG(i == 0 || rf.table_[i - 1].key < e.key,
-                  "run file table corruption (keys not ascending)");
+    if (i > 0 && !(rf.table_[i - 1].key < e.key)) {
+      return corrupt("table keys do not ascend");
+    }
+    if (e.offset > blob_bytes || e.bytes > blob_bytes - e.offset) {
+      return corrupt("table row points outside the blob area");
+    }
   }
   rf.blobs_.resize(blob_bytes);
   r.bytes(rf.blobs_.data(), blob_bytes);
-  HET_CHECK_MSG(crc32(rf.blobs_.data(), rf.blobs_.size()) == blob_crc,
-                "run file blob corruption");
+  if (crc32(rf.blobs_.data(), rf.blobs_.size()) != blob_crc) {
+    return corrupt("blob checksum mismatch");
+  }
   return rf;
 }
 

@@ -18,6 +18,7 @@
 
 #include "codec/posting_codecs.hpp"
 #include "postings/postings_store.hpp"
+#include "util/error.hpp"
 
 namespace hetindex {
 
@@ -76,9 +77,11 @@ class RunFileWriter {
 /// Memory-resident reader of a run file.
 class RunFile {
  public:
-  /// Loads and checks `path`; a blob CRC mismatch or a table whose keys do
-  /// not strictly ascend aborts as corruption.
-  static RunFile open(const std::string& path);
+  /// Loads and checks `path`. kCorrupt naming the file on a bad magic, a
+  /// truncated file, a table whose keys do not strictly ascend or whose rows
+  /// point outside the blob area, or a blob CRC mismatch; the env's read
+  /// error (kNotFound, kIo) when the file cannot be read.
+  static Expected<RunFile> open(const std::string& path);
 
   [[nodiscard]] std::uint32_t run_id() const { return run_id_; }
   [[nodiscard]] PostingCodec codec() const { return codec_; }

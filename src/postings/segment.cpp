@@ -635,26 +635,34 @@ Expected<SegmentMergeStats> merge_segments(
 Expected<SegmentBuildStats> build_segment_from_runs(
     const std::string& dir, const std::vector<DictionaryEntry>& entries,
     const std::vector<IndexDirectoryEntry>& directory) {
-  std::vector<RunFile> runs;
-  runs.reserve(directory.size());
-  for (const auto& e : directory) runs.push_back(RunFile::open(dir + "/" + e.file));
-  std::sort(runs.begin(), runs.end(),
-            [](const RunFile& a, const RunFile& b) { return a.run_id() < b.run_id(); });
-  const PostingCodec codec = runs.empty() ? PostingCodec::kVByte : runs.front().codec();
-  for (const auto& run : runs) {
-    HET_CHECK_MSG(run.codec() == codec, "segment build requires a uniform posting codec");
-  }
-  HET_CHECK_MSG(std::is_sorted(entries.begin(), entries.end(),
-                               [](const DictionaryEntry& a, const DictionaryEntry& b) {
-                                 return a.term < b.term;
-                               }),
-                "segment build requires a sorted dictionary");
   const std::string seg_path = IndexLayout::segment_path(dir);
   // Removing `seg_path` on error also clears a stale file a prior build left.
   const auto fail = [&seg_path](Error e) -> Expected<SegmentBuildStats> {
     (void)io::env().remove_file(seg_path);
     return e;
   };
+  std::vector<RunFile> runs;
+  runs.reserve(directory.size());
+  for (const auto& e : directory) {
+    auto run = RunFile::open(dir + "/" + e.file);
+    if (!run.has_value()) return fail(run.error());
+    runs.push_back(std::move(run).value());
+  }
+  std::sort(runs.begin(), runs.end(),
+            [](const RunFile& a, const RunFile& b) { return a.run_id() < b.run_id(); });
+  const PostingCodec codec = runs.empty() ? PostingCodec::kVByte : runs.front().codec();
+  for (const auto& run : runs) {
+    if (run.codec() != codec) {
+      return fail(Error{ErrorCode::kCorrupt,
+                        "segment build requires a uniform posting codec: run " +
+                            std::to_string(run.run_id()) + " in " + dir});
+    }
+  }
+  HET_CHECK_MSG(std::is_sorted(entries.begin(), entries.end(),
+                               [](const DictionaryEntry& a, const DictionaryEntry& b) {
+                                 return a.term < b.term;
+                               }),
+                "segment build requires a sorted dictionary");
 
   // Same byte-level fold as merge_runs, but driven by the sorted dictionary
   // so terms stream into the writer in final order: per term, concatenate
@@ -691,8 +699,12 @@ Expected<SegmentBuildStats> build_segment_from_runs(
       for (const auto& run : runs) {
         const RunTableEntry* e = run.entry(key);
         if (e == nullptr) continue;
-        HET_CHECK_MSG(count == 0 || e->min_doc > mx,
-                      "doc ids must be globally increasing across runs");
+        if (count != 0 && e->min_doc <= mx) {
+          part.error = Error{ErrorCode::kCorrupt,
+                             "doc ids of term '" + de.term +
+                                 "' are not increasing across run files: " + dir};
+          return;
+        }
         const auto bytes = run.raw_blob(*e);
         blob.insert(blob.end(), bytes.begin(), bytes.end());
         part.stats.input_bytes += e->bytes;

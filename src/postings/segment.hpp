@@ -266,8 +266,10 @@ struct SegmentBuildStats {
 /// (entries re-read from disk). Blobs concatenate byte-wise via the
 /// §III.F merge property; nothing is re-encoded. Dictionary ranges fold in
 /// parallel into the same bytes as a serial fold. Errors, each leaving no
-/// file: kCorrupt when a dictionary term has no postings in any run, kIo
-/// when the segment cannot be written durably.
+/// file: kCorrupt naming the file when a run file is damaged
+/// (RunFile::open) or the runs disagree on codec or doc order, kCorrupt when
+/// a dictionary term has no postings in any run, kIo when the segment
+/// cannot be written durably.
 Expected<SegmentBuildStats> build_segment_from_runs(
     const std::string& dir, const std::vector<DictionaryEntry>& entries,
     const std::vector<IndexDirectoryEntry>& directory);

@@ -51,13 +51,21 @@ VerifyReport verify_index(const std::string& dir) {
 
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint32_t> last_doc;  // key → max doc
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t> posting_count;
+  bool all_runs_read = true;
   for (const auto& de : dir_entries) {
     const auto run_path = dir + "/" + de.file;
     if (!file_exists(run_path)) {
       report.fail("missing run file: " + de.file);
+      all_runs_read = false;
       continue;
     }
-    const auto run = RunFile::open(run_path);  // blob CRC checked here
+    const auto opened = RunFile::open(run_path);  // blob CRC checked here
+    if (!opened.has_value()) {
+      report.fail(opened.error().message);
+      all_runs_read = false;
+      continue;
+    }
+    const RunFile& run = opened.value();
     if (run.run_id() != de.run_id) {
       report.fail(de.file + ": run id mismatch with directory");
     }
@@ -127,7 +135,9 @@ VerifyReport verify_index(const std::string& dir) {
   }
 
   // ---- Every term must have postings (a dictionary entry with none means
-  // a lost list).
+  // a lost list). Skipped when a run could not be read: its terms would
+  // each repeat that one error.
+  if (!all_runs_read) return report;
   for (const auto& [key, entry] : by_key) {
     if (posting_count.find(key) == posting_count.end()) {
       report.fail("term '" + entry->term + "' has no postings in any run");

@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <ctime>
 
 namespace hetindex {
 
@@ -31,6 +32,25 @@ class WallTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
+};
+
+/// CPU time consumed by the calling thread (CLOCK_THREAD_CPUTIME_ID): the
+/// work a stage did, not inflated by the time it waited for a core while
+/// sibling threads ran. Must be read on the thread that constructed it.
+class ThreadCpuTimer {
+ public:
+  ThreadCpuTimer() : start_(now()) {}
+
+  void reset() { start_ = now(); }
+  [[nodiscard]] double seconds() const { return now() - start_; }
+
+ private:
+  static double now() {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+  }
+  double start_;
 };
 
 /// Accumulates elapsed time into a double on scope exit; used to attribute

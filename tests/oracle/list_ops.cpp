@@ -183,4 +183,17 @@ std::optional<QueryPostings> phrase_query(const InvertedIndex& index,
   return phrase_join(refs);
 }
 
+QueryPostings materialize_cursor(PostingsCursor& cursor) {
+  QueryPostings out;
+  out.doc_ids.reserve(cursor.size());
+  out.tfs.reserve(cursor.size());
+  if (cursor.valid() && !cursor.positioned()) cursor.seek(0);
+  while (cursor.valid()) {
+    out.doc_ids.push_back(cursor.docid());
+    out.tfs.push_back(cursor.tf());
+    cursor.next();
+  }
+  return out;
+}
+
 }  // namespace hetindex::oracle

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "postings/cursor.hpp"
 #include "postings/query.hpp"
 
 namespace hetindex::oracle {
@@ -40,5 +41,9 @@ QueryPostings near_join(const std::vector<const QueryPostings*>& lists, std::uin
 /// term is absent or the index carries no positions.
 std::optional<QueryPostings> phrase_query(const InvertedIndex& index,
                                           const std::vector<std::string>& terms);
+
+/// Decodes whatever the cursor has not consumed yet into a flat list (doc
+/// ids and tfs). Call on a fresh cursor to materialize the whole list.
+QueryPostings materialize_cursor(PostingsCursor& cursor);
 
 }  // namespace hetindex::oracle

@@ -16,7 +16,7 @@ RunIndex RunIndex::open(const std::string& dir) {
                 "dictionary file must be sorted by term");
   const auto directory = index_directory_read(IndexLayout::directory_path(dir));
   idx.runs_.reserve(directory.size());
-  for (const auto& e : directory) idx.runs_.push_back(RunFile::open(dir + "/" + e.file));
+  for (const auto& e : directory) idx.runs_.push_back(RunFile::open(dir + "/" + e.file).value());
   std::sort(idx.runs_.begin(), idx.runs_.end(),
             [](const RunFile& a, const RunFile& b) { return a.run_id() < b.run_id(); });
   return idx;

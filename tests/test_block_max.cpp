@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/hetindex.hpp"
+#include "oracle/list_ops.hpp"
 #include "postings/cursor.hpp"
 #include "search/topk.hpp"
 #include "util/binary_io.hpp"
@@ -258,7 +259,7 @@ TEST(Cursor, MaterializeRoundTrips) {
   const auto list = random_list(13, 400, 30000);
   const auto enc = encode_blocked(list);
   auto c = segment_cursor(enc);
-  const auto out = materialize_cursor(*c);
+  const auto out = oracle::materialize_cursor(*c);
   EXPECT_EQ(out.doc_ids, list.doc_ids);
   EXPECT_EQ(out.tfs, list.tfs);
 }

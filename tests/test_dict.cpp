@@ -395,10 +395,10 @@ TEST(Dictionary, PersistRoundTrip) {
   }
   const auto path =
       (std::filesystem::temp_directory_path() / "hetindex_dict_test.bin").string();
-  dictionary_write(dict, path);
+  const auto original = dict.combine();
+  dictionary_write(original, path);
   const auto loaded = dictionary_read(path);
   ASSERT_EQ(loaded.size(), words.size());
-  const auto original = dict.combine();
   for (std::size_t i = 0; i < loaded.size(); ++i) {
     EXPECT_EQ(loaded[i].term, original[i].term);
     EXPECT_EQ(loaded[i].handle, original[i].handle);

@@ -7,10 +7,12 @@
 #include <filesystem>
 #include <map>
 
+#include "corpus/container.hpp"
 #include "corpus/synthetic.hpp"
 #include "index/indexer.hpp"
 #include "index/sampler.hpp"
 #include "parse/parser.hpp"
+#include "util/binary_io.hpp"
 
 namespace hetindex {
 namespace {
@@ -74,6 +76,44 @@ TEST(Sampler, SampleFindsPopularCollections) {
   for (auto c : split.popular) min_popular = std::min(min_popular, split.sampled_tokens[c]);
   for (auto c : split.unpopular)
     EXPECT_LE(split.sampled_tokens[c], min_popular);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Sampler, SampleStopsAtBudgetInWholeDocuments) {
+  const auto dir = (std::filesystem::temp_directory_path() / "hetindex_sampler_budget").string();
+  std::filesystem::create_directories(dir);
+  auto spec = wikipedia_like();
+  spec.total_bytes = 1u << 21;
+  spec.file_bytes = 1u << 20;
+  const auto coll = generate_collection(spec, dir);
+  ASSERT_EQ(coll.paths().size(), 2u);
+  for (const auto& path : coll.paths()) {
+    const auto bytes = read_file(path);
+    const auto all = container_read(path);
+    SamplerConfig cfg;  // 0.1% of a 1 MB file: the 64 KiB floor applies
+    const std::uint64_t want = sample_budget_bytes(container_uncompressed_size(path), cfg);
+    EXPECT_EQ(want, 64u << 10);
+
+    const auto docs = sample_documents(bytes, cfg).value();
+    ASSERT_GE(docs.size(), cfg.min_docs_per_file);
+    ASSERT_LT(docs.size(), all.size());
+    std::uint64_t raw = 0;
+    for (std::size_t i = 0; i < docs.size(); ++i) {
+      // Whole leading documents, in file order.
+      EXPECT_EQ(docs[i].url, all[i].url);
+      EXPECT_EQ(docs[i].body, all[i].body);
+      raw += document_raw_bytes(docs[i]);
+    }
+    // The budget is met, overshooting by at most the last document.
+    EXPECT_GE(raw, want);
+    EXPECT_LT(raw - document_raw_bytes(docs.back()), want);
+
+    // min_docs_per_file wins over the budget, up to the whole file.
+    cfg.min_docs_per_file = static_cast<std::uint32_t>(docs.size() + 10);
+    EXPECT_EQ(sample_documents(bytes, cfg).value().size(), docs.size() + 10);
+    cfg.min_docs_per_file = static_cast<std::uint32_t>(all.size() + 10);
+    EXPECT_EQ(sample_documents(bytes, cfg).value().size(), all.size());
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -346,6 +346,16 @@ TEST_F(ObsPipelineFixture, MetricTotalsEqualReportAggregates) {
   ASSERT_NE(m.stat("run_parse_seconds"), nullptr);
   EXPECT_EQ(m.stat("run_parse_seconds")->count, report.runs.size());
   EXPECT_NEAR(m.time_seconds("stage_sampling_seconds_total"), report.sampling_seconds, 1e-9);
+
+  // The parser's four steps are exported and lie inside the parse spans.
+  double steps = 0;
+  for (const char* name :
+       {"stage_parse_tokenize_seconds_total", "stage_parse_stem_seconds_total",
+        "stage_parse_stopword_seconds_total", "stage_parse_regroup_seconds_total"}) {
+    EXPECT_GT(m.time_seconds(name), 0.0) << name;
+    steps += m.time_seconds(name);
+  }
+  EXPECT_LE(steps, m.time_seconds("stage_parse_seconds_total"));
 }
 
 TEST_F(ObsPipelineFixture, ReportJsonTotalsMatchPrintedReport) {
@@ -378,6 +388,16 @@ TEST_F(ObsPipelineFixture, ReportJsonTotalsMatchPrintedReport) {
             report.documents);
   EXPECT_EQ(static_cast<std::uint64_t>(counters->find("pipeline_postings_total")->number),
             report.postings);
+  const JsonValue* stages = doc->find("stages");
+  ASSERT_NE(stages, nullptr);
+  for (const char* step : {"tokenize", "stem", "stopword", "regroup"}) {
+    const std::string field = std::string("parse_") + step + "_seconds";
+    ASSERT_NE(stages->find(field), nullptr) << field;
+    EXPECT_DOUBLE_EQ(stages->find(field)->number,
+                     report.metrics.time_seconds("stage_parse_" + std::string(step) +
+                                                 "_seconds_total"))
+        << field;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
 #include <set>
@@ -108,18 +109,32 @@ TEST(Parser, RegroupingPreservesEveryToken) {
 
 TEST(Parser, StepTimesAreReported) {
   Parser parser;
-  ParseTimes times;
   std::vector<Document> docs;
   for (int i = 0; i < 50; ++i)
     docs.push_back({static_cast<std::uint32_t>(i), "",
                     "<html>the quick brown foxes were jumping over lazy dogs "
                     "repeatedly and continuously</html>"});
-  parser.parse(docs, 0, 0, 0, &times);
-  EXPECT_GT(times.tokenize, 0.0);
-  EXPECT_GT(times.total(), 0.0);
+  // Each step's minimum over a few parses of the same input: one parse of a
+  // tiny block is easily stretched by a preemption (or a sanitizer's
+  // bookkeeping) landing inside a single step.
+  ParseTimes best;
+  for (int round = 0; round < 5; ++round) {
+    ParseTimes times;
+    parser.parse(docs, 0, 0, 0, &times);
+    EXPECT_GT(times.tokenize, 0.0);
+    EXPECT_GT(times.total(), 0.0);
+    if (round == 0) {
+      best = times;
+      continue;
+    }
+    best.tokenize = std::min(best.tokenize, times.tokenize);
+    best.stem = std::min(best.stem, times.stem);
+    best.stopword = std::min(best.stopword, times.stopword);
+    best.regroup = std::min(best.regroup, times.regroup);
+  }
   // §III.C: regrouping is a small fraction of parsing (~5%). Allow slack on
   // a tiny input but it must not dominate.
-  EXPECT_LT(times.regroup, times.total() * 0.6);
+  EXPECT_LT(best.regroup, best.total() * 0.6);
 }
 
 TEST(Parser, DocIdBaseIsRecorded) {

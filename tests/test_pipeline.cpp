@@ -17,6 +17,7 @@
 #include "parse/parser.hpp"
 #include "pipeline/reorder_buffer.hpp"
 #include "postings/merger.hpp"
+#include "util/binary_io.hpp"
 
 namespace hetindex {
 namespace {
@@ -133,6 +134,31 @@ TEST_F(PipelineFixture, GpuAndCpuOnlyBuildsProduceIdenticalIndexes) {
   }
 }
 
+TEST_F(PipelineFixture, SegmentIsByteIdenticalAcrossIndexerCounts) {
+  // Indexers run on their own threads and encode their own shards; whatever
+  // the split, index.seg must come out byte for byte the same.
+  for (const bool positional : {false, true}) {
+    std::vector<std::uint8_t> first;
+    for (const std::size_t cpus : {1, 2, 4}) {
+      for (const std::size_t gpus : {0, 2}) {
+        TempDir out("split");
+        IndexBuilder builder;
+        builder.parsers(2).cpu_indexers(cpus).gpus(gpus).emit_segment(true);
+        builder.config().parser.record_positions = positional;
+        const auto report = builder.build(collection_->paths(), out.path());
+        ASSERT_TRUE(report.ok()) << report.error->to_string();
+        const auto segment = read_file(IndexLayout::segment_path(out.path()));
+        if (first.empty()) {
+          first = segment;
+          continue;
+        }
+        EXPECT_TRUE(segment == first) << "positional " << positional << ", " << cpus
+                                      << " CPU indexers, " << gpus << " GPUs";
+      }
+    }
+  }
+}
+
 TEST_F(PipelineFixture, RunRecordsCarryStageCosts) {
   TempDir out("rec");
   IndexBuilder builder;
@@ -146,6 +172,7 @@ TEST_F(PipelineFixture, RunRecordsCarryStageCosts) {
     EXPECT_GE(run.read_seconds, 0.0);
     EXPECT_GT(run.decompress_seconds, 0.0);
     ASSERT_EQ(run.cpu_index_seconds.size(), 2u);
+    for (const double s : run.cpu_index_seconds) EXPECT_GT(s, 0.0);
     ASSERT_EQ(run.gpu_timings.size(), 2u);
     for (const auto& g : run.gpu_timings) EXPECT_GE(g.index_seconds, 0.0);
     EXPECT_GT(run.flush_seconds, 0.0);
@@ -170,7 +197,7 @@ TEST_F(PipelineFixture, MergedOutputMatchesPerRunOutput) {
   EXPECT_GT(report.merge_seconds, 0.0);
 
   const auto index = oracle::RunIndex::open(out.path());
-  const auto merged = RunFile::open(IndexLayout::merged_path(out.path()));
+  const auto merged = RunFile::open(IndexLayout::merged_path(out.path())).value();
   std::size_t checked = 0;
   for (const auto& e : index.entries()) {
     const auto full = index.lookup(e.term);

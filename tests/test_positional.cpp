@@ -228,8 +228,8 @@ TEST(PositionalMerge, MergedRunsKeepPositions) {
     w.add_list({0, 1}, b);
     w.finalize();
   }
-  merge_runs({dir + "/run_0.post", dir + "/run_1.post"}, dir + "/merged.post");
-  const auto merged = RunFile::open(dir + "/merged.post");
+  ASSERT_TRUE(merge_runs({dir + "/run_0.post", dir + "/run_1.post"}, dir + "/merged.post"));
+  const auto merged = RunFile::open(dir + "/merged.post").value();
   std::vector<std::uint32_t> ids, tfs, pos;
   ASSERT_TRUE(merged.fetch({0, 1}, ids, tfs, &pos));
   EXPECT_EQ(ids, (std::vector<std::uint32_t>{1, 2, 10}));

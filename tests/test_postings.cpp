@@ -78,7 +78,7 @@ TEST(RunFile, WriteReadRoundTrip) {
   const auto bytes = writer.finalize();
   EXPECT_GT(bytes, 0u);
 
-  const auto run = RunFile::open(path);
+  const auto run = RunFile::open(path).value();
   EXPECT_EQ(run.run_id(), 0u);
   EXPECT_EQ(run.table().size(), 2u);
   EXPECT_EQ(run.min_doc(), 1u);
@@ -109,7 +109,11 @@ TEST(RunFile, DetectsBlobCorruption) {
   auto data = read_file(path);
   data[data.size() - 3] ^= 0x40;
   write_file(path, data);
-  EXPECT_DEATH((void)RunFile::open(path), "corruption");
+  const auto opened = RunFile::open(path);
+  ASSERT_FALSE(opened.has_value());
+  EXPECT_EQ(opened.error().code, ErrorCode::kCorrupt);
+  EXPECT_NE(opened.error().message.find(path), std::string::npos) << opened.error().message;
+  EXPECT_NE(opened.error().message.find("checksum"), std::string::npos);
 }
 
 TEST(RunFile, RejectsTableKeysOutOfOrder) {
@@ -136,7 +140,40 @@ TEST(RunFile, RejectsTableKeysOutOfOrder) {
   std::swap_ranges(data.begin() + kHeader, data.begin() + kHeader + 8,
                    data.begin() + kHeader + kRow);
   write_file(path, data);
-  EXPECT_DEATH((void)RunFile::open(path), "corruption");
+  const auto opened = RunFile::open(path);
+  ASSERT_FALSE(opened.has_value());
+  EXPECT_EQ(opened.error().code, ErrorCode::kCorrupt);
+  EXPECT_NE(opened.error().message.find("ascend"), std::string::npos) << opened.error().message;
+}
+
+TEST(RunFile, ReportsBadMagicAndTruncation) {
+  TempDir dir;
+  const auto path = dir.path() + "/run_0.post";
+  RunFileWriter writer(path, 0);
+  PostingsList a;
+  a.doc_ids = {1, 5};
+  a.tfs = {1, 1};
+  writer.add_list({0, 1}, a);
+  writer.finalize();
+  const auto good = read_file(path);
+
+  auto data = good;
+  data[0] ^= 0xFF;
+  write_file(path, data);
+  auto opened = RunFile::open(path);
+  ASSERT_FALSE(opened.has_value());
+  EXPECT_EQ(opened.error().code, ErrorCode::kCorrupt);
+  EXPECT_NE(opened.error().message.find("magic"), std::string::npos) << opened.error().message;
+
+  for (const std::size_t keep : {std::size_t{5}, good.size() - 1}) {
+    data.assign(good.begin(), good.begin() + static_cast<std::ptrdiff_t>(keep));
+    write_file(path, data);
+    opened = RunFile::open(path);
+    ASSERT_FALSE(opened.has_value()) << keep;
+    EXPECT_EQ(opened.error().code, ErrorCode::kCorrupt) << keep;
+  }
+
+  EXPECT_EQ(RunFile::open(dir.path() + "/absent.post").error().code, ErrorCode::kNotFound);
 }
 
 class RunCodecParam : public ::testing::TestWithParam<PostingCodec> {};
@@ -155,7 +192,7 @@ TEST_P(RunCodecParam, RoundTripUnderEachCodec) {
   }
   writer.add_list({2, 7}, list);
   writer.finalize();
-  const auto run = RunFile::open(path);
+  const auto run = RunFile::open(path).value();
   EXPECT_EQ(run.codec(), GetParam());
   std::vector<std::uint32_t> ids, tfs;
   ASSERT_TRUE(run.fetch({2, 7}, ids, tfs));
@@ -193,11 +230,11 @@ TEST(Merger, CombinesPartialListsAcrossRuns) {
   }
   const auto out = dir.path() + "/merged.post";
   const auto stats =
-      merge_runs({dir.path() + "/run_0.post", dir.path() + "/run_1.post"}, out);
+      merge_runs({dir.path() + "/run_0.post", dir.path() + "/run_1.post"}, out).value();
   EXPECT_EQ(stats.terms, 2u);
   EXPECT_EQ(stats.postings, 5u);
 
-  const auto merged = RunFile::open(out);
+  const auto merged = RunFile::open(out).value();
   EXPECT_EQ(merged.run_id(), kMergedRunId);
   std::vector<std::uint32_t> ids, tfs;
   ASSERT_TRUE(merged.fetch({0, 1}, ids, tfs));
@@ -223,11 +260,11 @@ TEST(Merger, KeyOnlyInMiddleRunKeepsTableOrder) {
   }
   const auto out = dir.path() + "/merged.post";
   // Input order does not matter: runs are taken in run-id order.
-  const auto stats = merge_runs({paths[2], paths[0], paths[1]}, out);
+  const auto stats = merge_runs({paths[2], paths[0], paths[1]}, out).value();
   EXPECT_EQ(stats.terms, 3u);
   EXPECT_EQ(stats.postings, 10u);
 
-  const auto merged = RunFile::open(out);
+  const auto merged = RunFile::open(out).value();
   ASSERT_EQ(merged.table().size(), 3u);
   EXPECT_EQ(merged.table()[0].key, (PostingKey{0, 1}));
   EXPECT_EQ(merged.table()[1].key, (PostingKey{0, 2}));
@@ -259,9 +296,13 @@ TEST(Merger, RejectsOverlappingDocRanges) {
     w.add_list({0, 1}, l);
     w.finalize();
   }
-  EXPECT_DEATH((void)merge_runs({dir.path() + "/run_0.post", dir.path() + "/run_1.post"},
-                                dir.path() + "/merged.post"),
-               "increasing");
+  const auto merged =
+      merge_runs({dir.path() + "/run_0.post", dir.path() + "/run_1.post"},
+                 dir.path() + "/merged.post");
+  ASSERT_FALSE(merged.has_value());
+  EXPECT_EQ(merged.error().code, ErrorCode::kCorrupt);
+  EXPECT_NE(merged.error().message.find("increasing"), std::string::npos);
+  EXPECT_FALSE(std::filesystem::exists(dir.path() + "/merged.post"));
 }
 
 TEST(IndexDirectory, RoundTrip) {
@@ -288,7 +329,7 @@ class RunIndexFixture : public ::testing::Test {
     *apple.postings_slot = 1;
     auto banana = dict.insert("banana");
     *banana.postings_slot = 2;
-    dictionary_write(dict, IndexLayout::dictionary_path(dir_.path()));
+    dictionary_write(dict.combine(), IndexLayout::dictionary_path(dir_.path()));
 
     {
       RunFileWriter w(IndexLayout::run_path(dir_.path(), 0), 0);

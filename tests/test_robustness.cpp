@@ -1,5 +1,6 @@
 // Failure-injection and edge-case tests: corrupted on-disk artifacts must
-// die loudly or come back as structured errors (never silently return a
+// die loudly or come back as structured errors (a damaged run file is
+// reported by RunFile::open, verify_index, compact_index and merge_runs) (never silently return a
 // wrong index), a directory holding only run files is refused with a
 // pointer to `hetindex_cli compact`, and degenerate inputs
 // (empty docs, stop-word-only docs, unicode-heavy text, giant tokens) must
@@ -7,13 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 
 #include "codec/lz.hpp"
 #include "core/hetindex.hpp"
 #include "corpus/container.hpp"
 #include "corpus/synthetic.hpp"
+#include "postings/merger.hpp"
 #include "postings/query.hpp"
+#include "postings/verify.hpp"
 #include "util/binary_io.hpp"
 #include "util/rng.hpp"
 
@@ -87,11 +91,78 @@ TEST_F(CorruptionFixture, TruncatedContainerDies) {
   EXPECT_DEATH((void)container_read(corpus_file_), "truncated|lz|short");
 }
 
-TEST_F(CorruptionFixture, CorruptRunFileBlobDies) {
+TEST_F(CorruptionFixture, CorruptRunFileBlobIsReported) {
   const auto run_path = IndexLayout::run_path(index_dir_, 0);
   flip_byte(run_path, 3);
-  EXPECT_DEATH((void)RunFile::open(run_path), "corruption");
+  const auto opened = RunFile::open(run_path);
+  ASSERT_FALSE(opened.has_value());
+  EXPECT_EQ(opened.error().code, ErrorCode::kCorrupt);
+  EXPECT_NE(opened.error().message.find(run_path), std::string::npos)
+      << opened.error().message;
 }
+
+/// The three ways a run file is damaged on disk: a bad magic, table keys
+/// out of order, and a blob byte that no longer matches the CRC.
+enum class RunDamage { kMagic, kTableOrder, kBlob };
+
+class CorruptRunFile : public CorruptionFixture,
+                       public ::testing::WithParamInterface<RunDamage> {
+ protected:
+  void SetUp() override {
+    CorruptionFixture::SetUp();
+    run_path_ = IndexLayout::run_path(index_dir_, 0);
+    auto data = read_file(run_path_);
+    switch (GetParam()) {
+      case RunDamage::kMagic:
+        data[0] ^= 0xFF;
+        break;
+      case RunDamage::kTableOrder: {
+        // Swap the keys of the first two table rows (header 33 B, rows 32 B).
+        constexpr std::size_t kHeader = 33, kRow = 32;
+        ASSERT_GE(data.size(), kHeader + 2 * kRow);
+        std::swap_ranges(data.begin() + kHeader, data.begin() + kHeader + 8,
+                         data.begin() + kHeader + kRow);
+        break;
+      }
+      case RunDamage::kBlob:
+        data[data.size() - 4] ^= 0x5A;
+        break;
+    }
+    write_file(run_path_, data);
+  }
+
+  std::string run_path_;
+};
+
+TEST_P(CorruptRunFile, VerifyIndexReportsIt) {
+  const auto report = verify_index(index_dir_);
+  EXPECT_FALSE(report.ok);
+  ASSERT_FALSE(report.errors.empty());
+  const bool named = std::any_of(report.errors.begin(), report.errors.end(), [&](const auto& e) {
+    return e.find(run_path_) != std::string::npos;
+  });
+  EXPECT_TRUE(named) << report.errors.front();
+}
+
+TEST_P(CorruptRunFile, CompactIndexReturnsCorruptAndLeavesNoSegment) {
+  const auto folded = compact_index(index_dir_);
+  ASSERT_FALSE(folded.has_value());
+  EXPECT_EQ(folded.error().code, ErrorCode::kCorrupt);
+  EXPECT_NE(folded.error().message.find(run_path_), std::string::npos)
+      << folded.error().message;
+  EXPECT_FALSE(std::filesystem::exists(IndexLayout::segment_path(index_dir_)));
+}
+
+TEST_P(CorruptRunFile, MergeRunsReturnsCorrupt) {
+  const auto merged = merge_runs({run_path_}, dir_->path() + "/merged.post");
+  ASSERT_FALSE(merged.has_value());
+  EXPECT_EQ(merged.error().code, ErrorCode::kCorrupt);
+  EXPECT_FALSE(std::filesystem::exists(dir_->path() + "/merged.post"));
+}
+
+INSTANTIATE_TEST_SUITE_P(Damage, CorruptRunFile,
+                         ::testing::Values(RunDamage::kMagic, RunDamage::kTableOrder,
+                                           RunDamage::kBlob));
 
 TEST_F(CorruptionFixture, CorruptDictionaryMagicDies) {
   const auto dict_path = IndexLayout::dictionary_path(index_dir_);

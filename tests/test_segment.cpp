@@ -608,7 +608,7 @@ FoldInput write_fold_input(const std::string& dir, std::size_t terms, std::uint3
 /// each term's run blobs concatenated in run order.
 std::vector<std::uint8_t> serial_fold(const std::string& dir, const FoldInput& in) {
   std::vector<RunFile> runs;
-  for (const auto& e : in.directory) runs.push_back(RunFile::open(dir + "/" + e.file));
+  for (const auto& e : in.directory) runs.push_back(RunFile::open(dir + "/" + e.file).value());
   const std::string path = dir + "/oracle.seg";
   SegmentWriter writer(path, PostingCodec::kVByte);
   std::vector<std::uint8_t> blob;
@@ -691,7 +691,7 @@ TEST_F(SegmentEquivalenceFixture, TermWithoutPostingsIsCorrupt) {
 
   // The first such term in dictionary order is the one reported.
   std::vector<RunFile> kept;
-  for (const auto& e : directory) kept.push_back(RunFile::open(copy.path() + "/" + e.file));
+  for (const auto& e : directory) kept.push_back(RunFile::open(copy.path() + "/" + e.file).value());
   std::string missing;
   for (const auto& de : dictionary_read(IndexLayout::dictionary_path(copy.path()))) {
     if (std::none_of(kept.begin(), kept.end(), [&](const RunFile& run) {
