@@ -54,14 +54,16 @@ int main() {
 
   // The merged file must answer queries identically to run concatenation.
   std::vector<RunFile> runs;
-  for (const auto& e : index_directory_read(IndexLayout::directory_path(pc.output_dir))) {
+  const auto directory = index_directory_read(IndexLayout::directory_path(pc.output_dir)).value();
+  for (const auto& e : directory) {
     runs.push_back(RunFile::open(pc.output_dir + "/" + e.file).value());
   }
   std::sort(runs.begin(), runs.end(),
             [](const RunFile& a, const RunFile& b) { return a.run_id() < b.run_id(); });
   const auto merged = RunFile::open(IndexLayout::merged_path(pc.output_dir)).value();
   std::size_t checked = 0, agree = 0;
-  for (const auto& e : dictionary_read(IndexLayout::dictionary_path(pc.output_dir))) {
+  const auto entries = dictionary_read(IndexLayout::dictionary_path(pc.output_dir)).value();
+  for (const auto& e : entries) {
     std::vector<std::uint32_t> full_ids, full_tfs, ids, tfs;
     for (const auto& run : runs) run.fetch({e.shard, e.handle}, full_ids, full_tfs);
     if (merged.fetch({e.shard, e.handle}, ids, tfs) && ids == full_ids && tfs == full_tfs) {

@@ -69,7 +69,8 @@ int main(int argc, char** argv) {
   const std::uint32_t window_lo = 0;
   const std::uint32_t window_hi = report.documents / 4;
   const auto hits = index.lookup_range(term, window_lo, window_hi);
-  const auto runs = index_directory_read(IndexLayout::directory_path(work_dir + "/index"));
+  const auto runs =
+      index_directory_read(IndexLayout::directory_path(work_dir + "/index")).value();
   // The window starts at doc 0, so a run overlaps it when it starts inside.
   const auto runs_touched = static_cast<std::size_t>(
       std::count_if(runs.begin(), runs.end(), [&](const IndexDirectoryEntry& run) {

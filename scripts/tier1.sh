@@ -2,7 +2,9 @@
 # Tier-1 verification: the plain Release build + full test suite, the
 # quickstart and web_archive_indexing examples run end to end (work dirs
 # under build/, so an example that can no longer open the index it built
-# fails here), the hetbench benchmark tree and its harness self-test, then
+# fails here), a `hetindex_cli compact` of the quickstart index that must
+# re-fold a cmp-identical index.seg and then pass `hetindex_cli verify`,
+# the hetbench benchmark tree and its harness self-test, then
 # two sanitizer legs over the concurrency- and memory-critical tests:
 #   - ThreadSanitizer on the threaded pipeline/observability/segment/live/
 #     search/cluster tests (metric emission from parser threads, shared
@@ -74,6 +76,13 @@ ctest --test-dir build --output-on-failure -j "$(nproc)"
 rm -rf build/example-runs
 ./build/examples/quickstart build/example-runs/quickstart
 ./build/examples/web_archive_indexing build/example-runs/web_archive
+# The fold is deterministic end to end: re-folding the quickstart's run
+# files gives a byte-identical index.seg, and the directory still verifies.
+qs_index=build/example-runs/quickstart/index
+cp "$qs_index/index.seg" build/example-runs/quickstart-index.seg
+./build/examples/hetindex_cli compact "$qs_index"
+cmp build/example-runs/quickstart-index.seg "$qs_index/index.seg"
+./build/examples/hetindex_cli verify "$qs_index"
 # The benchmark compiles against the public request/response types, so it
 # is built (and its harness self-test run) here too: an API change that
 # breaks hetbench fails tier-1 instead of the next benchmark run.

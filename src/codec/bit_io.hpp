@@ -3,6 +3,7 @@
 /// MSB-first bit stream reader/writer backing the Elias-γ and Golomb posting
 /// codecs (§II: "γ encoding and Golomb compression").
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -61,30 +62,35 @@ class BitReader {
  public:
   BitReader(const std::uint8_t* data, std::size_t bytes) : data_(data), bytes_(bytes) {}
 
+  /// Reads `count` bits a byte at a time: bit-packed postings lanes make
+  /// this the block decoder's inner loop.
   [[nodiscard]] std::uint64_t read(unsigned count) {
     HET_DCHECK(count <= 64);
     std::uint64_t v = 0;
-    for (unsigned i = 0; i < count; ++i) v = (v << 1) | get_bit();
+    while (count > 0) {
+      HET_CHECK_MSG((bit_pos_ >> 3) < bytes_, "bit stream overrun");
+      const unsigned avail = 8 - static_cast<unsigned>(bit_pos_ & 7);
+      const unsigned take = std::min(avail, count);
+      v = (v << take) | ((data_[bit_pos_ >> 3] >> (avail - take)) & ((1u << take) - 1));
+      bit_pos_ += take;
+      count -= take;
+    }
     return v;
   }
+
+  /// Moves past `bits` bits; the next read checks the bounds.
+  void skip(std::uint64_t bits) { bit_pos_ += bits; }
 
   /// Counts one-bits until the terminating zero.
   [[nodiscard]] std::uint64_t read_unary() {
     std::uint64_t n = 0;
-    while (get_bit()) ++n;
+    while (read(1) != 0) ++n;
     return n;
   }
 
   [[nodiscard]] std::uint64_t bits_consumed() const { return bit_pos_; }
 
  private:
-  unsigned get_bit() {
-    const std::size_t byte = bit_pos_ >> 3;
-    HET_CHECK_MSG(byte < bytes_, "bit stream overrun");
-    const unsigned bit = 7 - (bit_pos_ & 7);
-    ++bit_pos_;
-    return (data_[byte] >> bit) & 1u;
-  }
   const std::uint8_t* data_;
   std::size_t bytes_;
   std::uint64_t bit_pos_ = 0;

@@ -1,5 +1,7 @@
 #include "codec/front_coding.hpp"
 
+#include <algorithm>
+
 #include "codec/posting_codecs.hpp"
 #include "util/check.hpp"
 
@@ -26,17 +28,19 @@ std::vector<std::uint8_t> front_code(const std::vector<std::string>& terms) {
   return out;
 }
 
-std::vector<std::string> front_decode(const std::vector<std::uint8_t>& block,
-                                      std::size_t count) {
+std::optional<std::vector<std::string>> front_decode(const std::vector<std::uint8_t>& block,
+                                                     std::size_t count) {
   std::vector<std::string> terms;
-  terms.reserve(count);
+  terms.reserve(std::min(count, block.size()));
   std::size_t pos = 0;
   std::string prev;
   for (std::size_t i = 0; i < count; ++i) {
-    const auto shared = vbyte_decode(block.data(), block.size(), pos);
-    const auto suffix_len = vbyte_decode(block.data(), block.size(), pos);
-    HET_CHECK_MSG(shared <= prev.size(), "front coding prefix exceeds previous term");
-    HET_CHECK_MSG(pos + suffix_len <= block.size(), "front coding suffix overrun");
+    std::uint64_t shared = 0, suffix_len = 0;
+    if (!vbyte_try_decode(block.data(), block.size(), pos, shared) ||
+        !vbyte_try_decode(block.data(), block.size(), pos, suffix_len) ||
+        shared > prev.size() || suffix_len > block.size() - pos) {
+      return std::nullopt;
+    }
     std::string term = prev.substr(0, shared);
     term.append(reinterpret_cast<const char*>(block.data() + pos), suffix_len);
     pos += suffix_len;

@@ -9,6 +9,7 @@
 /// vbyte(suffix length), suffix bytes. The first term has prefix length 0.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,9 +20,10 @@ namespace hetindex {
 /// byte block.
 std::vector<std::uint8_t> front_code(const std::vector<std::string>& terms);
 
-/// Decodes a block produced by front_code. `count` terms are read.
-std::vector<std::string> front_decode(const std::vector<std::uint8_t>& block,
-                                      std::size_t count);
+/// Decodes `count` terms of a block produced by front_code; nullopt when the
+/// block is damaged (too short, or a prefix longer than the previous term).
+std::optional<std::vector<std::string>> front_decode(const std::vector<std::uint8_t>& block,
+                                                     std::size_t count);
 
 /// Length of the longest common prefix of two strings.
 std::size_t common_prefix_length(std::string_view a, std::string_view b);

@@ -9,17 +9,21 @@
 
 namespace hetindex {
 
-std::uint64_t vbyte_decode(const std::uint8_t* data, std::size_t size, std::size_t& pos) {
-  std::uint64_t value = 0;
-  unsigned shift = 0;
-  while (true) {
-    HET_CHECK_MSG(pos < size, "vbyte stream overrun");
+bool vbyte_try_decode(const std::uint8_t* data, std::size_t size, std::size_t& pos,
+                      std::uint64_t& value) {
+  value = 0;
+  for (unsigned shift = 0; shift < 64 && pos < size; shift += 7) {
     const std::uint8_t byte = data[pos++];
     value |= static_cast<std::uint64_t>(byte & 0x7Fu) << shift;
-    if ((byte & 0x80u) == 0) return value;
-    shift += 7;
-    HET_CHECK_MSG(shift < 64, "vbyte value overflow");
+    if ((byte & 0x80u) == 0) return true;
   }
+  return false;
+}
+
+std::uint64_t vbyte_decode(const std::uint8_t* data, std::size_t size, std::size_t& pos) {
+  std::uint64_t value = 0;
+  HET_CHECK_MSG(vbyte_try_decode(data, size, pos, value), "vbyte stream overrun or overflow");
+  return value;
 }
 
 namespace {
@@ -80,17 +84,108 @@ std::size_t vbyte_length(std::uint64_t v) {
 
 /// Doc-gap symbols exactly as the encoder emits them: first doc id +1, then
 /// deltas (all ≥ 1).
-std::uint64_t gap_symbol(const std::vector<std::uint32_t>& doc_ids, std::size_t i) {
+std::uint64_t gap_symbol(std::span<const std::uint32_t> doc_ids, std::size_t i) {
   return i == 0 ? std::uint64_t{doc_ids[0]} + 1
                 : std::uint64_t{doc_ids[i]} - doc_ids[i - 1];
 }
 
+/// fn(symbol) over the list's symbol stream, checking it on the way: per
+/// posting its doc gap and tf, then in positional mode its tf in-document
+/// positions as +1-shifted gaps relative to the previous position in the
+/// same doc. Codecs that need two passes (Golomb's mean) call it twice.
+template <typename Fn>
+void for_each_symbol(std::span<const std::uint32_t> doc_ids, std::span<const std::uint32_t> tfs,
+                     std::span<const std::uint32_t> positions, Fn&& fn) {
+  std::size_t pos_cursor = 0;
+  for (std::size_t i = 0; i < doc_ids.size(); ++i) {
+    HET_CHECK_MSG(i == 0 || doc_ids[i] > doc_ids[i - 1],
+                  "postings doc ids must be strictly increasing");
+    HET_CHECK_MSG(tfs[i] >= 1, "term frequency must be positive");
+    fn(gap_symbol(doc_ids, i));
+    fn(std::uint64_t{tfs[i]});
+    if (positions.empty()) continue;
+    HET_CHECK_MSG(pos_cursor + tfs[i] <= positions.size(),
+                  "positions shorter than sum of term frequencies");
+    std::uint32_t prev_pos = 0;
+    for (std::uint32_t k = 0; k < tfs[i]; ++k) {
+      const std::uint32_t p = positions[pos_cursor++];
+      HET_CHECK_MSG(k == 0 || p >= prev_pos, "positions must be non-decreasing in a doc");
+      fn(k == 0 ? std::uint64_t{p} + 1 : std::uint64_t{p} - prev_pos + 1);
+      prev_pos = p;
+    }
+  }
+  HET_CHECK_MSG(positions.empty() || pos_cursor == positions.size(),
+                "positions longer than sum of term frequencies");
+}
+
+/// Appends one self-describing sub-list to `out`; an empty `positions`
+/// means a plain (non-positional) list.
+void encode_into(PostingCodec codec, std::span<const std::uint32_t> doc_ids,
+                 std::span<const std::uint32_t> tfs, std::span<const std::uint32_t> positions,
+                 std::vector<std::uint8_t>& out) {
+  HET_CHECK(doc_ids.size() == tfs.size());
+  const bool positional = !positions.empty();
+  HET_CHECK_MSG(!(positional && codec == PostingCodec::kBitPacked),
+                "bit-packed codec does not support positions");
+  // Common header: count, codec byte (high bit = positional), and for
+  // Golomb the parameter b.
+  vbyte_encode(doc_ids.size(), out);
+  out.push_back(static_cast<std::uint8_t>(codec) |
+                static_cast<std::uint8_t>(positional ? 0x80 : 0));
+  if (doc_ids.empty()) return;
+
+  switch (codec) {
+    case PostingCodec::kVByte:
+      for_each_symbol(doc_ids, tfs, positions, [&](std::uint64_t s) { vbyte_encode(s, out); });
+      break;
+    case PostingCodec::kGamma: {
+      BitWriter bw(out);
+      for_each_symbol(doc_ids, tfs, positions, [&](std::uint64_t s) { gamma_put(bw, s); });
+      bw.flush();
+      break;
+    }
+    case PostingCodec::kGolomb: {
+      // Parameter from the mean of all symbols (dominated by doc gaps).
+      double mean = 0;
+      std::size_t symbols = 0;
+      for_each_symbol(doc_ids, tfs, positions, [&](std::uint64_t s) {
+        mean += static_cast<double>(s);
+        ++symbols;
+      });
+      mean /= static_cast<double>(symbols);
+      const std::uint64_t b = golomb_optimal_b(mean);
+      vbyte_encode(b, out);
+      BitWriter bw(out);
+      for_each_symbol(doc_ids, tfs, positions, [&](std::uint64_t s) { golomb_put(bw, s, b); });
+      bw.flush();
+      break;
+    }
+    case PostingCodec::kBitPacked: {
+      // Non-positional: symbols alternate gap, tf. Two fixed-width streams
+      // (all gaps, then all tfs) behind a 2-byte width prologue.
+      std::uint64_t max_sym[2] = {1, 1};  // gap, tf
+      std::size_t parity = 0;
+      for_each_symbol(doc_ids, tfs, positions, [&](std::uint64_t s) {
+        max_sym[parity] = std::max(max_sym[parity], s);
+        parity ^= 1;
+      });
+      const unsigned doc_bits = bit_width_u64(max_sym[0]);
+      const unsigned tf_bits = bit_width_u64(max_sym[1]);
+      out.push_back(static_cast<std::uint8_t>(doc_bits));
+      out.push_back(static_cast<std::uint8_t>(tf_bits));
+      BitWriter bw(out);
+      for (std::size_t i = 0; i < doc_ids.size(); ++i) bw.write(gap_symbol(doc_ids, i), doc_bits);
+      for (const auto tf : tfs) bw.write(tf, tf_bits);
+      bw.flush();
+      break;
+    }
+  }
+}
+
 }  // namespace
 
-PostingCodec choose_block_codec(PostingCodec requested,
-                                const std::vector<std::uint32_t>& doc_ids,
-                                const std::vector<std::uint32_t>& tfs,
-                                bool positional) {
+PostingCodec choose_block_codec(PostingCodec requested, std::span<const std::uint32_t> doc_ids,
+                                std::span<const std::uint32_t> tfs, bool positional) {
   if (requested != PostingCodec::kVByte || positional || doc_ids.empty()) return requested;
   std::uint64_t max_gap = 0, max_tf = 0;
   std::size_t vbyte_payload = 0;
@@ -109,145 +204,48 @@ std::vector<std::uint8_t> encode_postings(PostingCodec codec,
                                           const std::vector<std::uint32_t>& doc_ids,
                                           const std::vector<std::uint32_t>& tfs,
                                           const std::vector<std::uint32_t>* positions) {
-  HET_CHECK(doc_ids.size() == tfs.size());
-  const bool positional = positions != nullptr && !positions->empty();
-  HET_CHECK_MSG(!(positional && codec == PostingCodec::kBitPacked),
-                "bit-packed codec does not support positions");
   std::vector<std::uint8_t> out;
-  out.reserve(doc_ids.size() * 2 + 16);
-  // Common header: count, codec byte (high bit = positional), and for
-  // Golomb the parameter b.
-  vbyte_encode(doc_ids.size(), out);
-  out.push_back(static_cast<std::uint8_t>(codec) |
-                static_cast<std::uint8_t>(positional ? 0x80 : 0));
-  if (doc_ids.empty()) return out;
-
-  // Gaps: first doc_id + 1 (so every symbol is >= 1), then deltas. In
-  // positional mode, each posting's tf in-document positions follow as
-  // +1-shifted gaps relative to the previous position in the same doc.
-  std::vector<std::uint64_t> symbols;
-  symbols.reserve(doc_ids.size() * 2);
-  std::uint32_t prev = 0;
-  std::size_t pos_cursor = 0;
-  for (std::size_t i = 0; i < doc_ids.size(); ++i) {
-    const std::uint64_t gap = (i == 0) ? std::uint64_t{doc_ids[0]} + 1
-                                       : std::uint64_t{doc_ids[i]} - prev;
-    HET_CHECK_MSG(i == 0 || doc_ids[i] > prev, "postings doc ids must be strictly increasing");
-    HET_CHECK_MSG(tfs[i] >= 1, "term frequency must be positive");
-    symbols.push_back(gap);
-    symbols.push_back(tfs[i]);
-    if (positional) {
-      HET_CHECK_MSG(pos_cursor + tfs[i] <= positions->size(),
-                    "positions shorter than sum of term frequencies");
-      std::uint32_t prev_pos = 0;
-      for (std::uint32_t k = 0; k < tfs[i]; ++k) {
-        const std::uint32_t p = (*positions)[pos_cursor++];
-        const std::uint64_t pgap =
-            k == 0 ? std::uint64_t{p} + 1 : std::uint64_t{p} - prev_pos + 1;
-        HET_CHECK_MSG(k == 0 || p >= prev_pos, "positions must be non-decreasing in a doc");
-        symbols.push_back(pgap);
-        prev_pos = p;
-      }
-    }
-    prev = doc_ids[i];
-  }
-  if (positional) {
-    HET_CHECK_MSG(pos_cursor == positions->size(),
-                  "positions longer than sum of term frequencies");
-  }
-
-  switch (codec) {
-    case PostingCodec::kVByte:
-      for (auto s : symbols) vbyte_encode(s, out);
-      break;
-    case PostingCodec::kGamma: {
-      BitWriter bw(out);
-      for (auto s : symbols) gamma_put(bw, s);
-      bw.flush();
-      break;
-    }
-    case PostingCodec::kGolomb: {
-      // Parameter from the mean of all symbols (dominated by doc gaps).
-      double mean = 0;
-      for (const auto sym : symbols) mean += static_cast<double>(sym);
-      mean /= static_cast<double>(symbols.size());
-      const std::uint64_t b = golomb_optimal_b(mean);
-      vbyte_encode(b, out);
-      BitWriter bw(out);
-      for (auto s : symbols) golomb_put(bw, s, b);
-      bw.flush();
-      break;
-    }
-    case PostingCodec::kBitPacked: {
-      // Non-positional: symbols alternate gap, tf. Two fixed-width streams
-      // (all gaps, then all tfs) behind a 2-byte width prologue.
-      std::uint64_t max_gap = 1, max_tf = 1;
-      for (std::size_t i = 0; i < doc_ids.size(); ++i) {
-        max_gap = std::max(max_gap, symbols[2 * i]);
-        max_tf = std::max(max_tf, symbols[2 * i + 1]);
-      }
-      const unsigned doc_bits = bit_width_u64(max_gap);
-      const unsigned tf_bits = bit_width_u64(max_tf);
-      out.push_back(static_cast<std::uint8_t>(doc_bits));
-      out.push_back(static_cast<std::uint8_t>(tf_bits));
-      BitWriter bw(out);
-      for (std::size_t i = 0; i < doc_ids.size(); ++i) bw.write(symbols[2 * i], doc_bits);
-      for (std::size_t i = 0; i < doc_ids.size(); ++i) bw.write(symbols[2 * i + 1], tf_bits);
-      bw.flush();
-      break;
-    }
-  }
+  const std::vector<std::uint32_t> plain;
+  encode_into(codec, doc_ids, tfs, positions != nullptr ? *positions : plain, out);
   return out;
 }
 
 std::vector<std::uint8_t> encode_postings_blocked(
-    PostingCodec codec, const std::vector<std::uint32_t>& doc_ids,
-    const std::vector<std::uint32_t>& tfs, const std::vector<std::uint32_t>* positions,
-    std::vector<PostingBlockEntry>* blocks, std::uint32_t block_size) {
+    PostingCodec codec, std::span<const std::uint32_t> doc_ids,
+    std::span<const std::uint32_t> tfs, std::span<const std::uint32_t> positions,
+    std::vector<PostingBlockEntry>* blocks) {
   HET_CHECK(doc_ids.size() == tfs.size());
-  HET_CHECK_MSG(block_size >= 1, "block size must be positive");
-  // An empty list still needs a decodable header so readers agree on the
-  // consumed bytes; it contributes no block entries.
-  if (doc_ids.empty()) return encode_postings(codec, doc_ids, tfs, positions);
-
-  const bool positional = positions != nullptr && !positions->empty();
   std::vector<std::uint8_t> out;
   out.reserve(doc_ids.size() * 2 + 16);
+  // An empty list still needs a decodable header so readers agree on the
+  // consumed bytes; it contributes no block entries.
+  if (doc_ids.empty()) encode_into(codec, doc_ids, tfs, positions, out);
+
+  // Each block is encoded straight into `out` from its index range; the
+  // positions slice is the next Σtfs entries.
+  const bool positional = !positions.empty();
   std::size_t pos_cursor = 0;
-  for (std::size_t b = 0; b < doc_ids.size(); b += block_size) {
-    const std::size_t e = std::min(doc_ids.size(), b + std::size_t{block_size});
-    const std::vector<std::uint32_t> ids_chunk(doc_ids.begin() + static_cast<std::ptrdiff_t>(b),
-                                               doc_ids.begin() + static_cast<std::ptrdiff_t>(e));
-    const std::vector<std::uint32_t> tfs_chunk(tfs.begin() + static_cast<std::ptrdiff_t>(b),
-                                               tfs.begin() + static_cast<std::ptrdiff_t>(e));
-    std::vector<std::uint32_t> pos_chunk;
+  for (std::size_t b = 0; b < doc_ids.size(); b += kPostingsBlockSize) {
+    const std::size_t n = std::min<std::size_t>(kPostingsBlockSize, doc_ids.size() - b);
+    const auto ids = doc_ids.subspan(b, n);
+    const auto block_tfs = tfs.subspan(b, n);
+    std::size_t tf_sum = 0;
     if (positional) {
-      std::size_t tf_sum = 0;
-      for (const auto tf : tfs_chunk) tf_sum += tf;
-      HET_CHECK_MSG(pos_cursor + tf_sum <= positions->size(),
+      for (const auto tf : block_tfs) tf_sum += tf;
+      HET_CHECK_MSG(pos_cursor + tf_sum <= positions.size(),
                     "positions shorter than sum of term frequencies");
-      pos_chunk.assign(positions->begin() + static_cast<std::ptrdiff_t>(pos_cursor),
-                       positions->begin() + static_cast<std::ptrdiff_t>(pos_cursor + tf_sum));
-      pos_cursor += tf_sum;
     }
-    const PostingCodec chosen = choose_block_codec(codec, ids_chunk, tfs_chunk, positional);
-    const auto enc =
-        encode_postings(chosen, ids_chunk, tfs_chunk, positional ? &pos_chunk : nullptr);
+    const std::size_t offset = out.size();
+    encode_into(choose_block_codec(codec, ids, block_tfs, positional), ids, block_tfs,
+                positions.subspan(pos_cursor, tf_sum), out);
+    pos_cursor += tf_sum;
     if (blocks != nullptr) {
-      PostingBlockEntry entry;
-      entry.offset = out.size();
-      entry.bytes = static_cast<std::uint32_t>(enc.size());
-      entry.last_doc = ids_chunk.back();
-      entry.count = static_cast<std::uint32_t>(ids_chunk.size());
-      entry.max_tf = *std::max_element(tfs_chunk.begin(), tfs_chunk.end());
-      blocks->push_back(entry);
+      blocks->push_back({offset, static_cast<std::uint32_t>(out.size() - offset), ids.back(),
+                         static_cast<std::uint32_t>(n),
+                         *std::max_element(block_tfs.begin(), block_tfs.end())});
     }
-    out.insert(out.end(), enc.begin(), enc.end());
   }
-  if (positional) {
-    HET_CHECK_MSG(pos_cursor == positions->size(),
-                  "positions longer than sum of term frequencies");
-  }
+  HET_CHECK_MSG(pos_cursor == positions.size(), "positions longer than sum of term frequencies");
   return out;
 }
 
@@ -331,12 +329,13 @@ std::size_t decode_postings(const std::uint8_t* data, std::size_t size,
       const unsigned tf_bits = data[pos++];
       HET_CHECK_MSG(doc_bits >= 1 && doc_bits <= 64 && tf_bits >= 1 && tf_bits <= 64,
                     "bit-packed width out of range");
-      BitReader br(data + pos, size - pos);
-      std::vector<std::uint64_t> gaps;
-      gaps.reserve(count);
-      for (std::uint64_t i = 0; i < count; ++i) gaps.push_back(br.read(doc_bits));
-      for (std::uint64_t i = 0; i < count; ++i) emit(gaps[i], br.read(tf_bits), i == 0, prev);
-      pos += (br.bits_consumed() + 7) / 8;
+      // One reader per lane: gaps, then tfs from count * doc_bits on.
+      BitReader gaps(data + pos, size - pos), tf_lane(data + pos, size - pos);
+      tf_lane.skip(count * doc_bits);
+      for (std::uint64_t i = 0; i < count; ++i) {
+        emit(gaps.read(doc_bits), tf_lane.read(tf_bits), i == 0, prev);
+      }
+      pos += (tf_lane.bits_consumed() + 7) / 8;
       break;
     }
   }

@@ -14,6 +14,7 @@
 /// byte-concatenation merge stays codec-oblivious.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace hetindex {
@@ -30,6 +31,10 @@ void vbyte_encode(std::uint64_t value, Bytes& out) {
 }
 /// Decodes one value starting at `pos`, advancing `pos`.
 std::uint64_t vbyte_decode(const std::uint8_t* data, std::size_t size, std::size_t& pos);
+/// vbyte_decode without the abort, for readers of untrusted bytes: false
+/// when the value runs past `size` or overflows 64 bits.
+bool vbyte_try_decode(const std::uint8_t* data, std::size_t size, std::size_t& pos,
+                      std::uint64_t& value);
 
 /// Codec identifiers persisted in run-file headers and in each encoded
 /// sub-list's codec byte. kBitPacked stores gaps and tfs as two fixed-width
@@ -66,27 +71,24 @@ std::vector<std::uint8_t> encode_postings(PostingCodec codec,
                                           const std::vector<std::uint32_t>& tfs,
                                           const std::vector<std::uint32_t>* positions = nullptr);
 
-/// Chunks the list into blocks of ≤ `block_size` docs, encodes each block as
+/// Chunks the list into blocks of ≤ kPostingsBlockSize docs, encodes each block as
 /// an independent sub-list (absolute first doc id), and concatenates them.
-/// The codec is chosen per block by choose_block_codec, so dense blocks of a
-/// vbyte list come out bit-packed. When `blocks` is non-null it receives one
-/// PostingBlockEntry per block, in order. The result decodes with the same
-/// back-to-back loop as any §III.F-merged blob.
+/// `positions` holds Σtfs entries for a positional list and is empty for a
+/// plain one. The codec is chosen per block by choose_block_codec, so dense
+/// blocks of a vbyte list come out bit-packed. When `blocks` is non-null it
+/// receives one PostingBlockEntry per block, in order. The result decodes
+/// with the same back-to-back loop as any §III.F-merged blob.
 std::vector<std::uint8_t> encode_postings_blocked(
-    PostingCodec codec, const std::vector<std::uint32_t>& doc_ids,
-    const std::vector<std::uint32_t>& tfs,
-    const std::vector<std::uint32_t>* positions = nullptr,
-    std::vector<PostingBlockEntry>* blocks = nullptr,
-    std::uint32_t block_size = kPostingsBlockSize);
+    PostingCodec codec, std::span<const std::uint32_t> doc_ids,
+    std::span<const std::uint32_t> tfs, std::span<const std::uint32_t> positions = {},
+    std::vector<PostingBlockEntry>* blocks = nullptr);
 
 /// Build-time density heuristic: returns the codec a block of this content
 /// should use. Upgrades kVByte to kBitPacked when the fixed-width payload is
 /// strictly smaller (dense lists: small gaps, uniform tfs); positional
 /// blocks and non-vbyte requests pass through unchanged.
-PostingCodec choose_block_codec(PostingCodec requested,
-                                const std::vector<std::uint32_t>& doc_ids,
-                                const std::vector<std::uint32_t>& tfs,
-                                bool positional);
+PostingCodec choose_block_codec(PostingCodec requested, std::span<const std::uint32_t> doc_ids,
+                                std::span<const std::uint32_t> tfs, bool positional);
 
 /// Inverse of encode_postings. The codec is read from the stream itself.
 /// Appends into the output vectors; positions are appended into `positions`

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "codec/front_coding.hpp"
+#include "io/env.hpp"
 #include "util/binary_io.hpp"
 #include "util/check.hpp"
 
@@ -154,24 +155,39 @@ void dictionary_write(const std::vector<DictionaryEntry>& entries, const std::st
   write_file(path, out);
 }
 
-std::vector<DictionaryEntry> dictionary_read(const std::string& path) {
-  const auto data = read_file(path);
+Expected<std::vector<DictionaryEntry>> dictionary_read(const std::string& path) {
+  auto read = io::env().read_file(path);
+  if (!read.has_value()) return read.error();
+  const auto data = std::move(read).value();
+  const auto corrupt = [&path](const char* what) {
+    return Error{ErrorCode::kCorrupt, "dictionary file " + path + ": " + what};
+  };
   ByteReader r(data);
-  HET_CHECK_MSG(r.u32() == kDictMagic, "not a hetindex dictionary file");
+  if (r.remaining() < 12 || r.u32() != kDictMagic) {
+    return corrupt("not a hetindex dictionary file (bad magic)");
+  }
+  // Every entry carries at least its 8-byte (shard, handle) pair, which
+  // bounds each count by the bytes left before anything is allocated.
   const std::uint64_t total = r.u64();
+  if (total > r.remaining() / 8) return corrupt("term count runs past the end of the file");
   std::vector<DictionaryEntry> entries;
   entries.reserve(total);
   while (entries.size() < total) {
+    if (r.remaining() < 12) return corrupt("collection header runs past the end of the file");
     const std::uint32_t trie_idx = r.u32();
     const std::uint32_t count = r.u32();
     const std::uint32_t block_size = r.u32();
+    if (block_size > r.remaining() || count > (r.remaining() - block_size) / 8) {
+      return corrupt("collection count runs past the end of the file");
+    }
     std::vector<std::uint8_t> block(block_size);
     r.bytes(block.data(), block_size);
     auto terms = front_decode(block, count);
+    if (!terms.has_value()) return corrupt("truncated front-coded block");
     for (std::uint32_t k = 0; k < count; ++k) {
       const std::uint32_t shard = r.u32();
       const std::uint32_t handle = r.u32();
-      entries.push_back({std::move(terms[k]), trie_idx, shard, handle});
+      entries.push_back({std::move((*terms)[k]), trie_idx, shard, handle});
     }
   }
   return entries;

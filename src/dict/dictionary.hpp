@@ -16,6 +16,7 @@
 #include "dict/btree.hpp"
 #include "dict/trie_table.hpp"
 #include "util/arena.hpp"
+#include "util/error.hpp"
 
 namespace hetindex {
 
@@ -105,7 +106,8 @@ class Dictionary {
 /// collection, a front-coded suffix block plus the postings handles.
 /// `entries` is the combined dictionary, sorted by term (Dictionary::combine()).
 void dictionary_write(const std::vector<DictionaryEntry>& entries, const std::string& path);
-/// Loads entries written by dictionary_write.
-std::vector<DictionaryEntry> dictionary_read(const std::string& path);
+/// Loads entries written by dictionary_write: kCorrupt naming the file when
+/// it is damaged, kNotFound when it is missing.
+Expected<std::vector<DictionaryEntry>> dictionary_read(const std::string& path);
 
 }  // namespace hetindex

@@ -77,7 +77,6 @@ Expected<RewriteStats> rewrite_segments(const std::vector<const SegmentReader*>&
                                         const TombstoneSet& dead, PostingCodec codec,
                                         const std::string& out_path) {
   SegmentWriter writer(out_path, codec);
-  std::vector<PostingBlockEntry> rows;
   std::vector<SegmentReader::TermCursor> cursors;
   cursors.reserve(inputs.size());
   for (const auto* reader : inputs) cursors.emplace_back(*reader);
@@ -126,10 +125,7 @@ Expected<RewriteStats> rewrite_segments(const std::vector<const SegmentReader*>&
     }
     if (out_docs.empty()) continue;  // every posting was dead: term vanishes
 
-    rows.clear();
-    const auto blob = encode_postings_blocked(codec, out_docs, out_tfs,
-                                              positional ? &out_positions : nullptr, &rows);
-    writer.add_term(term, blob, rows, out_docs);
+    writer.add_postings(term, out_docs, out_tfs, out_positions);
   }
 
   RewriteStats stats;
@@ -614,17 +610,11 @@ Expected<std::uint64_t> IndexWriter::State::flush_locked() {
   // the search layer keeps filtering them, compaction reclaims them.
   const MemtableView frozen(memtable);
   SegmentWriter writer(live_segment_path(dir, segment_id), opts.codec);
-  std::vector<PostingBlockEntry> rows;
   frozen.for_each_term_postings([&](std::string_view term,
                                     const std::vector<std::uint32_t>& list_docs,
                                     const std::vector<std::uint32_t>& tfs,
                                     const std::vector<std::uint32_t>& positions) {
-    // Blocked encode: the skip rows drop out of the chunking, and the
-    // Bloom filters come from the list still held decoded here.
-    rows.clear();
-    const auto blob = encode_postings_blocked(
-        opts.codec, list_docs, tfs, memtable->positional() ? &positions : nullptr, &rows);
-    writer.add_term(term, blob, rows, list_docs);
+    writer.add_postings(term, list_docs, tfs, positions);
   });
   const std::uint64_t term_count = writer.term_count();
 

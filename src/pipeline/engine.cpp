@@ -97,8 +97,7 @@ void encode_shard(PostingsStore& store, PostingCodec codec, EncodedShard& out) {
   for (std::uint32_t h = 1; h <= store.list_count(); ++h) {
     const auto& list = store.list(h);
     if (list.empty()) continue;
-    const auto encoded = encode_postings_blocked(codec, list.doc_ids, list.tfs,
-                                                 list.positional() ? &list.positions : nullptr);
+    const auto encoded = encode_postings_blocked(codec, list.doc_ids, list.tfs, list.positions);
     out.rows.push_back({h, out.bytes.size(), static_cast<std::uint32_t>(encoded.size()),
                         static_cast<std::uint32_t>(list.size()), list.doc_ids.front(),
                         list.doc_ids.back()});

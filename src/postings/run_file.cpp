@@ -20,11 +20,10 @@ RunFileWriter::RunFileWriter(std::string path, std::uint32_t run_id, PostingCode
 void RunFileWriter::add_list(PostingKey key, const PostingsList& list) {
   HET_CHECK(!finalized_);
   if (list.empty()) return;
-  // Blocked from the start: segments inherit their block geometry from run
-  // blobs via the §III.F byte concatenation, so the ≤128-doc chunking (and
-  // the per-block density codec choice) happens exactly once, here.
-  const auto encoded = encode_postings_blocked(codec_, list.doc_ids, list.tfs,
-                                               list.positional() ? &list.positions : nullptr);
+  // Blocked like every encoded list, but only this run's part of the list:
+  // the segment fold decodes the parts and re-blocks the whole list
+  // (SegmentWriter::add_postings), so no run cut shows in index.seg.
+  const auto encoded = encode_postings_blocked(codec_, list.doc_ids, list.tfs, list.positions);
   add_raw(key, encoded, static_cast<std::uint32_t>(list.size()), list.doc_ids.front(),
           list.doc_ids.back());
 }
@@ -172,14 +171,29 @@ void index_directory_write(const std::string& path,
   write_file(path, out);
 }
 
-std::vector<IndexDirectoryEntry> index_directory_read(const std::string& path) {
-  const auto data = read_file(path);
+Expected<std::vector<IndexDirectoryEntry>> index_directory_read(const std::string& path) {
+  auto read = io::env().read_file(path);
+  if (!read.has_value()) return read.error();
+  const auto data = std::move(read).value();
+  const auto corrupt = [&path](const char* what) {
+    return Error{ErrorCode::kCorrupt, "run directory " + path + ": " + what};
+  };
   ByteReader r(data);
-  HET_CHECK_MSG(r.u32() == kDirMagic, "not a hetindex index directory");
+  if (r.remaining() < 8 || r.u32() != kDirMagic) {
+    return corrupt("not a hetindex run directory (bad magic)");
+  }
+  // An entry is at least its name length and three u32 fields.
+  constexpr std::size_t kMinEntryBytes = 16;
   const std::uint32_t count = r.u32();
+  if (count > r.remaining() / kMinEntryBytes) return corrupt("count runs past the end of the file");
   std::vector<IndexDirectoryEntry> entries(count);
   for (auto& e : entries) {
-    e.file = r.str();
+    // The name's length, the name and three u32 fields must all fit.
+    if (r.remaining() < kMinEntryBytes) return corrupt("entry runs past the end of the file");
+    const std::uint32_t name_bytes = r.u32();
+    if (name_bytes > r.remaining() - 12) return corrupt("entry runs past the end of the file");
+    e.file.resize(name_bytes);
+    r.bytes(e.file.data(), name_bytes);
     e.run_id = r.u32();
     e.min_doc = r.u32();
     e.max_doc = r.u32();

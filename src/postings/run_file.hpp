@@ -125,6 +125,8 @@ struct IndexDirectoryEntry {
 
 void index_directory_write(const std::string& path,
                            const std::vector<IndexDirectoryEntry>& entries);
-std::vector<IndexDirectoryEntry> index_directory_read(const std::string& path);
+/// Loads a directory written by index_directory_write: kCorrupt naming the
+/// file when it is damaged, kNotFound when it is missing.
+Expected<std::vector<IndexDirectoryEntry>> index_directory_read(const std::string& path);
 
 }  // namespace hetindex

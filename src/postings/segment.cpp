@@ -28,19 +28,6 @@ constexpr std::size_t kSkipRowBytes = 16;
 /// range join; the pool spreads them over min(cores, ranges) threads.
 constexpr std::size_t kFoldRanges = 16;
 
-/// vbyte_decode without the abort: false when the varint runs past `size`
-/// or overflows — the open-time dictionary pass reports that as kCorrupt.
-bool read_varint(const std::uint8_t* data, std::size_t size, std::size_t& pos,
-                 std::uint64_t& value) {
-  value = 0;
-  for (unsigned shift = 0; shift < 64 && pos < size; shift += 7) {
-    const std::uint8_t byte = data[pos++];
-    value |= static_cast<std::uint64_t>(byte & 0x7Fu) << shift;
-    if ((byte & 0x80u) == 0) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 SegmentWriter::SegmentWriter(std::string path, PostingCodec codec,
@@ -112,42 +99,19 @@ void SegmentWriter::add_term(std::string_view term, std::span<const std::uint8_t
   ++term_count_;
 }
 
-void SegmentWriter::add_term(std::string_view term, std::span<const std::uint8_t> blob,
-                             std::span<const PostingBlockEntry> rows,
-                             std::span<const std::uint32_t> docs) {
+void SegmentWriter::add_postings(std::string_view term, std::span<const std::uint32_t> docs,
+                                 std::span<const std::uint32_t> tfs,
+                                 std::span<const std::uint32_t> positions) {
   HET_CHECK_MSG(!docs.empty(), "segment terms must have postings");
+  std::vector<PostingBlockEntry> rows;
+  const auto blob = encode_postings_blocked(codec_, docs, tfs, positions, &rows);
   std::vector<std::uint8_t> filters;
   std::size_t at = 0;
   for (const PostingBlockEntry& row : rows) {
-    HET_CHECK(at + row.count <= docs.size());
     append_bloom_filter(docs.data() + at, row.count, filters);
     at += row.count;
   }
-  HET_CHECK_MSG(at == docs.size(), "skip rows must cover every posting");
   add_term(term, blob, docs.front(), rows, filters);
-}
-
-void SegmentWriter::add_term(std::string_view term, std::span<const std::uint8_t> blob) {
-  // Every encoded block is a self-describing sub-list, so one pass of
-  // back-to-back decodes recovers each block's row from its boundaries.
-  std::vector<PostingBlockEntry> rows;
-  std::vector<std::uint32_t> docs, tfs;
-  std::size_t pos = 0;
-  while (pos < blob.size()) {
-    const std::size_t first = docs.size();
-    const std::size_t consumed =
-        decode_postings(blob.data(), blob.size(), docs, tfs, nullptr, pos);
-    HET_CHECK_MSG(docs.size() > first, "postings blobs must not hold empty blocks");
-    PostingBlockEntry row;
-    row.offset = pos;
-    row.bytes = static_cast<std::uint32_t>(consumed);
-    row.last_doc = docs.back();
-    row.count = static_cast<std::uint32_t>(docs.size() - first);
-    row.max_tf = *std::max_element(tfs.begin() + static_cast<std::ptrdiff_t>(first), tfs.end());
-    rows.push_back(row);
-    pos += consumed;
-  }
-  add_term(term, blob, rows, docs);
 }
 
 void SegmentWriter::append(SegmentWriter&& other) {
@@ -333,8 +297,8 @@ Expected<SegmentReader> SegmentReader::try_open(const std::string& path) {
                                                            r.term_count_ - base);
     for (std::uint64_t i = 1; i < in_block; ++i) {
       std::uint64_t shared = 0, suffix = 0;
-      if (!read_varint(dict, r.dict_bytes_, pos, shared) ||
-          !read_varint(dict, r.dict_bytes_, pos, suffix) || suffix > r.dict_bytes_ - pos) {
+      if (!vbyte_try_decode(dict, r.dict_bytes_, pos, shared) ||
+          !vbyte_try_decode(dict, r.dict_bytes_, pos, suffix) || suffix > r.dict_bytes_ - pos) {
         return corrupt("segment dictionary truncated");
       }
       if (shared > prev_len) return corrupt("segment dictionary shared prefix too long");
@@ -664,13 +628,11 @@ Expected<SegmentBuildStats> build_segment_from_runs(
                                }),
                 "segment build requires a sorted dictionary");
 
-  // Same byte-level fold as merge_runs, but driven by the sorted dictionary
-  // so terms stream into the writer in final order: per term, concatenate
-  // its partial blobs in ascending run order (doc order, checked from the
-  // runs' min/max metadata) — no re-encode. The writer decodes each folded
-  // blob once to derive its skip rows and Bloom filters; this is the only
-  // place they are ever computed from encoded bytes (flushes and rewrites
-  // derive them from lists they still hold, merges copy them).
+  // The §III.F post-processing, driven by the sorted dictionary so terms
+  // stream into the writer in final order: per term, decode its run parts
+  // in ascending run order (doc order: each part's table min_doc must pass
+  // the list so far) into one list, and let add_postings cut the blocks
+  // from the whole list.
   //
   // Contiguous dictionary ranges fold into their own writers in parallel.
   // Each range starts on a dictionary block boundary, so its first term is
@@ -690,34 +652,35 @@ Expected<SegmentBuildStats> build_segment_from_runs(
   };
   const auto fold_range = [&](std::size_t r) {
     Part& part = parts[r];
-    std::vector<std::uint8_t> blob;
+    std::vector<std::uint32_t> docs, tfs, positions;
     for (std::size_t t = range_start(r); t < range_start(r + 1); ++t) {
       const DictionaryEntry& de = entries[t];
       const PostingKey key{de.shard, de.handle};
-      blob.clear();
-      std::uint32_t count = 0, mx = 0;
+      docs.clear();
+      tfs.clear();
+      positions.clear();
       for (const auto& run : runs) {
         const RunTableEntry* e = run.entry(key);
         if (e == nullptr) continue;
-        if (count != 0 && e->min_doc <= mx) {
+        if (!docs.empty() && e->min_doc <= docs.back()) {
           part.error = Error{ErrorCode::kCorrupt,
                              "doc ids of term '" + de.term +
                                  "' are not increasing across run files: " + dir};
           return;
         }
         const auto bytes = run.raw_blob(*e);
-        blob.insert(blob.end(), bytes.begin(), bytes.end());
+        for (std::size_t pos = 0; pos < bytes.size();) {
+          pos += decode_postings(bytes.data(), bytes.size(), docs, tfs, &positions, pos);
+        }
         part.stats.input_bytes += e->bytes;
-        mx = e->max_doc;
-        count += e->count;
       }
-      if (count == 0) {
+      if (docs.empty()) {
         part.error = Error{ErrorCode::kCorrupt, "dictionary term '" + de.term +
                                                     "' has no postings in any run file: " + dir};
         return;
       }
-      part.writer.add_term(de.term, blob);
-      part.stats.postings += count;
+      part.writer.add_postings(de.term, docs, tfs, positions);
+      part.stats.postings += docs.size();
     }
   };
   ThreadPool(std::min<std::size_t>(n_ranges, std::max(1u, std::thread::hardware_concurrency())))
@@ -725,7 +688,7 @@ Expected<SegmentBuildStats> build_segment_from_runs(
 
   SegmentBuildStats stats;
   stats.runs = runs.size();
-  runs.clear();  // every blob is copied into the parts by now
+  runs.clear();  // every list is encoded into the parts by now
   SegmentWriter writer(seg_path, codec);
   for (auto& part : parts) {
     if (part.error.has_value()) return fail(*part.error);
@@ -742,8 +705,10 @@ Expected<SegmentBuildStats> build_segment_from_runs(
 
 Expected<SegmentBuildStats> compact_index(const std::string& dir) {
   const auto entries = dictionary_read(IndexLayout::dictionary_path(dir));
+  if (!entries.has_value()) return entries.error();
   const auto directory = index_directory_read(IndexLayout::directory_path(dir));
-  return build_segment_from_runs(dir, entries, directory);
+  if (!directory.has_value()) return directory.error();
+  return build_segment_from_runs(dir, entries.value(), directory.value());
 }
 
 }  // namespace hetindex

@@ -19,15 +19,16 @@
 ///               to bound BM25 contributions without decoding the block
 ///   blooms      one Bloom filter per skip row (postings/bloom.hpp), sized
 ///               from the row's count alone
-///   blob area   the concatenated compressed postings lists (byte-wise
-///               concatenation of the per-run partial lists — every
-///               sub-list's first doc id is absolute, the §III.F merge
-///               property, so no re-encode happens at compaction)
+///   blob area   the concatenated compressed postings lists; each term's
+///               list is a run of self-describing blocks of ≤128 docs, every
+///               block's first doc id absolute (the §III.F merge property)
 ///   footer      total size + CRC32 of everything before it
 ///
-/// Every per-term section merges by concatenation: a merged term's blob is
-/// the inputs' blobs back to back, its skip rows are theirs (offsets are
-/// implicit), its filters are their filter bytes. Nothing is decoded.
+/// Builds cut each term's blocks once, from the whole list
+/// (SegmentWriter::add_postings), so a segment depends only on its
+/// postings. Live merges alone concatenate, section by section: a merged
+/// term's blob, skip rows (offsets are implicit) and filters are the
+/// inputs' back to back. Nothing is decoded.
 ///
 /// A SegmentReader is immutable after open and keeps no per-lookup state,
 /// so any number of threads may share one instance with no locking.
@@ -57,30 +58,29 @@ inline constexpr std::uint32_t kSegmentTermsPerBlock = 16;
 
 /// Builds one segment file in memory and writes it out on finalize().
 /// Terms must arrive in strictly increasing lexicographic order with their
-/// final (fully merged) postings blob.
+/// final (fully merged) postings.
 class SegmentWriter {
  public:
   SegmentWriter(std::string path, PostingCodec codec,
                 std::uint32_t terms_per_block = kSegmentTermsPerBlock);
 
-  /// Appends one term with all of its sections: the encoded blob (one or
-  /// more back-to-back encoded blocks), one skip row per block (offsets
-  /// relative to the blob, tiling it in order) and one Bloom filter per
-  /// row, back to back (append_bloom_filter layout). `min_doc` is the
-  /// list's first doc id; count and max_doc come from the rows.
+  /// Appends one term from its decoded list (`docs` ascending; `positions`
+  /// empty for a plain list): the one routine the build fold, the memtable
+  /// flush and the rewrite write through. It cuts ≤ kPostingsBlockSize-doc
+  /// blocks, encodes them with this writer's codec and takes one skip row
+  /// and one Bloom filter per block.
+  void add_postings(std::string_view term, std::span<const std::uint32_t> docs,
+                    std::span<const std::uint32_t> tfs,
+                    std::span<const std::uint32_t> positions = {});
+
+  /// Appends one term with its sections as given (merge_segments copies
+  /// through it): the encoded blob (back-to-back blocks), one skip row per
+  /// block (offsets relative to the blob, tiling it in order) and one Bloom
+  /// filter per row, back to back (append_bloom_filter layout). `min_doc`
+  /// is the list's first doc id; count and max_doc come from the rows.
   void add_term(std::string_view term, std::span<const std::uint8_t> blob,
                 std::uint32_t min_doc, std::span<const PostingBlockEntry> rows,
                 std::span<const std::uint8_t> filters);
-
-  /// Same, for a caller still holding the decoded list (`docs`, ascending):
-  /// the filters are built from it, one per row.
-  void add_term(std::string_view term, std::span<const std::uint8_t> blob,
-                std::span<const PostingBlockEntry> rows, std::span<const std::uint32_t> docs);
-
-  /// Same, for a caller holding only encoded bytes: decodes `blob` once,
-  /// block by block, to derive its rows and filters (the build-from-runs
-  /// fold).
-  void add_term(std::string_view term, std::span<const std::uint8_t> blob);
 
   /// Moves every term of `other` (same codec and block geometry, terms
   /// sorting after this writer's) here, section by section, with the bytes
@@ -263,13 +263,14 @@ struct SegmentBuildStats {
 /// Folds the given run files into `<dir>/index.seg` using the already
 /// loaded dictionary entries (sorted by term) — the writer path shared by
 /// PipelineEngine (entries still in memory at finalize) and compact_index
-/// (entries re-read from disk). Blobs concatenate byte-wise via the
-/// §III.F merge property; nothing is re-encoded. Dictionary ranges fold in
-/// parallel into the same bytes as a serial fold. Errors, each leaving no
-/// file: kCorrupt naming the file when a run file is damaged
-/// (RunFile::open) or the runs disagree on codec or doc order, kCorrupt when
-/// a dictionary term has no postings in any run, kIo when the segment
-/// cannot be written durably.
+/// (entries re-read from disk). Each term's run parts decode in run order
+/// into one list that SegmentWriter::add_postings re-blocks (§III.F
+/// post-processing), so the file does not depend on where the runs were
+/// cut. Dictionary ranges fold in parallel into the same bytes as a serial
+/// fold. Errors, each leaving no file: kCorrupt naming the file when a run
+/// file is damaged (RunFile::open) or the runs disagree on codec or doc
+/// order, kCorrupt when a dictionary term has no postings in any run, kIo
+/// when the segment cannot be written durably.
 Expected<SegmentBuildStats> build_segment_from_runs(
     const std::string& dir, const std::vector<DictionaryEntry>& entries,
     const std::vector<IndexDirectoryEntry>& directory);
@@ -278,7 +279,8 @@ Expected<SegmentBuildStats> build_segment_from_runs(
 /// into `<dir>/index.seg`. Run files are left in place: they stay the
 /// build-time interchange format (and the merger's input) — which is what
 /// makes this the upgrade path for batch indexes from older segment
-/// formats. Errors as build_segment_from_runs.
+/// formats. Errors as build_segment_from_runs, plus dictionary_read's and
+/// index_directory_read's (kCorrupt naming a damaged file).
 Expected<SegmentBuildStats> compact_index(const std::string& dir);
 
 /// What a segment-to-segment merge folded together.

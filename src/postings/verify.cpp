@@ -7,7 +7,6 @@
 #include "dict/trie_table.hpp"
 #include "postings/query.hpp"
 #include "postings/run_file.hpp"
-#include "util/binary_io.hpp"
 
 namespace hetindex {
 
@@ -15,12 +14,12 @@ VerifyReport verify_index(const std::string& dir) {
   VerifyReport report;
 
   // ---- Dictionary.
-  const auto dict_path = IndexLayout::dictionary_path(dir);
-  if (!file_exists(dict_path)) {
-    report.fail("missing dictionary file: " + dict_path);
+  const auto read_entries = dictionary_read(IndexLayout::dictionary_path(dir));
+  if (!read_entries.has_value()) {
+    report.fail(read_entries.error().to_string());
     return report;
   }
-  const auto entries = dictionary_read(dict_path);
+  const auto& entries = read_entries.value();
   report.terms = entries.size();
   std::map<std::pair<std::uint32_t, std::uint32_t>, const DictionaryEntry*> by_key;
   for (std::size_t i = 0; i < entries.size(); ++i) {
@@ -37,12 +36,12 @@ VerifyReport verify_index(const std::string& dir) {
   }
 
   // ---- Run directory + run files.
-  const auto dir_path = IndexLayout::directory_path(dir);
-  if (!file_exists(dir_path)) {
-    report.fail("missing run directory: " + dir_path);
+  auto read_dir = index_directory_read(IndexLayout::directory_path(dir));
+  if (!read_dir.has_value()) {
+    report.fail(read_dir.error().to_string());
     return report;
   }
-  auto dir_entries = index_directory_read(dir_path);
+  auto dir_entries = std::move(read_dir).value();
   std::sort(dir_entries.begin(), dir_entries.end(),
             [](const IndexDirectoryEntry& a, const IndexDirectoryEntry& b) {
               return a.run_id < b.run_id;
@@ -53,13 +52,8 @@ VerifyReport verify_index(const std::string& dir) {
   std::map<std::pair<std::uint32_t, std::uint32_t>, std::uint64_t> posting_count;
   bool all_runs_read = true;
   for (const auto& de : dir_entries) {
-    const auto run_path = dir + "/" + de.file;
-    if (!file_exists(run_path)) {
-      report.fail("missing run file: " + de.file);
-      all_runs_read = false;
-      continue;
-    }
-    const auto opened = RunFile::open(run_path);  // blob CRC checked here
+    // A missing file is kNotFound, a damaged one kCorrupt (blob CRC checked here).
+    const auto opened = RunFile::open(dir + "/" + de.file);
     if (!opened.has_value()) {
       report.fail(opened.error().message);
       all_runs_read = false;

@@ -34,6 +34,8 @@ struct VerifyReport {
 ///  - per key, postings are strictly doc-sorted within and across runs and
 ///    entry min/max match the decoded lists;
 ///  - every dictionary term has at least one posting somewhere.
+/// A missing or damaged dictionary or run directory is the one error (the
+/// reader's Error::to_string()) and ends the check.
 VerifyReport verify_index(const std::string& dir);
 
 }  // namespace hetindex

@@ -8,13 +8,13 @@ namespace hetindex::oracle {
 
 RunIndex RunIndex::open(const std::string& dir) {
   RunIndex idx;
-  idx.entries_ = dictionary_read(IndexLayout::dictionary_path(dir));
+  idx.entries_ = dictionary_read(IndexLayout::dictionary_path(dir)).value();
   HET_CHECK_MSG(std::is_sorted(idx.entries_.begin(), idx.entries_.end(),
                                [](const DictionaryEntry& a, const DictionaryEntry& b) {
                                  return a.term < b.term;
                                }),
                 "dictionary file must be sorted by term");
-  const auto directory = index_directory_read(IndexLayout::directory_path(dir));
+  const auto directory = index_directory_read(IndexLayout::directory_path(dir)).value();
   idx.runs_.reserve(directory.size());
   for (const auto& e : directory) idx.runs_.push_back(RunFile::open(dir + "/" + e.file).value());
   std::sort(idx.runs_.begin(), idx.runs_.end(),

@@ -27,6 +27,7 @@
 
 #include "core/hetindex.hpp"
 #include "oracle/list_ops.hpp"
+#include "oracle/segment_blocks.hpp"
 #include "postings/cursor.hpp"
 #include "search/topk.hpp"
 #include "util/binary_io.hpp"
@@ -70,8 +71,7 @@ struct BlockedList {
 
 BlockedList encode_blocked(const QueryPostings& p) {
   BlockedList out;
-  out.blob = encode_postings_blocked(PostingCodec::kVByte, p.doc_ids, p.tfs, nullptr,
-                                     &out.entries);
+  out.blob = encode_postings_blocked(PostingCodec::kVByte, p.doc_ids, p.tfs, {}, &out.entries);
   return out;
 }
 
@@ -359,7 +359,8 @@ TEST(BlockMaxEquivalence, LiveThenMerged) {
 
   // Merged: compaction concatenates blobs, skip rows and filters without
   // decoding. Each merged segment must equal, byte for byte, the segment
-  // the decode-derived write path makes from the same blobs.
+  // the decode-derived reference (oracle/segment_blocks.hpp) writes from
+  // the same blobs.
   stack.writer->compact_now();
   const auto merged = stack.writer->snapshot();
   ASSERT_LT(merged->segments().size(), multi->segments().size());
@@ -370,7 +371,7 @@ TEST(BlockMaxEquivalence, LiveThenMerged) {
     SegmentWriter derived(derived_path, reader.codec());
     reader.for_each_term([&](std::string_view term, std::uint64_t ordinal) {
       const auto [blob, bytes] = reader.raw_blob(reader.meta(ordinal));
-      derived.add_term(term, std::span<const std::uint8_t>(blob, bytes));
+      oracle::add_term_from_blob(derived, term, std::span<const std::uint8_t>(blob, bytes));
       return true;
     });
     ASSERT_TRUE(derived.finalize().has_value());

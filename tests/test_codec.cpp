@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <string>
 
@@ -195,8 +196,7 @@ TEST(BlockedPostings, ChunksIntoBlocksWithExactSkipRows) {
     tfs.push_back(1 + i % 7);
   }
   std::vector<PostingBlockEntry> blocks;
-  const auto enc = encode_postings_blocked(PostingCodec::kGolomb, ids, tfs,
-                                           nullptr, &blocks);
+  const auto enc = encode_postings_blocked(PostingCodec::kGolomb, ids, tfs, {}, &blocks);
   ASSERT_EQ(blocks.size(), 3u);  // 128 + 128 + 44
   std::uint64_t expect_offset = 0;
   std::size_t seen = 0;
@@ -230,22 +230,55 @@ TEST(BlockedPostings, ChunksIntoBlocksWithExactSkipRows) {
 }
 
 TEST(BlockedPostings, BlockedEncodingMatchesFlatForEveryCodec) {
+  // The blocked encoder must emit exactly the flat encodings of its 128-doc
+  // chunks, each under the codec choose_block_codec picks for it: block
+  // edges at 1, 2, 3, 127, 128, 129 docs and a long list, plain and
+  // positional.
   Rng rng(7);
-  std::set<std::uint32_t> id_set;
-  while (id_set.size() < 1000) id_set.insert(static_cast<std::uint32_t>(rng.below(1u << 24)));
-  std::vector<std::uint32_t> ids(id_set.begin(), id_set.end());
-  std::vector<std::uint32_t> tfs;
-  for (std::size_t i = 0; i < ids.size(); ++i)
-    tfs.push_back(1 + static_cast<std::uint32_t>(rng.below(30)));
-  for (PostingCodec codec : {PostingCodec::kVByte, PostingCodec::kGamma,
-                             PostingCodec::kGolomb, PostingCodec::kBitPacked}) {
-    const auto enc = encode_postings_blocked(codec, ids, tfs);
-    std::vector<std::uint32_t> ids2, tfs2;
-    std::size_t pos = 0;
-    while (pos < enc.size())
-      pos += decode_postings(enc.data(), enc.size(), ids2, tfs2, nullptr, pos);
-    EXPECT_EQ(ids2, ids);
-    EXPECT_EQ(tfs2, tfs);
+  for (const std::size_t n : {1u, 2u, 3u, 127u, 128u, 129u, 1000u}) {
+    std::set<std::uint32_t> id_set;
+    while (id_set.size() < n) id_set.insert(static_cast<std::uint32_t>(rng.below(1u << 24)));
+    const std::vector<std::uint32_t> ids(id_set.begin(), id_set.end());
+    std::vector<std::uint32_t> tfs, positions;
+    for (std::size_t i = 0; i < n; ++i) {
+      tfs.push_back(1 + static_cast<std::uint32_t>(rng.below(i % 3 == 0 ? 30 : 2)));
+      std::uint32_t p = static_cast<std::uint32_t>(rng.below(50));
+      for (std::uint32_t k = 0; k < tfs.back(); ++k) positions.push_back(p += rng.below(9));
+    }
+    for (const bool positional : {false, true}) {
+      for (PostingCodec codec : {PostingCodec::kVByte, PostingCodec::kGamma,
+                                 PostingCodec::kGolomb, PostingCodec::kBitPacked}) {
+        if (positional && codec == PostingCodec::kBitPacked) continue;
+        const std::vector<std::uint32_t> no_positions;
+        const auto& pos = positional ? positions : no_positions;
+        std::vector<std::uint8_t> expected;
+        std::size_t pos_at = 0;
+        for (std::size_t b = 0; b < n; b += kPostingsBlockSize) {
+          const std::size_t e = std::min<std::size_t>(n, b + kPostingsBlockSize);
+          const std::vector<std::uint32_t> cids(ids.begin() + b, ids.begin() + e);
+          const std::vector<std::uint32_t> ctfs(tfs.begin() + b, tfs.begin() + e);
+          std::vector<std::uint32_t> cpos;
+          if (positional) {
+            const std::size_t tf_sum = std::accumulate(ctfs.begin(), ctfs.end(), std::size_t{0});
+            cpos.assign(pos.begin() + pos_at, pos.begin() + pos_at + tf_sum);
+            pos_at += tf_sum;
+          }
+          const auto chunk =
+              encode_postings(choose_block_codec(codec, cids, ctfs, positional), cids, ctfs,
+                              positional ? &cpos : nullptr);
+          expected.insert(expected.end(), chunk.begin(), chunk.end());
+        }
+        const auto enc = encode_postings_blocked(codec, ids, tfs, pos);
+        EXPECT_EQ(enc, expected) << "n=" << n << " codec=" << static_cast<int>(codec)
+                                 << " positional=" << positional;
+        std::vector<std::uint32_t> ids2, tfs2, pos2;
+        for (std::size_t at = 0; at < enc.size();)
+          at += decode_postings(enc.data(), enc.size(), ids2, tfs2, &pos2, at);
+        EXPECT_EQ(ids2, ids);
+        EXPECT_EQ(tfs2, tfs);
+        EXPECT_EQ(pos2, pos);
+      }
+    }
   }
 }
 
@@ -352,6 +385,17 @@ TEST(FrontCoding, CompressesSharedPrefixes) {
   const auto block = front_code(terms);
   EXPECT_LT(block.size(), raw / 3);
   EXPECT_EQ(front_decode(block, terms.size()), terms);
+}
+
+TEST(FrontCoding, DamagedBlockDecodesToNullopt) {
+  const std::vector<std::string> terms = {"alpha", "alphabet", "beta"};
+  auto block = front_code(terms);
+  EXPECT_FALSE(front_decode(block, terms.size() + 1).has_value());  // runs out of bytes
+  block.pop_back();
+  EXPECT_FALSE(front_decode(block, terms.size()).has_value());  // truncated suffix
+  block = front_code(terms);
+  block[front_code({"alpha"}).size()] = 9;  // "alphabet" claims 9 shared bytes of "alpha"
+  EXPECT_FALSE(front_decode(block, terms.size()).has_value());
 }
 
 TEST(FrontCoding, RejectsUnsortedInput) {

@@ -397,7 +397,7 @@ TEST(Dictionary, PersistRoundTrip) {
       (std::filesystem::temp_directory_path() / "hetindex_dict_test.bin").string();
   const auto original = dict.combine();
   dictionary_write(original, path);
-  const auto loaded = dictionary_read(path);
+  const auto loaded = dictionary_read(path).value();
   ASSERT_EQ(loaded.size(), words.size());
   for (std::size_t i = 0; i < loaded.size(); ++i) {
     EXPECT_EQ(loaded[i].term, original[i].term);

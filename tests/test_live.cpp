@@ -226,20 +226,16 @@ struct OracleIndex {
   void write_segment(const std::string& path, bool positional) const {
     SegmentWriter writer(path, PostingCodec::kVByte);
     std::vector<std::uint32_t> docs, tfs, positions;
-    std::vector<PostingBlockEntry> rows;
     for (const auto& [term, list] : terms) {
       docs.clear();
       tfs.clear();
       positions.clear();
-      rows.clear();
       for (const auto& p : list) {
         docs.push_back(p.doc);
         tfs.push_back(p.tf);
-        positions.insert(positions.end(), p.positions.begin(), p.positions.end());
+        if (positional) positions.insert(positions.end(), p.positions.begin(), p.positions.end());
       }
-      const auto blob = encode_postings_blocked(PostingCodec::kVByte, docs, tfs,
-                                                positional ? &positions : nullptr, &rows);
-      writer.add_term(term, blob, rows, docs);
+      writer.add_postings(term, docs, tfs, positions);
     }
     ASSERT_TRUE(writer.finalize().has_value());
   }

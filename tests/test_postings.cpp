@@ -311,7 +311,7 @@ TEST(IndexDirectory, RoundTrip) {
   std::vector<IndexDirectoryEntry> entries = {{"run_0.post", 0, 0, 99},
                                               {"run_1.post", 1, 100, 199}};
   index_directory_write(path, entries);
-  const auto loaded = index_directory_read(path);
+  const auto loaded = index_directory_read(path).value();
   ASSERT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded[0].file, "run_0.post");
   EXPECT_EQ(loaded[1].min_doc, 100u);

@@ -205,7 +205,7 @@ TEST_F(QueryIndexFixture, VerifyFlagsDoctoredDirectoryRange) {
       (std::filesystem::temp_directory_path() / "hetindex_qops_range").string();
   std::filesystem::remove_all(scratch);
   std::filesystem::copy(dir_ + "/index", scratch);
-  auto entries = index_directory_read(IndexLayout::directory_path(scratch));
+  auto entries = index_directory_read(IndexLayout::directory_path(scratch)).value();
   ASSERT_FALSE(entries.empty());
   entries[0].max_doc = 0;
   entries[0].min_doc = 0;

@@ -164,12 +164,69 @@ INSTANTIATE_TEST_SUITE_P(Damage, CorruptRunFile,
                          ::testing::Values(RunDamage::kMagic, RunDamage::kTableOrder,
                                            RunDamage::kBlob));
 
-TEST_F(CorruptionFixture, CorruptDictionaryMagicDies) {
+/// A damaged dictionary.bin or runs.dir is reported, never aborted on: the
+/// reader's own error, compact_index and verify_index all say kCorrupt,
+/// naming the file and `what` went wrong; no index.seg is left behind.
+void expect_corrupt_everywhere(const Error& read_error, const std::string& index_dir,
+                               const std::string& path, const std::string& what) {
+  EXPECT_EQ(read_error.code, ErrorCode::kCorrupt);
+  EXPECT_NE(read_error.message.find(path), std::string::npos) << read_error.message;
+  EXPECT_NE(read_error.message.find(what), std::string::npos) << read_error.message;
+  std::filesystem::remove(IndexLayout::segment_path(index_dir));
+  const auto compacted = compact_index(index_dir);
+  ASSERT_FALSE(compacted.has_value());
+  EXPECT_EQ(compacted.error().to_string(), read_error.to_string());
+  EXPECT_FALSE(std::filesystem::exists(IndexLayout::segment_path(index_dir)));
+  const auto report = verify_index(index_dir);
+  EXPECT_FALSE(report.ok);
+  ASSERT_EQ(report.errors.size(), 1u);
+  EXPECT_EQ(report.errors[0], read_error.to_string());
+}
+
+TEST_F(CorruptionFixture, CorruptDictionaryMagicIsCorrupt) {
   const auto dict_path = IndexLayout::dictionary_path(index_dir_);
   auto data = read_file(dict_path);
   data[1] ^= 0xFF;
   write_file(dict_path, data);
-  EXPECT_DEATH((void)dictionary_read(dict_path), "dictionary");
+  const auto read = dictionary_read(dict_path);
+  ASSERT_FALSE(read.has_value());
+  expect_corrupt_everywhere(read.error(), index_dir_, dict_path, "bad magic");
+}
+
+TEST_F(CorruptionFixture, DamagedDictionaryCountsAndBlocksAreCorrupt) {
+  const auto dict_path = IndexLayout::dictionary_path(index_dir_);
+  const auto intact = read_file(dict_path);
+  // Layout: magic u32, term count u64, then per collection trie index,
+  // term count and front-coded block size (u32 each) before the block.
+  auto truncated = intact;
+  truncated.resize(truncated.size() / 2);
+  write_file(dict_path, truncated);
+  auto read = dictionary_read(dict_path);
+  ASSERT_FALSE(read.has_value());
+  expect_corrupt_everywhere(read.error(), index_dir_, dict_path, "past the end");
+
+  auto empty_block = intact;
+  std::fill_n(empty_block.begin() + 20, 4, 0);  // first block: 0 bytes for >= 1 term
+  write_file(dict_path, empty_block);
+  read = dictionary_read(dict_path);
+  ASSERT_FALSE(read.has_value());
+  expect_corrupt_everywhere(read.error(), index_dir_, dict_path, "front-coded block");
+}
+
+TEST_F(CorruptionFixture, TruncatedRunDirectoryIsCorrupt) {
+  const auto dir_path = IndexLayout::directory_path(index_dir_);
+  auto data = read_file(dir_path);
+  data.resize(data.size() - 6);  // the last entry loses its doc range
+  write_file(dir_path, data);
+  const auto read = index_directory_read(dir_path);
+  ASSERT_FALSE(read.has_value());
+  expect_corrupt_everywhere(read.error(), index_dir_, dir_path, "past the end");
+
+  data[0] ^= 0xFF;
+  write_file(dir_path, data);
+  const auto bad_magic = index_directory_read(dir_path);
+  ASSERT_FALSE(bad_magic.has_value());
+  expect_corrupt_everywhere(bad_magic.error(), index_dir_, dir_path, "bad magic");
 }
 
 TEST_F(CorruptionFixture, RunsOnlyDirectoryReportsNotFoundNamingCompact) {

@@ -4,9 +4,10 @@
 // (truncation, bit flips, bad footers and tampered sections come back from
 // SegmentReader::try_open as structured errors, never decode garbage and
 // never abort), the section-by-section
-// concatenation merge (byte-identical to the decode-derived write path,
-// structured errors on bad inputs), the range-parallel run fold (byte-
-// identical to a serial oracle fold; a term without postings is kCorrupt),
+// concatenation merge (byte-identical to the decode-derived reference in
+// oracle/segment_blocks.hpp, structured errors on bad inputs), the
+// range-parallel run fold (byte-identical to a serial oracle fold and to
+// the same lists cut into other runs; a term without postings is kCorrupt),
 // per-block Bloom filters, and lock-free concurrent readers sharing one
 // SegmentReader.
 
@@ -27,6 +28,7 @@
 #include "corpus/container.hpp"
 #include "io/mmap_file.hpp"
 #include "oracle/run_index.hpp"
+#include "oracle/segment_blocks.hpp"
 #include "util/binary_io.hpp"
 #include "util/crc32.hpp"
 
@@ -51,9 +53,11 @@ class TempDir {
 
 // ------------------------------------------------ writer/reader round trip
 
-std::vector<std::uint8_t> encode_list(const std::vector<std::uint32_t>& ids) {
-  std::vector<std::uint32_t> tfs(ids.size(), 1);
-  return encode_postings(PostingCodec::kVByte, ids, tfs);
+/// Adds `term` with `ids`, every tf 1, through the writer's one term path.
+void add_list(SegmentWriter& writer, std::string_view term,
+              const std::vector<std::uint32_t>& ids) {
+  const std::vector<std::uint32_t> tfs(ids.size(), 1);
+  writer.add_postings(term, ids, tfs);
 }
 
 TEST(SegmentWriterReader, RoundTripAcrossBlockBoundaries) {
@@ -67,7 +71,7 @@ TEST(SegmentWriterReader, RoundTripAcrossBlockBoundaries) {
   for (std::size_t i = 0; i < terms.size(); ++i) {
     const std::vector<std::uint32_t> ids = {static_cast<std::uint32_t>(i),
                                             static_cast<std::uint32_t>(i + 10)};
-    writer.add_term(terms[i], encode_list(ids));
+    add_list(writer, terms[i], ids);
   }
   EXPECT_EQ(writer.term_count(), terms.size());
   const auto total = writer.finalize().value();
@@ -132,12 +136,11 @@ TEST(SegmentWriterReader, EmptySegmentRoundTrips) {
 
 TEST(SegmentWriterReader, WriterRejectsUnsortedAndEmptyTerms) {
   TempDir dir("sorted");
-  const auto blob = encode_list({1, 2});
   SegmentWriter writer(dir.path() + "/s.seg", PostingCodec::kVByte);
-  writer.add_term("m", blob);
-  EXPECT_DEATH(writer.add_term("a", blob), "sorted");
-  EXPECT_DEATH(writer.add_term("m", blob), "sorted");
-  EXPECT_DEATH(writer.add_term("z", std::span<const std::uint8_t>{}), "postings");
+  add_list(writer, "m", {1, 2});
+  EXPECT_DEATH(add_list(writer, "a", {1, 2}), "sorted");
+  EXPECT_DEATH(add_list(writer, "m", {1, 2}), "sorted");
+  EXPECT_DEATH(add_list(writer, "z", {}), "postings");
 }
 
 // ------------------------------------------------ fold equivalence
@@ -288,7 +291,7 @@ class SegmentCorruptionFixture : public ::testing::Test {
     seg_path_ = dir_->path() + "/c.seg";
     SegmentWriter writer(seg_path_, PostingCodec::kVByte);
     const std::vector<std::string> sorted = {"alpha", "beta", "delta", "gamma", "omega"};
-    for (const auto& term : sorted) writer.add_term(term, encode_list({1, 5, 9}));
+    for (const auto& term : sorted) add_list(writer, term, {1, 5, 9});
     writer.finalize();
   }
 
@@ -448,19 +451,16 @@ QueryPostings random_list(std::mt19937& rng, std::size_t n, std::uint32_t base,
   return p;
 }
 
-/// Writes one segment through the flush-style path (blocked encode, rows
-/// and filters from the decoded list) over doc ids [base, base + span).
+/// Writes one segment through add_postings (the flush path) over doc ids
+/// [base, base + span); vbyte segments are positional.
 void write_input_segment(const std::string& path, std::mt19937& rng, std::uint32_t base,
                          std::uint32_t span, PostingCodec codec = PostingCodec::kVByte) {
   SegmentWriter writer(path, codec);
   for (const std::string term : {"alpha", "beta", "gamma", "omega"}) {
     if (rng() % 4 == 0) continue;  // not every term in every segment
-    const auto list = random_list(rng, 1 + rng() % 400, base, span);
-    std::vector<PostingBlockEntry> rows;
-    const bool positional = codec == PostingCodec::kVByte;
-    const auto blob = encode_postings_blocked(codec, list.doc_ids, list.tfs,
-                                              positional ? &list.positions : nullptr, &rows);
-    writer.add_term(term, blob, rows, list.doc_ids);
+    auto list = random_list(rng, 1 + rng() % 400, base, span);
+    if (codec != PostingCodec::kVByte) list.positions.clear();
+    writer.add_postings(term, list.doc_ids, list.tfs, list.positions);
   }
   ASSERT_TRUE(writer.finalize().has_value());
 }
@@ -480,15 +480,15 @@ TEST(SegmentMerge, OutputEqualsDecodeDerivedWriteByteForByte) {
   const auto stats = merge_segments(inputs, merged_path);
   ASSERT_TRUE(stats.has_value()) << stats.error().to_string();
 
-  // The same concatenated blobs, written through the path that decodes
-  // each blob to derive its skip rows and filters (the build-from-runs
-  // fold), must produce the identical file.
+  // The same concatenated blobs, written through the reference that
+  // decodes each blob to derive its skip rows and filters
+  // (oracle/segment_blocks.hpp), must produce the identical file.
   const auto merged = SegmentReader::try_open(merged_path).value();
   const std::string derived_path = dir.path() + "/derived.seg";
   SegmentWriter derived(derived_path, PostingCodec::kVByte);
   merged.for_each_term([&](std::string_view term, std::uint64_t ordinal) {
     const auto [blob, bytes] = merged.raw_blob(merged.meta(ordinal));
-    derived.add_term(term, std::span<const std::uint8_t>(blob, bytes));
+    oracle::add_term_from_blob(derived, term, std::span<const std::uint8_t>(blob, bytes));
     return true;
   });
   ASSERT_TRUE(derived.finalize().has_value());
@@ -514,7 +514,7 @@ TEST(SegmentMerge, OverlappingDocRangesAreCorrupt) {
   TempDir dir("merge_overlap");
   for (const std::string name : {"a", "b"}) {
     SegmentWriter writer(dir.path() + "/" + name + ".seg", PostingCodec::kVByte);
-    writer.add_term("shared", encode_list({1, 5, 9}));
+    add_list(writer, "shared", {1, 5, 9});
     ASSERT_TRUE(writer.finalize().has_value());
   }
   const auto a = SegmentReader::try_open(dir.path() + "/a.seg").value();
@@ -534,15 +534,12 @@ TEST(SegmentBloom, PerBlockFiltersHaveNoFalseNegativesAndReject) {
   const auto list = random_list(rng, 1000, 0, 100000);
   {
     SegmentWriter writer(path, PostingCodec::kVByte);
-    std::vector<PostingBlockEntry> rows;
-    const auto blob = encode_postings_blocked(PostingCodec::kVByte, list.doc_ids, list.tfs,
-                                              nullptr, &rows);
-    ASSERT_GT(rows.size(), 4u);
-    writer.add_term("term", blob, rows, list.doc_ids);
+    writer.add_postings("term", list.doc_ids, list.tfs);
     ASSERT_TRUE(writer.finalize().has_value());
   }
   const auto reader = SegmentReader::try_open(path).value();
   const auto ordinal = reader.find("term").value();
+  ASSERT_GT(reader.skip_rows(ordinal).size(), 4u);
   for (const auto doc : list.doc_ids) EXPECT_TRUE(reader.may_contain(ordinal, doc)) << doc;
   EXPECT_FALSE(reader.may_contain(ordinal, list.doc_ids.back() + 1));  // past the list
   std::size_t rejected = 0, absent = 0;
@@ -605,22 +602,19 @@ FoldInput write_fold_input(const std::string& dir, std::size_t terms, std::uint3
 }
 
 /// The oracle: one SegmentWriter fed term by term in dictionary order with
-/// each term's run blobs concatenated in run order.
+/// each term's run parts decoded in run order and written through
+/// add_postings.
 std::vector<std::uint8_t> serial_fold(const std::string& dir, const FoldInput& in) {
   std::vector<RunFile> runs;
   for (const auto& e : in.directory) runs.push_back(RunFile::open(dir + "/" + e.file).value());
   const std::string path = dir + "/oracle.seg";
   SegmentWriter writer(path, PostingCodec::kVByte);
-  std::vector<std::uint8_t> blob;
   for (const auto& de : in.entries) {
-    blob.clear();
+    QueryPostings list;
     for (const auto& run : runs) {
-      if (const RunTableEntry* e = run.entry({de.shard, de.handle})) {
-        const auto part = run.raw_blob(*e);
-        blob.insert(blob.end(), part.begin(), part.end());
-      }
+      run.fetch({de.shard, de.handle}, list.doc_ids, list.tfs, &list.positions);
     }
-    writer.add_term(de.term, blob);
+    writer.add_postings(de.term, list.doc_ids, list.tfs, list.positions);
   }
   EXPECT_TRUE(writer.finalize().has_value());
   return read_file(path);
@@ -665,17 +659,73 @@ INSTANTIATE_TEST_SUITE_P(
         FoldCase{"positional", 300, 3, true}),
     [](const ::testing::TestParamInfo<FoldCase>& info) { return std::string(info.param.name); });
 
+TEST(SegmentRunCut, IndexSegIsByteIdenticalAcrossRunCuts) {
+  // One set of term lists written as 1, 3 and 7 run files, each cut at its
+  // own random doc ids: the fold re-blocks every term from its whole list,
+  // so where the runs were cut must not show in index.seg.
+  constexpr std::uint32_t kDocs = 20000;
+  for (const bool positional : {false, true}) {
+    std::mt19937 rng(positional ? 0xC07 : 0xC08);
+    std::vector<DictionaryEntry> entries;
+    std::vector<QueryPostings> lists;
+    for (std::uint32_t t = 0; t < 60; ++t) {
+      char name[16];
+      std::snprintf(name, sizeof name, "t%03u", t);
+      entries.push_back({name, 0, 0, t + 1});
+      lists.push_back(random_list(rng, 1 + rng() % 700, 0, kDocs));
+      if (!positional) lists.back().positions.clear();
+    }
+    std::vector<std::vector<std::uint8_t>> segments;
+    for (const std::uint32_t runs : {1u, 3u, 7u}) {
+      TempDir dir("cut" + std::to_string(runs));
+      std::set<std::uint32_t> cuts = {0, kDocs};
+      while (cuts.size() < runs + 1) cuts.insert(1 + static_cast<std::uint32_t>(rng() % (kDocs - 1)));
+      const std::vector<std::uint32_t> bounds(cuts.begin(), cuts.end());
+      std::vector<IndexDirectoryEntry> directory;
+      for (std::uint32_t r = 0; r < runs; ++r) {
+        const std::string file = "run_" + std::to_string(r) + ".post";
+        RunFileWriter writer(dir.path() + "/" + file, r);
+        for (std::uint32_t t = 0; t < lists.size(); ++t) {
+          const QueryPostings& full = lists[t];
+          PostingsList part;
+          std::size_t pos_at = 0;
+          for (std::size_t i = 0; i < full.doc_ids.size(); ++i) {
+            const std::uint32_t tf = full.tfs[i];
+            if (full.doc_ids[i] >= bounds[r] && full.doc_ids[i] < bounds[r + 1]) {
+              part.doc_ids.push_back(full.doc_ids[i]);
+              part.tfs.push_back(tf);
+              if (positional) {
+                part.positions.insert(part.positions.end(), full.positions.begin() + pos_at,
+                                      full.positions.begin() + pos_at + tf);
+              }
+            }
+            if (positional) pos_at += tf;
+          }
+          writer.add_list({0, t + 1}, part);
+        }
+        writer.finalize();
+        directory.push_back({file, r, bounds[r], bounds[r + 1] - 1});
+      }
+      const auto stats = build_segment_from_runs(dir.path(), entries, directory);
+      ASSERT_TRUE(stats.has_value()) << stats.error().to_string();
+      EXPECT_EQ(stats.value().runs, runs);
+      segments.push_back(read_file(IndexLayout::segment_path(dir.path())));
+    }
+    EXPECT_TRUE(segments[0] == segments[1]) << "3 runs differ from 1, positional=" << positional;
+    EXPECT_TRUE(segments[0] == segments[2]) << "7 runs differ from 1, positional=" << positional;
+  }
+}
+
 TEST(SegmentWriterAppend, RequiresABlockBoundary) {
   TempDir dir("append");
-  const auto blob = encode_list({1, 2});
   SegmentWriter head(dir.path() + "/h.seg", PostingCodec::kVByte, /*terms_per_block=*/2);
-  head.add_term("a", blob);
+  add_list(head, "a", {1, 2});
   SegmentWriter tail(dir.path() + "/t.seg", PostingCodec::kVByte, /*terms_per_block=*/2);
-  tail.add_term("b", blob);
+  add_list(tail, "b", {1, 2});
   EXPECT_DEATH(head.append(std::move(tail)), "block boundary");
-  head.add_term("b", blob);
+  add_list(head, "b", {1, 2});
   SegmentWriter unsorted(dir.path() + "/u.seg", PostingCodec::kVByte, /*terms_per_block=*/2);
-  unsorted.add_term("a", blob);
+  add_list(unsorted, "a", {1, 2});
   EXPECT_DEATH(head.append(std::move(unsorted)), "sorted");
 }
 
@@ -684,7 +734,7 @@ TEST_F(SegmentEquivalenceFixture, TermWithoutPostingsIsCorrupt) {
   // dictionary still names terms that only that run holds.
   TempDir copy("nopostings");
   std::filesystem::copy(index_dir_, copy.path(), std::filesystem::copy_options::recursive);
-  auto directory = index_directory_read(IndexLayout::directory_path(copy.path()));
+  auto directory = index_directory_read(IndexLayout::directory_path(copy.path())).value();
   ASSERT_EQ(directory.size(), 3u);
   directory.pop_back();
   index_directory_write(IndexLayout::directory_path(copy.path()), directory);
@@ -693,7 +743,8 @@ TEST_F(SegmentEquivalenceFixture, TermWithoutPostingsIsCorrupt) {
   std::vector<RunFile> kept;
   for (const auto& e : directory) kept.push_back(RunFile::open(copy.path() + "/" + e.file).value());
   std::string missing;
-  for (const auto& de : dictionary_read(IndexLayout::dictionary_path(copy.path()))) {
+  const auto entries = dictionary_read(IndexLayout::dictionary_path(copy.path())).value();
+  for (const auto& de : entries) {
     if (std::none_of(kept.begin(), kept.end(), [&](const RunFile& run) {
           return run.entry({de.shard, de.handle}) != nullptr;
         })) {
