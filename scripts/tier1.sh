@@ -33,7 +33,10 @@
 #     BENCH_cluster.json (router QPS/p99 vs shard count per partition
 #     strategy, docs/CLUSTER.md). The leg then fails if any BENCH_*.json
 #     carries a bench name that does not belong to its filename
-#     (stale-artifact guard). Last, short hetbench runs (hetbench/README.md)
+#     (stale-artifact guard). bench_ablation_regroup runs once at a small
+#     HETINDEX_SCALE and fails the leg if the regrouped and stream-order
+#     serial indexers disagree on the term count (its shape checks only
+#     print). Last, short hetbench runs (hetbench/README.md)
 #     drive three workloads end to end, each failing on any output check:
 #     build_batch (every rebuilt index.seg byte-identical to the first,
 #     verify_index passes, pruned results equal exhaustive ones),
@@ -164,6 +167,10 @@ if [[ "$run_bench" == 1 ]]; then
     fi
   done
   echo "bench leg: all BENCH_*.json bench fields match their filenames"
+
+  # Step 5 regrouping ablation (§III.C): exits 1 when "terms agree" reads NO.
+  HETINDEX_SCALE=0.125 ./build/bench/bench_ablation_regroup
+  echo "bench leg: bench_ablation_regroup terms agree"
 
   # End-to-end smoke runs on the hetbench tree built above (nonzero exit on
   # any failed output check). live_churn runs longer: its p99 needs 1,000

@@ -19,33 +19,25 @@ std::uint64_t ParsedBlock::payload_bytes() const {
   return total;
 }
 
-void GroupWriter::begin_doc(std::uint32_t local_doc_id) {
-  auto& data = group_->data;
-  const std::size_t at = data.size();
-  data.resize(at + 6);
-  std::memcpy(data.data() + at, &local_doc_id, 4);
-  count_at_ = at + 4;
-  terms_in_doc_ = 0;
-}
-
-void GroupWriter::add_term(std::string_view suffix) {
+void GroupWriter::add_term(std::uint32_t local_doc, std::string_view suffix) {
   HET_DCHECK(suffix.size() <= 255);
-  auto& data = group_->data;
-  data.push_back(static_cast<std::uint8_t>(suffix.size()));
-  data.insert(data.end(), suffix.begin(), suffix.end());
-  ++terms_in_doc_;
-  ++group_->tokens;
-  group_->chars += suffix.size();
-}
-
-void GroupWriter::end_doc() {
-  auto& data = group_->data;
-  if (terms_in_doc_ == 0) {
-    // No terms landed in this collection for this doc: drop the record.
-    data.resize(count_at_ - 4);
-    return;
+  auto& data = group_.data;
+  if (terms_in_doc_ == 0 || local_doc != doc_ || terms_in_doc_ == 0xFFFF) {
+    const std::size_t at = data.size();
+    data.resize(at + 6);
+    std::memcpy(data.data() + at, &local_doc, 4);
+    doc_ = local_doc;
+    count_at_ = at + 4;
+    terms_in_doc_ = 0;
   }
+  const std::size_t at = data.size();
+  data.resize(at + 1 + suffix.size());
+  data[at] = static_cast<std::uint8_t>(suffix.size());
+  std::memcpy(data.data() + at + 1, suffix.data(), suffix.size());
+  ++terms_in_doc_;
   std::memcpy(data.data() + count_at_, &terms_in_doc_, 2);
+  ++group_.tokens;
+  group_.chars += suffix.size();
 }
 
 namespace {

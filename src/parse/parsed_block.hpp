@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -46,22 +47,30 @@ struct ParsedBlock {
   [[nodiscard]] std::uint64_t payload_bytes() const;
 };
 
-/// Appends one document's terms for a collection into a group buffer.
+/// The one writer of the Fig. 6 record stream: appends a collection's terms
+/// in stream order and keeps the open [u32 doc][u16 n] record itself. A new
+/// record opens when the document changes or the open one holds 0xFFFF
+/// terms (the count is a u16), so no record is ever empty.
 class GroupWriter {
  public:
-  explicit GroupWriter(ParsedGroup& group) : group_(&group) {}
+  explicit GroupWriter(std::uint32_t trie_idx) { group_.trie_idx = trie_idx; }
 
-  /// Starts a document record; terms follow via add_term.
-  void begin_doc(std::uint32_t local_doc_id);
-  /// Adds a term suffix (≤ 255 bytes, Fig. 6).
-  void add_term(std::string_view suffix);
-  /// Finishes the record (patches the term count).
-  void end_doc();
+  /// Appends a term suffix (≤ 255 bytes, Fig. 6) of `local_doc`.
+  void add_term(std::uint32_t local_doc, std::string_view suffix);
+  /// Same, recording the term's in-document position alongside.
+  void add_term(std::uint32_t local_doc, std::string_view suffix, std::uint32_t position) {
+    add_term(local_doc, suffix);
+    group_.positions.push_back(position);
+  }
+
+  /// Hands over the finished group.
+  [[nodiscard]] ParsedGroup take() && { return std::move(group_); }
 
  private:
-  ParsedGroup* group_;
-  std::size_t count_at_ = 0;
-  std::uint16_t terms_in_doc_ = 0;
+  ParsedGroup group_;
+  std::uint32_t doc_ = 0;
+  std::size_t count_at_ = 0;       ///< offset of the open record's count
+  std::uint16_t terms_in_doc_ = 0; ///< 0 = no record open
 };
 
 /// Iterates a group's records: fn(local_doc_id, suffix) per term.

@@ -22,21 +22,9 @@ struct ParserConfig {
   bool strip_html = true;
   bool stem = true;
   bool remove_stopwords = true;
-  /// Regroup by trie index (Step 5). Disabled only by the regrouping
-  /// ablation (§III.C's 15× serial-indexing speedup claim).
-  bool regroup = true;
   /// Record in-document token positions (positional postings; the paper's
   /// Ivory comparison point notes positional lists "add some extra cost").
   bool record_positions = false;
-};
-
-/// Per-step wall times of one parse call, for the step-breakdown bench.
-struct ParseTimes {
-  double tokenize = 0;  ///< includes HTML stripping
-  double stem = 0;
-  double stopword = 0;
-  double regroup = 0;
-  [[nodiscard]] double total() const { return tokenize + stem + stopword + regroup; }
 };
 
 /// One parser worker. Stateless between calls except for configuration, so
@@ -45,15 +33,18 @@ class Parser {
  public:
   explicit Parser(ParserConfig config = {});
 
-  /// Parses a batch of documents into a trie-grouped block. Local doc IDs
-  /// are the positions within `docs`.
+  /// Parses a batch of documents into a trie-grouped block: each document
+  /// goes through for_each_term (Steps 2–4) and each kept term is appended,
+  /// prefix stripped, to its trie collection's GroupWriter (Step 5). Local
+  /// doc IDs are the positions within `docs`.
   ParsedBlock parse(const std::vector<Document>& docs, std::uint64_t seq,
-                    std::uint32_t parser_id, std::uint32_t doc_id_base,
-                    ParseTimes* times = nullptr) const;
+                    std::uint32_t parser_id, std::uint32_t doc_id_base) const;
 
-  /// Ablation variant: identical processing but *without* Step 5 — the
-  /// output preserves raw token order in a single pseudo-group (trie_idx
-  /// values interleaved in stream order). Used by the regrouping bench.
+  /// Steps 2–4 without Step 5, one token at a time through the
+  /// copying `tokenize`/`porter_stem` entry points: the output keeps raw
+  /// token order (trie_idx values interleaved in stream order) with full
+  /// terms. The per-token oracle for parse() and the input of the
+  /// MapReduce indexers and the serial baselines.
   struct FlatToken {
     std::uint32_t local_doc;
     std::uint32_t trie_idx;
@@ -62,13 +53,12 @@ class Parser {
   std::vector<FlatToken> parse_flat(const std::vector<Document>& docs) const;
 
   /// Steps 2–4 over one document body in one pass per token — tokenize,
-  /// stem in place, stop-word test — for callers that index one document
-  /// at a time (the live writer), where Step 5's regrouping buys nothing.
-  /// Calls `sink(std::string_view term, std::uint32_t position)` for every
-  /// kept token in stream order; `position` counts every token, stop words
-  /// included, as parse() records positions. Returns the kept-token count,
-  /// which equals parse()'s doc_tokens for the same body. The term view is
-  /// only valid for the duration of the sink call.
+  /// stem in place, stop-word test. parse() and the live writer both
+  /// normalize through it. Calls `sink(std::string_view term,
+  /// std::uint32_t position)` for every kept token in stream order;
+  /// `position` counts every token, stop words included. Returns the
+  /// kept-token count (parse()'s doc_tokens entry for the body). The term
+  /// view is only valid for the duration of the sink call.
   template <typename Sink>
   std::uint32_t for_each_term(std::string_view body, Sink&& sink) const {
     const std::string stripped = config_.strip_html ? html_strip(body) : std::string();

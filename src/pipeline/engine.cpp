@@ -124,10 +124,6 @@ struct PipelineInstruments {
         disk_wait_seconds(m.time_counter("stage_disk_wait_seconds_total")),
         decompress_seconds(m.time_counter("stage_decompress_seconds_total")),
         parse_seconds(m.time_counter("stage_parse_seconds_total")),
-        parse_tokenize_seconds(m.time_counter("stage_parse_tokenize_seconds_total")),
-        parse_stem_seconds(m.time_counter("stage_parse_stem_seconds_total")),
-        parse_stopword_seconds(m.time_counter("stage_parse_stopword_seconds_total")),
-        parse_regroup_seconds(m.time_counter("stage_parse_regroup_seconds_total")),
         cpu_index_seconds(m.time_counter("stage_cpu_index_seconds_total")),
         gpu_index_seconds(m.time_counter("stage_gpu_index_seconds_total")),
         flush_seconds(m.time_counter("stage_flush_seconds_total")),
@@ -158,10 +154,6 @@ struct PipelineInstruments {
   obs::TimeCounter& disk_wait_seconds;
   obs::TimeCounter& decompress_seconds;
   obs::TimeCounter& parse_seconds;
-  obs::TimeCounter& parse_tokenize_seconds;
-  obs::TimeCounter& parse_stem_seconds;
-  obs::TimeCounter& parse_stopword_seconds;
-  obs::TimeCounter& parse_regroup_seconds;
   obs::TimeCounter& cpu_index_seconds;
   obs::TimeCounter& gpu_index_seconds;
   obs::TimeCounter& flush_seconds;
@@ -295,15 +287,10 @@ PipelineReport PipelineEngine::build(const std::vector<std::string>& files) {
         ins.decompress_seconds.add(read.decompress_seconds);
         work.urls.reserve(read.docs.size());
         for (const auto& doc : read.docs) work.urls.push_back(doc.url);
-        ParseTimes times;
         obs::StageSpan span(&ins.parse_seconds, &ins.run_parse);
         work.block = parser.parse(read.docs, read.seq, static_cast<std::uint32_t>(p),
-                                  read.doc_id_base, &times);
+                                  read.doc_id_base);
         work.parse_seconds = span.stop();
-        ins.parse_tokenize_seconds.add(times.tokenize);
-        ins.parse_stem_seconds.add(times.stem);
-        ins.parse_stopword_seconds.add(times.stopword);
-        ins.parse_regroup_seconds.add(times.regroup);
         ins.tokens.add(work.block.tokens);
         ins.payload_bytes.add(work.block.payload_bytes());
         if (!buffer.push(read.seq, std::move(work))) break;

@@ -70,15 +70,6 @@ std::string PipelineReport::to_json() const {
   out += "\"stages\":{";
   append_kv(out, "sampling_seconds", sampling_seconds);
   append_kv(out, "parse_stage_seconds", parse_stage_seconds);
-  // The parser's Fig. 3 steps, summed over parsers (the registry's
-  // stage_parse_*_seconds_total counters).
-  append_kv(out, "parse_tokenize_seconds",
-            metrics.time_seconds("stage_parse_tokenize_seconds_total"));
-  append_kv(out, "parse_stem_seconds", metrics.time_seconds("stage_parse_stem_seconds_total"));
-  append_kv(out, "parse_stopword_seconds",
-            metrics.time_seconds("stage_parse_stopword_seconds_total"));
-  append_kv(out, "parse_regroup_seconds",
-            metrics.time_seconds("stage_parse_regroup_seconds_total"));
   append_kv(out, "index_stage_seconds", index_stage_seconds);
   append_kv(out, "dict_combine_seconds", dict_combine_seconds);
   append_kv(out, "dict_write_seconds", dict_write_seconds);

@@ -39,10 +39,6 @@ StopWords::StopWords() {
   }
 }
 
-StopWords::StopWords(const std::vector<std::string_view>& words) {
-  for (const auto w : words) set_.emplace(w);
-}
-
 const StopWords& default_stopwords() {
   static const StopWords instance;
   return instance;

@@ -1,8 +1,8 @@
 #pragma once
 /// \file stopwords.hpp
 /// Step 4 of the parser (Fig. 3): removal of stop words ("the", "to",
-/// "and", ...). The default list is the classic short English list used by
-/// most indexing systems; custom lists can be supplied per pipeline config.
+/// "and", ...). The list is the classic short English list used by most
+/// indexing systems.
 
 #include <string>
 #include <string_view>
@@ -16,8 +16,6 @@ class StopWords {
  public:
   /// Builds the default English list.
   StopWords();
-  /// Builds from a custom word list (words must be lowercase).
-  explicit StopWords(const std::vector<std::string_view>& words);
 
   [[nodiscard]] bool contains(std::string_view word) const {
     return set_.contains(word);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <set>
@@ -33,16 +34,12 @@ std::vector<Document> make_docs(std::initializer_list<const char*> bodies) {
 }
 
 TEST(ParsedBlock, GroupWriterRoundTrip) {
-  ParsedGroup group;
-  group.trie_idx = 42;
-  GroupWriter w(group);
-  w.begin_doc(7);
-  w.add_term("lication");
-  w.add_term("le");
-  w.end_doc();
-  w.begin_doc(9);
-  w.add_term("");
-  w.end_doc();
+  GroupWriter w(42);
+  w.add_term(7, "lication");
+  w.add_term(7, "le");
+  w.add_term(9, "");
+  const ParsedGroup group = std::move(w).take();
+  EXPECT_EQ(group.trie_idx, 42u);
   std::vector<std::pair<std::uint32_t, std::string>> seen;
   for_each_posting(group, [&](std::uint32_t doc, std::string_view term) {
     seen.emplace_back(doc, std::string(term));
@@ -53,14 +50,8 @@ TEST(ParsedBlock, GroupWriterRoundTrip) {
   EXPECT_EQ(seen[2], (std::pair<std::uint32_t, std::string>{9, ""}));
   EXPECT_EQ(group.tokens, 3u);
   EXPECT_EQ(group.chars, 10u);
-}
-
-TEST(ParsedBlock, EmptyDocRecordsAreDropped) {
-  ParsedGroup group;
-  GroupWriter w(group);
-  w.begin_doc(1);
-  w.end_doc();  // no terms
-  EXPECT_TRUE(group.data.empty());
+  // Two records: doc 7 with two terms, doc 9 with one.
+  EXPECT_EQ(group.data.size(), (6u + 1 + 8 + 1 + 2) + (6u + 1));
 }
 
 TEST(Parser, GroupsAreSortedAndPrefixStripped) {
@@ -85,9 +76,78 @@ TEST(Parser, GroupsAreSortedAndPrefixStripped) {
   EXPECT_EQ(reconstructed, expected);
 }
 
+/// The Fig. 6 records of a group as (doc, term count) pairs.
+std::vector<std::pair<std::uint32_t, std::uint16_t>> records(const ParsedGroup& group) {
+  std::vector<std::pair<std::uint32_t, std::uint16_t>> out;
+  std::size_t pos = 0;
+  while (pos < group.data.size()) {
+    std::uint32_t doc;
+    std::uint16_t count;
+    std::memcpy(&doc, group.data.data() + pos, 4);
+    std::memcpy(&count, group.data.data() + pos + 4, 2);
+    pos += 6;
+    for (std::uint16_t t = 0; t < count; ++t) pos += 1 + group.data[pos];
+    out.emplace_back(doc, count);
+  }
+  return out;
+}
+
+/// Checks that parse() equals, byte for byte, a GroupWriter regroup of
+/// parse_flat's stream in stream order, and that positional groups carry
+/// the positions for_each_term reports.
+void expect_parse_equals_flat_regroup(const std::vector<Document>& docs) {
+  Parser parser;
+  const auto block = parser.parse(docs, 0, 0, 0);
+  const auto flat = parser.parse_flat(docs);
+
+  std::map<std::uint32_t, GroupWriter> writers;
+  std::vector<std::uint32_t> doc_tokens(docs.size(), 0);
+  for (const auto& t : flat) {
+    writers.try_emplace(t.trie_idx, t.trie_idx)
+        .first->second.add_term(t.local_doc, trie_suffix(t.term, t.trie_idx));
+    ++doc_tokens[t.local_doc];
+  }
+  ASSERT_EQ(block.groups.size(), writers.size());
+  std::size_t i = 0;
+  for (auto& [idx, writer] : writers) {
+    const ParsedGroup expected = std::move(writer).take();
+    const ParsedGroup& got = block.groups[i++];
+    ASSERT_EQ(got.trie_idx, idx);
+    EXPECT_EQ(got.data, expected.data) << "collection " << idx;
+    EXPECT_EQ(got.tokens, expected.tokens) << "collection " << idx;
+    EXPECT_EQ(got.chars, expected.chars) << "collection " << idx;
+    EXPECT_TRUE(got.positions.empty());
+  }
+  EXPECT_EQ(block.doc_tokens, doc_tokens);
+  EXPECT_EQ(block.tokens, flat.size());
+
+  Parser positional({.record_positions = true});
+  const auto pblock = positional.parse(docs, 0, 0, 0);
+  std::map<std::uint32_t, std::vector<std::uint32_t>> positions;
+  for (const auto& doc : docs) {
+    positional.for_each_term(doc.body, [&](std::string_view term, std::uint32_t position) {
+      positions[trie_index(term)].push_back(position);
+    });
+  }
+  ASSERT_EQ(pblock.groups.size(), block.groups.size());
+  for (std::size_t g = 0; g < pblock.groups.size(); ++g) {
+    const ParsedGroup& got = pblock.groups[g];
+    EXPECT_EQ(got.data, block.groups[g].data) << "collection " << got.trie_idx;
+    EXPECT_EQ(got.positions, positions[got.trie_idx]) << "collection " << got.trie_idx;
+  }
+}
+
+std::vector<Document> synthetic_docs(CollectionSpec spec) {
+  spec.vocabulary = 5000;
+  const Vocabulary vocab(spec.vocabulary, spec.numeric_fraction, spec.special_fraction,
+                         spec.seed);
+  Rng rng(spec.seed);
+  return generate_documents(spec, vocab, 256u << 10, 0, 1, rng);
+}
+
 TEST(Parser, RegroupingPreservesEveryToken) {
-  // Property: the grouped block and the flat (ablation) parse contain the
-  // same multiset of (doc, term) pairs.
+  // Property: the grouped block and the flat (per-token oracle) parse
+  // contain the same multiset of (doc, term) pairs.
   Parser parser({.strip_html = true});
   const auto docs =
       make_docs({"<p>Parallel indexers consume parsed streams rapidly</p>",
@@ -105,36 +165,36 @@ TEST(Parser, RegroupingPreservesEveryToken) {
   for (const auto& t : flat) flat_pairs.emplace(t.local_doc, t.term);
   EXPECT_EQ(grouped_pairs, flat_pairs);
   EXPECT_EQ(block.tokens, flat.size());
-}
 
-TEST(Parser, StepTimesAreReported) {
-  Parser parser;
-  std::vector<Document> docs;
-  for (int i = 0; i < 50; ++i)
-    docs.push_back({static_cast<std::uint32_t>(i), "",
-                    "<html>the quick brown foxes were jumping over lazy dogs "
-                    "repeatedly and continuously</html>"});
-  // Each step's minimum over a few parses of the same input: one parse of a
-  // tiny block is easily stretched by a preemption (or a sanitizer's
-  // bookkeeping) landing inside a single step.
-  ParseTimes best;
-  for (int round = 0; round < 5; ++round) {
-    ParseTimes times;
-    parser.parse(docs, 0, 0, 0, &times);
-    EXPECT_GT(times.tokenize, 0.0);
-    EXPECT_GT(times.total(), 0.0);
-    if (round == 0) {
-      best = times;
-      continue;
-    }
-    best.tokenize = std::min(best.tokenize, times.tokenize);
-    best.stem = std::min(best.stem, times.stem);
-    best.stopword = std::min(best.stopword, times.stopword);
-    best.regroup = std::min(best.regroup, times.regroup);
-  }
-  // §III.C: regrouping is a small fraction of parsing (~5%). Allow slack on
-  // a tiny input but it must not dominate.
-  EXPECT_LT(best.regroup, best.total() * 0.6);
+  // Byte for byte, on generated web-like (HTML) and Wikipedia-like text.
+  const auto clueweb = synthetic_docs(clueweb_like());
+  const auto wikipedia = synthetic_docs(wikipedia_like());
+  ASSERT_GT(clueweb.size(), 10u);
+  ASSERT_GT(wikipedia.size(), 10u);
+  expect_parse_equals_flat_regroup(clueweb);
+  expect_parse_equals_flat_regroup(wikipedia);
+
+  // A document with more than 0xFFFF terms in one collection splits into
+  // two records of the same doc, between ordinary documents.
+  std::string big;
+  for (int i = 0; i < 70000; ++i) big += "zebra ";
+  std::vector<Document> edge = make_docs({"zebras grazing", "", "zebra crossing"});
+  edge[1].body = big;
+  expect_parse_equals_flat_regroup(edge);
+  const auto edge_block = parser.parse(edge, 0, 0, 0);
+  const ParsedGroup* zeb = edge_block.group(trie_index("zebra"));
+  ASSERT_NE(zeb, nullptr);
+  const std::vector<std::pair<std::uint32_t, std::uint16_t>> want = {
+      {0, 1}, {1, 0xFFFF}, {1, 70000 - 0xFFFF}, {2, 1}};
+  EXPECT_EQ(records(*zeb), want);
+  std::uint64_t big_terms = 0;
+  for_each_posting(*zeb, [&](std::uint32_t doc, std::string_view suffix) {
+    if (doc != 1) return;
+    EXPECT_EQ(suffix, "ra");
+    ++big_terms;
+  });
+  EXPECT_EQ(big_terms, 70000u);
+  EXPECT_EQ(edge_block.doc_tokens[1], 70000u);
 }
 
 TEST(Parser, DocIdBaseIsRecorded) {

@@ -162,13 +162,6 @@ TEST(StopWords, ContainsStemmedForms) {
   EXPECT_TRUE(sw.contains(porter_stem("having")));
 }
 
-TEST(StopWords, CustomList) {
-  const StopWords sw(std::vector<std::string_view>{"foo", "bar"});
-  EXPECT_TRUE(sw.contains("foo"));
-  EXPECT_FALSE(sw.contains("the"));
-  EXPECT_EQ(sw.size(), 2u);
-}
-
 TEST(HtmlStrip, RemovesTagsKeepsText) {
   EXPECT_EQ(html_strip("<p>Hello <b>world</b></p>"), " Hello  world  ");
 }
