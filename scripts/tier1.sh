@@ -3,7 +3,8 @@
 # quickstart and web_archive_indexing examples run end to end (work dirs
 # under build/, so an example that can no longer open the index it built
 # fails here), a `hetindex_cli compact` of the quickstart index that must
-# re-fold a cmp-identical index.seg and then pass `hetindex_cli verify`,
+# re-fold a cmp-identical index.seg and then pass `hetindex_cli verify`, a
+# live directory ingested with and then without positions (mixed merges),
 # the hetbench benchmark tree and its harness self-test, then
 # two sanitizer legs over the concurrency- and memory-critical tests:
 #   - ThreadSanitizer on the threaded pipeline/observability/segment/live/
@@ -86,6 +87,13 @@ cp "$qs_index/index.seg" build/example-runs/quickstart-index.seg
 ./build/examples/hetindex_cli compact "$qs_index"
 cmp build/example-runs/quickstart-index.seg "$qs_index/index.seg"
 ./build/examples/hetindex_cli verify "$qs_index"
+# A live directory ingested with positions, then again without them and
+# with deletes: its compactions fold windows that mix positional and plain
+# parts of a term and must exit 0.
+mixed_dir=build/example-runs/mixed-live
+./build/examples/hetindex_cli generate "$mixed_dir/corpus" --preset wikipedia --mb 2
+./build/examples/hetindex_cli live "$mixed_dir/corpus" "$mixed_dir/index" --positions
+./build/examples/hetindex_cli live "$mixed_dir/corpus" "$mixed_dir/index" --delete-every 5
 # The benchmark compiles against the public request/response types, so it
 # is built (and its harness self-test run) here too: an API change that
 # breaks hetbench fails tier-1 instead of the next benchmark run.

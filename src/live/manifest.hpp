@@ -31,9 +31,10 @@ struct ManifestEntry {
   std::uint64_t term_count = 0;
   std::uint64_t file_bytes = 0;   ///< segment file size at commit time
   /// Tombstoned docs already physically absent from this segment's
-  /// postings (dropped by a rewrite merge). The segment still carries dead
-  /// postings when count_in_range(doc_base, doc_count) exceeds this — the
-  /// compactor's reclaim trigger. Format v1 manifests read as 0.
+  /// postings (dropped by the merge that wrote it). The segment still
+  /// carries dead postings when count_in_range(doc_base, doc_count)
+  /// exceeds this — the compactor's reclaim trigger. Format v1 manifests
+  /// read as 0.
   std::uint64_t reclaimed_docs = 0;
 };
 

@@ -35,7 +35,7 @@ int size_tier(std::uint64_t bytes, std::uint64_t tier_base) {
 
 /// First window of `merge_factor` adjacent entries worth folding, or
 /// {0,0}. Adjacency matters: only doc-contiguous segments may merge, or
-/// the per-term byte concatenation would break doc-id order.
+/// a term's parts, decoded in input order, would not form one sorted list.
 ///
 /// A window qualifies when the combined bytes land strictly above the
 /// deepest input tier — every byte then climbs at least one tier per
@@ -59,81 +59,6 @@ std::pair<std::size_t, std::size_t> find_merge_window(
     }
   }
   return {0, 0};
-}
-
-struct RewriteStats {
-  std::uint64_t terms = 0;
-  std::uint64_t output_bytes = 0;
-};
-
-/// The reclaiming counterpart of merge_segments: a k-way term merge that
-/// decodes every list, drops postings of tombstoned documents (and their
-/// positions), and re-encodes the survivors with fresh skip rows and Bloom
-/// filters. Slower than the §III.F byte concatenation — used only when the
-/// window still carries dead postings. Terms whose every posting is dead
-/// vanish from the output. Inputs must be given in ascending disjoint
-/// doc-id order.
-Expected<RewriteStats> rewrite_segments(const std::vector<const SegmentReader*>& inputs,
-                                        const TombstoneSet& dead, PostingCodec codec,
-                                        const std::string& out_path) {
-  SegmentWriter writer(out_path, codec);
-  std::vector<SegmentReader::TermCursor> cursors;
-  cursors.reserve(inputs.size());
-  for (const auto* reader : inputs) cursors.emplace_back(*reader);
-
-  std::vector<std::uint32_t> docs, tfs, positions;
-  std::vector<std::uint32_t> out_docs, out_tfs, out_positions;
-  while (true) {
-    const std::string* min_term = nullptr;
-    for (const auto& c : cursors) {
-      if (!c.valid()) continue;
-      if (min_term == nullptr || c.term() < *min_term) min_term = &c.term();
-    }
-    if (min_term == nullptr) break;
-    const std::string term = *min_term;  // copy: next() invalidates the ref
-
-    // Inputs are doc-ascending and disjoint, so decoding matching cursors
-    // in input order yields one sorted list.
-    docs.clear();
-    tfs.clear();
-    positions.clear();
-    for (std::size_t i = 0; i < cursors.size(); ++i) {
-      auto& c = cursors[i];
-      if (!c.valid() || c.term() != term) continue;
-      inputs[i]->decode(c.meta(), docs, tfs, &positions);
-      c.next();
-    }
-
-    // Posting i owns the next tfs[i] position entries; dropping a posting
-    // drops its slice.
-    const bool positional = !positions.empty();
-    out_docs.clear();
-    out_tfs.clear();
-    out_positions.clear();
-    std::size_t pos_at = 0;
-    for (std::size_t i = 0; i < docs.size(); ++i) {
-      const std::uint32_t tf = tfs[i];
-      if (!dead.contains(docs[i])) {
-        out_docs.push_back(docs[i]);
-        out_tfs.push_back(tf);
-        if (positional) {
-          out_positions.insert(out_positions.end(), positions.begin() + static_cast<std::ptrdiff_t>(pos_at),
-                               positions.begin() + static_cast<std::ptrdiff_t>(pos_at + tf));
-        }
-      }
-      pos_at += tf;
-    }
-    if (out_docs.empty()) continue;  // every posting was dead: term vanishes
-
-    writer.add_postings(term, out_docs, out_tfs, out_positions);
-  }
-
-  RewriteStats stats;
-  stats.terms = writer.term_count();
-  auto file_bytes = writer.finalize();
-  if (!file_bytes.has_value()) return file_bytes.error();
-  stats.output_bytes = file_bytes.value();
-  return stats;
 }
 
 /// One document's distinct terms with their tf and positions: the writer's
@@ -484,8 +409,8 @@ std::uint32_t IndexWriter::State::add_document_locked(const std::string& url,
       body, [&](std::string_view term, std::uint32_t position) { doc_terms.add(term, position); });
   add_normalize_seconds.add(normalize_timer.seconds());
 
-  // Postings carry absolute doc ids — the invariant that lets flush write
-  // blobs compaction can concatenate without re-encoding.
+  // Postings carry absolute doc ids, so segments never renumber: a merge
+  // decodes doc-adjacent inputs in order into one sorted list.
   const WallTimer memtable_timer;
   const std::uint32_t doc_id = memtable->begin_document(url);
   doc_terms.for_each([&](std::string_view term, std::uint32_t tf,
@@ -745,7 +670,6 @@ Expected<bool> IndexWriter::State::run_one_compaction(bool full_reclaim) {
   // runs unlocked against immutable inputs.
   std::vector<std::shared_ptr<LiveSegment>> inputs;
   std::uint64_t out_id = 0;
-  bool rewrite = false;
   std::shared_ptr<const TombstoneSet> dead;
   std::uint64_t reclaimed_out = 0;    ///< reclaimed_docs of the output entry
   std::uint64_t newly_reclaimed = 0;  ///< docs this pass physically drops
@@ -771,7 +695,6 @@ Expected<bool> IndexWriter::State::run_one_compaction(bool full_reclaim) {
     }
     if (begin == end) return false;
     const auto snap = set.snapshot();
-    std::uint64_t dead_in_window = 0;
     std::uint64_t already_reclaimed = 0;
     // Snapshot segments are doc_base-ordered like manifest entries.
     for (std::size_t i = begin; i < end; ++i) {
@@ -779,19 +702,16 @@ Expected<bool> IndexWriter::State::run_one_compaction(bool full_reclaim) {
       inputs.push_back(snap->segments()[i]);
       const auto& e = manifest.entries[i];
       if (tombstones != nullptr) {
-        dead_in_window += tombstones->count_in_range(e.doc_base, e.doc_count);
+        reclaimed_out += tombstones->count_in_range(e.doc_base, e.doc_count);
       }
       already_reclaimed += e.reclaimed_docs;
     }
-    // A window still carrying dead postings merges by rewrite (decode, drop
-    // tombstoned entries, re-encode); a clean window takes the §III.F byte
-    // concatenation. The output's reclaimed_docs records the range's
-    // tombstone count as of this instant — deletes landing during the merge
-    // simply leave the output eligible again.
-    rewrite = dead_in_window > already_reclaimed;
+    // Every merge reclaims: it drops the postings of every doc tombstoned
+    // as of this instant, and the output's reclaimed_docs records that
+    // count. Deletes landing during the merge leave the output eligible
+    // again.
+    newly_reclaimed = reclaimed_out - already_reclaimed;
     dead = tombstones;
-    reclaimed_out = rewrite ? dead_in_window : already_reclaimed;
-    newly_reclaimed = rewrite ? dead_in_window - already_reclaimed : 0;
     out_id = manifest.next_segment_id++;
   }
 
@@ -807,20 +727,11 @@ Expected<bool> IndexWriter::State::run_one_compaction(bool full_reclaim) {
   std::vector<const SegmentReader*> readers;
   readers.reserve(inputs.size());
   for (const auto& seg : inputs) readers.push_back(&seg->reader());
-  std::uint64_t out_terms = 0;
-  std::uint64_t out_bytes = 0;
-  if (rewrite) {
-    const auto rewritten =
-        rewrite_segments(readers, *dead, opts.codec, live_segment_path(dir, out_id));
-    if (!rewritten.has_value()) return fail(rewritten.error());
-    out_terms = rewritten.value().terms;
-    out_bytes = rewritten.value().output_bytes;
-  } else {
-    const auto merged = merge_segments(readers, live_segment_path(dir, out_id));
-    if (!merged.has_value()) return fail(merged.error());
-    out_terms = merged.value().terms;
-    out_bytes = merged.value().output_bytes;
-  }
+  const auto merged =
+      merge_segments(readers, dead.get(), opts.codec, live_segment_path(dir, out_id));
+  if (!merged.has_value()) return fail(merged.error());
+  const std::uint64_t out_terms = merged.value().terms;
+  const std::uint64_t out_bytes = merged.value().output_bytes;
 
   // Fold the doc maps, preserving per-source spans; ids do not shift (a
   // reclaimed doc keeps its map row — the id stays allocated forever).

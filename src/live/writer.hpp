@@ -10,9 +10,10 @@
 /// immutable segment (SegmentWriter format, absolute doc ids) plus a
 /// per-segment doc map, and commits it by atomically rewriting the
 /// MANIFEST. A background thread applies a tiered merge policy, folding
-/// same-tier runs of adjacent segments into one via the §III.F
-/// byte-concatenation merge — postings are only re-encoded when a merge
-/// doubles as physical reclaim of deleted documents.
+/// same-tier runs of adjacent segments into one (merge_segments): each
+/// term's parts decode into one list that is re-blocked through
+/// SegmentWriter::add_postings, the routine flush and the batch fold use,
+/// and every merge drops the postings of deleted documents on the way.
 ///
 /// Deletes and updates: delete_document records the doc id in an immutable
 /// tombstone bitmap (live/tombstones.hpp), persisted write-ahead as a

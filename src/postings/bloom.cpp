@@ -28,8 +28,7 @@ std::size_t bloom_filter_bytes(std::uint32_t count) {
   return static_cast<std::size_t>(filter_bits(count) / 8);
 }
 
-void append_bloom_filter(const std::uint32_t* docs, std::uint32_t count,
-                         std::vector<std::uint8_t>& out) {
+void append_bloom_filter(const std::uint32_t* docs, std::uint32_t count, PageBytes& out) {
   const std::uint64_t bits = filter_bits(count);
   const std::size_t at = out.size();
   out.resize(at + static_cast<std::size_t>(bits / 8), 0);

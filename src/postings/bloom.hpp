@@ -9,8 +9,7 @@
 ///
 /// A filter's size is a pure function of its row's count (kBloomBitsPerDoc
 /// bits per doc, rounded up to whole 64-bit words; kBloomProbes probes), so
-/// the §III.F byte-concatenation merge copies filter bytes verbatim, just as
-/// it copies blobs and skip rows. Concat-merged segments keep their filters.
+/// the reader locates every filter from the skip rows alone.
 ///
 /// Filters are probabilistic one way only: a "no" is exact, a "yes" may be
 /// a false positive. So Bloom chains never change results — only the amount
@@ -34,8 +33,7 @@ inline constexpr std::uint32_t kBloomProbes = 7;
 
 /// Appends the filter over `docs[0, count)` to `out`
 /// (bloom_filter_bytes(count) bytes; bit b is bit b%8 of byte b/8).
-void append_bloom_filter(const std::uint32_t* docs, std::uint32_t count,
-                         std::vector<std::uint8_t>& out);
+void append_bloom_filter(const std::uint32_t* docs, std::uint32_t count, PageBytes& out);
 
 /// False ⇒ `doc` is definitely not among the `count` docs the filter at
 /// `filter` was built over.

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <thread>
 
 #include "codec/front_coding.hpp"
 #include "io/env.hpp"
+#include "live/tombstones.hpp"
 #include "postings/bloom.hpp"
 #include "postings/query.hpp"
 #include "util/binary_io.hpp"
@@ -36,48 +38,40 @@ SegmentWriter::SegmentWriter(std::string path, PostingCodec codec,
   HET_CHECK_MSG(terms_per_block_ >= 1, "segment block size must be >= 1");
 }
 
-void SegmentWriter::add_term(std::string_view term, std::span<const std::uint8_t> blob,
-                             std::uint32_t min_doc, std::span<const PostingBlockEntry> rows,
-                             std::span<const std::uint8_t> filters) {
+void SegmentWriter::add_postings(std::string_view term, std::span<const std::uint32_t> docs,
+                                 std::span<const std::uint32_t> tfs,
+                                 std::span<const std::uint32_t> positions) {
   HET_CHECK(!finalized_);
   HET_CHECK_MSG(term_count_ == 0 || prev_term_ < term,
                 "segment terms must be sorted and unique");
-  HET_CHECK_MSG(!rows.empty() && !blob.empty(), "segment terms must have postings");
-  HET_CHECK(blob.size() <= 0xFFFFFFFFull);
+  HET_CHECK_MSG(!docs.empty(), "segment terms must have postings");
+  std::vector<PostingBlockEntry> rows;
+  const auto blob = encode_postings_blocked(codec_, docs, tfs, positions, &rows);
+  HET_CHECK(blob.size() <= 0xFFFFFFFFull && docs.size() <= 0xFFFFFFFFull);
 
-  // Rows tile the blob in order and ascend by doc. Offsets are not stored:
-  // the reader re-derives them from the sizes, so a merge copies rows as is.
+  // One skip row and one Bloom filter per block. Row offsets are not
+  // stored: the reader re-derives them from the sizes.
   BasicByteWriter sw(skip_);
-  std::uint64_t next_offset = 0, count = 0;
-  std::size_t filter_bytes = 0;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const PostingBlockEntry& row = rows[i];
-    HET_CHECK_MSG(row.offset == next_offset && row.bytes > 0 && row.count > 0 &&
-                      row.max_tf > 0 &&
-                      (i == 0 ? min_doc <= row.last_doc : rows[i - 1].last_doc < row.last_doc),
-                  "skip rows must tile the blob in doc order");
-    next_offset += row.bytes;
-    count += row.count;
-    filter_bytes += bloom_filter_bytes(row.count);
+  std::size_t at = 0;
+  for (const PostingBlockEntry& row : rows) {
     sw.u32(row.bytes);
     sw.u32(row.last_doc);
     sw.u32(row.count);
     sw.u32(row.max_tf);
+    append_bloom_filter(docs.data() + at, row.count, blooms_);
+    at += row.count;
   }
-  HET_CHECK_MSG(next_offset == blob.size() && filter_bytes == filters.size() &&
-                    count <= 0xFFFFFFFFull,
-                "skip rows and filters must cover the blob exactly");
-  const std::uint32_t max_doc = rows.back().last_doc;
+  const std::uint32_t min_doc = docs.front();
+  const std::uint32_t max_doc = docs.back();
 
   BasicByteWriter tw(table_);
   tw.u64(blobs_.size());
   tw.u32(static_cast<std::uint32_t>(blob.size()));
-  tw.u32(static_cast<std::uint32_t>(count));
+  tw.u32(static_cast<std::uint32_t>(docs.size()));
   tw.u32(min_doc);
   tw.u32(max_doc);
   tw.u32(static_cast<std::uint32_t>(rows.size()));
   blobs_.insert(blobs_.end(), blob.begin(), blob.end());
-  blooms_.insert(blooms_.end(), filters.begin(), filters.end());
 
   BasicByteWriter dw(dict_);
   if (block_fill_ == 0) {
@@ -97,21 +91,6 @@ void SegmentWriter::add_term(std::string_view term, std::span<const std::uint8_t
   min_doc_ = std::min(min_doc_, min_doc);
   max_doc_ = std::max(max_doc_, max_doc);
   ++term_count_;
-}
-
-void SegmentWriter::add_postings(std::string_view term, std::span<const std::uint32_t> docs,
-                                 std::span<const std::uint32_t> tfs,
-                                 std::span<const std::uint32_t> positions) {
-  HET_CHECK_MSG(!docs.empty(), "segment terms must have postings");
-  std::vector<PostingBlockEntry> rows;
-  const auto blob = encode_postings_blocked(codec_, docs, tfs, positions, &rows);
-  std::vector<std::uint8_t> filters;
-  std::size_t at = 0;
-  for (const PostingBlockEntry& row : rows) {
-    append_bloom_filter(docs.data() + at, row.count, filters);
-    at += row.count;
-  }
-  add_term(term, blob, docs.front(), rows, filters);
 }
 
 void SegmentWriter::append(SegmentWriter&& other) {
@@ -412,13 +391,6 @@ std::span<const PostingBlockEntry> SegmentReader::skip_rows(std::uint64_t ordina
   return {rows_.data() + begin, end - begin};
 }
 
-std::span<const std::uint8_t> SegmentReader::raw_filters(std::uint64_t ordinal) const {
-  HET_CHECK(ordinal < term_count_);
-  const std::uint64_t begin = row_filters_[term_rows_[ordinal]];
-  const std::uint64_t end = row_filters_[term_rows_[ordinal + 1]];
-  return {file_.data() + bloom_off_ + begin, static_cast<std::size_t>(end - begin)};
-}
-
 bool SegmentReader::may_contain(std::uint64_t ordinal, std::uint32_t doc) const {
   const auto rows = skip_rows(ordinal);
   // The one block that could hold `doc`: the first whose last_doc >= doc.
@@ -515,8 +487,9 @@ void SegmentReader::TermCursor::next() {
   }
 }
 
-Expected<SegmentMergeStats> merge_segments(
-    const std::vector<const SegmentReader*>& inputs, const std::string& out_path) {
+Expected<SegmentMergeStats> merge_segments(const std::vector<const SegmentReader*>& inputs,
+                                           const TombstoneSet* dead, PostingCodec codec,
+                                           const std::string& out_path) {
   HET_CHECK_MSG(!inputs.empty(), "segment merge requires at least one input");
   // Nothing reaches disk before finalize(); removing `out_path` on every
   // error also clears a stale file an earlier crashed attempt left there.
@@ -524,16 +497,6 @@ Expected<SegmentMergeStats> merge_segments(
     (void)io::env().remove_file(out_path);
     return e;
   };
-  const PostingCodec codec = inputs.front()->codec();
-  for (const auto* in : inputs) {
-    if (in->codec() != codec) {
-      return fail(Error{ErrorCode::kInvalidArgument,
-                        "segment merge requires a uniform posting codec: " + in->path()});
-    }
-  }
-
-  SegmentMergeStats stats;
-  stats.segments = inputs.size();
   SegmentWriter writer(out_path, codec);
 
   // K-way cursor merge. K is the merge factor (a handful), so a linear
@@ -542,8 +505,7 @@ Expected<SegmentMergeStats> merge_segments(
   cursors.reserve(inputs.size());
   for (const auto* in : inputs) cursors.emplace_back(*in);
 
-  std::vector<std::uint8_t> blob, filters;
-  std::vector<PostingBlockEntry> rows;
+  std::vector<std::uint32_t> docs, tfs, positions;
   while (true) {
     const std::string* min_term = nullptr;
     for (const auto& c : cursors) {
@@ -554,42 +516,59 @@ Expected<SegmentMergeStats> merge_segments(
     if (min_term == nullptr) break;
     const std::string term = *min_term;  // cursors advance below; copy first
 
-    // Equal terms concatenate section by section in input order: every
-    // encoded sub-list starts with an absolute doc id (§III.F), so the
-    // combined blob decodes as one list provided doc ranges ascend across
-    // inputs; the skip rows follow with their offsets shifted by the bytes
-    // already in the blob, and each row's filter is copied as is.
-    blob.clear();
-    filters.clear();
-    rows.clear();
-    std::uint32_t count = 0, mn = 0, mx = 0;
+    // Equal terms decode in input order into one list; doc ranges must
+    // ascend across inputs for it to be sorted.
+    docs.clear();
+    tfs.clear();
+    positions.clear();
     for (std::size_t i = 0; i < cursors.size(); ++i) {
       auto& c = cursors[i];
       if (!c.valid() || c.term() != term) continue;
       const auto m = c.meta();
-      if (count != 0 && m.min_doc <= mx) {
+      if (!docs.empty() && m.min_doc <= docs.back()) {
         return fail(Error{ErrorCode::kCorrupt,
                           "segment merge inputs overlap in doc ids at term '" + term +
                               "': " + inputs[i]->path()});
       }
-      for (PostingBlockEntry row : inputs[i]->skip_rows(c.ordinal())) {
-        row.offset += blob.size();
-        rows.push_back(row);
-      }
-      const auto part = inputs[i]->raw_filters(c.ordinal());
-      filters.insert(filters.end(), part.begin(), part.end());
-      const auto [bytes, len] = inputs[i]->raw_blob(m);
-      blob.insert(blob.end(), bytes, bytes + len);
-      stats.input_bytes += len;
-      if (count == 0) mn = m.min_doc;
-      mx = m.max_doc;
-      count += m.count;
+      inputs[i]->decode(m, docs, tfs, &positions);
       c.next();
     }
-    writer.add_term(term, blob, mn, rows, filters);
-    ++stats.terms;
-    stats.postings += count;
+
+    // A positional block holds exactly tf positions per posting and a plain
+    // one none, so the positions cover the list only when every part
+    // carries them; otherwise (and for a codec without positions) the term
+    // goes out plain.
+    const bool positional =
+        codec != PostingCodec::kBitPacked &&
+        positions.size() == std::accumulate(tfs.begin(), tfs.end(), std::uint64_t{0});
+    if (!positional) positions.clear();
+
+    if (dead != nullptr) {
+      // Posting i owns the next tfs[i] positions; compact in place.
+      std::size_t kept = 0, pos_in = 0, pos_out = 0;
+      for (std::size_t i = 0; i < docs.size(); ++i) {
+        const std::uint32_t tf = tfs[i];
+        if (!dead->contains(docs[i])) {
+          docs[kept] = docs[i];
+          tfs[kept] = tf;
+          ++kept;
+          if (positional) {
+            std::copy_n(positions.begin() + static_cast<std::ptrdiff_t>(pos_in), tf,
+                        positions.begin() + static_cast<std::ptrdiff_t>(pos_out));
+            pos_out += tf;
+          }
+        }
+        pos_in += tf;
+      }
+      docs.resize(kept);
+      tfs.resize(kept);
+      positions.resize(pos_out);
+      if (docs.empty()) continue;  // every posting was dead: the term vanishes
+    }
+    writer.add_postings(term, docs, tfs, positions);
   }
+  SegmentMergeStats stats;
+  stats.terms = writer.term_count();
   auto output_bytes = writer.finalize();
   if (!output_bytes.has_value()) return fail(output_bytes.error());
   stats.output_bytes = output_bytes.value();

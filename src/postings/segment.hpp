@@ -24,11 +24,10 @@
 ///               block's first doc id absolute (the §III.F merge property)
 ///   footer      total size + CRC32 of everything before it
 ///
-/// Builds cut each term's blocks once, from the whole list
-/// (SegmentWriter::add_postings), so a segment depends only on its
-/// postings. Live merges alone concatenate, section by section: a merged
-/// term's blob, skip rows (offsets are implicit) and filters are the
-/// inputs' back to back. Nothing is decoded.
+/// Every writer cuts each term's blocks once, from the whole list
+/// (SegmentWriter::add_postings): the build fold, the memtable flush and
+/// the live merge (merge_segments) alike, so a segment depends only on its
+/// postings, never on how they were cut into runs or flushes.
 ///
 /// A SegmentReader is immutable after open and keeps no per-lookup state,
 /// so any number of threads may share one instance with no locking.
@@ -51,6 +50,8 @@
 
 namespace hetindex {
 
+class TombstoneSet;
+
 /// Terms per front-coded dictionary block. Small enough that a lookup
 /// scans a handful of suffixes, large enough that the in-memory block
 /// index stays ~1/16th of the term count.
@@ -66,21 +67,12 @@ class SegmentWriter {
 
   /// Appends one term from its decoded list (`docs` ascending; `positions`
   /// empty for a plain list): the one routine the build fold, the memtable
-  /// flush and the rewrite write through. It cuts ≤ kPostingsBlockSize-doc
+  /// flush and the live merge write through. It cuts ≤ kPostingsBlockSize-doc
   /// blocks, encodes them with this writer's codec and takes one skip row
   /// and one Bloom filter per block.
   void add_postings(std::string_view term, std::span<const std::uint32_t> docs,
                     std::span<const std::uint32_t> tfs,
                     std::span<const std::uint32_t> positions = {});
-
-  /// Appends one term with its sections as given (merge_segments copies
-  /// through it): the encoded blob (back-to-back blocks), one skip row per
-  /// block (offsets relative to the blob, tiling it in order) and one Bloom
-  /// filter per row, back to back (append_bloom_filter layout). `min_doc`
-  /// is the list's first doc id; count and max_doc come from the rows.
-  void add_term(std::string_view term, std::span<const std::uint8_t> blob,
-                std::uint32_t min_doc, std::span<const PostingBlockEntry> rows,
-                std::span<const std::uint8_t> filters);
 
   /// Moves every term of `other` (same codec and block geometry, terms
   /// sorting after this writer's) here, section by section, with the bytes
@@ -157,20 +149,14 @@ class SegmentReader {
   /// its blob).
   [[nodiscard]] std::span<const PostingBlockEntry> skip_rows(std::uint64_t ordinal) const;
 
-  /// The Bloom filter bytes of term `ordinal`: one filter per skip row,
-  /// back to back — the unit the concatenation merge copies verbatim.
-  [[nodiscard]] std::span<const std::uint8_t> raw_filters(std::uint64_t ordinal) const;
-
   /// False ⇒ `doc` is definitely not in term `ordinal`'s list: it lies past
   /// the list's last doc, or the filter of the one block that could hold it
   /// (the first whose last_doc >= doc) rejects it.
   [[nodiscard]] bool may_contain(std::uint64_t ordinal, std::uint32_t doc) const;
 
-  /// The raw encoded bytes behind `m`, straight out of the mapping — the
-  /// unit of the §III.F byte-concatenation merge (valid while the reader
-  /// lives). Every sub-list's first doc id is absolute, so two segments'
-  /// blobs for the same term concatenate without a decode as long as their
-  /// doc ranges are disjoint and given in ascending order.
+  /// The raw encoded bytes behind `m`, straight out of the mapping (valid
+  /// while the reader lives): back-to-back self-describing blocks that
+  /// block cursors decode in place, one skip row at a time.
   [[nodiscard]] std::pair<const std::uint8_t*, std::size_t> raw_blob(
       const PostingsMeta& m) const;
 
@@ -283,25 +269,25 @@ Expected<SegmentBuildStats> build_segment_from_runs(
 /// index_directory_read's (kCorrupt naming a damaged file).
 Expected<SegmentBuildStats> compact_index(const std::string& dir);
 
-/// What a segment-to-segment merge folded together.
+/// What a segment-to-segment merge wrote.
 struct SegmentMergeStats {
-  std::uint64_t segments = 0;      ///< input segments
-  std::uint64_t terms = 0;         ///< unique terms in the output
-  std::uint64_t postings = 0;
-  std::uint64_t input_bytes = 0;   ///< encoded blob bytes read
+  std::uint64_t terms = 0;         ///< terms in the output
   std::uint64_t output_bytes = 0;  ///< merged segment file size
 };
 
-/// Merges already-built segments into one new segment at `out_path`
-/// without decoding postings: terms stream through a k-way cursor merge
-/// and equal terms' blobs, skip rows and filters concatenate byte-wise
-/// (§III.F — every sub-list's first doc id is absolute). Inputs must be
-/// given in ascending doc-id order. This is the compaction primitive of
-/// the live indexing layer (docs/LIVE_INDEXING.md). Errors, each leaving no
-/// output file: kInvalidArgument when the inputs' codecs differ, kCorrupt
-/// when a term's doc ranges overlap or descend across inputs, kIo when the
-/// output cannot be written durably.
-Expected<SegmentMergeStats> merge_segments(
-    const std::vector<const SegmentReader*>& inputs, const std::string& out_path);
+/// Merges already-built segments into one new segment at `out_path`, the
+/// one compaction of the live tier (docs/LIVE_INDEXING.md). Terms stream
+/// through a k-way cursor merge; each term's parts decode in input order
+/// into one list, postings of documents in `dead` (may be null) drop out
+/// with their positions, and SegmentWriter::add_postings re-blocks the
+/// survivors with `codec`. A term whose every posting is dead vanishes.
+/// The inputs may use any codecs, and a term keeps its positions only when
+/// every part carries them and `codec` can hold them (kBitPacked cannot).
+/// Inputs must be given in ascending doc-id order. Errors, each leaving no
+/// output file: kCorrupt when a term's doc ranges overlap or descend
+/// across inputs, kIo when the output cannot be written durably.
+Expected<SegmentMergeStats> merge_segments(const std::vector<const SegmentReader*>& inputs,
+                                           const TombstoneSet* dead, PostingCodec codec,
+                                           const std::string& out_path);
 
 }  // namespace hetindex

@@ -7,8 +7,9 @@
 //              and block bounds must dominate every real contribution
 //   executor   Block-Max MaxScore == the exhaustive scorer, bit-identical
 //              docs and scores, across batch / live / merged segments
-//   plumbing   a compacted segment equals the decode-derived write of its
-//              own blobs byte for byte, a corrupt segment fails the open,
+//   plumbing   a compacted segment equals add_postings of the decoded
+//              union of its inputs byte for byte, a corrupt segment fails
+//              the open,
 //              cursors carry exact list-level max tfs, and pruning provably
 //              fires (search_blocks_skipped_total > 0) on a prunable
 //              workload
@@ -27,7 +28,6 @@
 
 #include "core/hetindex.hpp"
 #include "oracle/list_ops.hpp"
-#include "oracle/segment_blocks.hpp"
 #include "postings/cursor.hpp"
 #include "search/topk.hpp"
 #include "util/binary_io.hpp"
@@ -357,10 +357,9 @@ TEST(BlockMaxEquivalence, LiveThenMerged) {
     expect_identical_rankings(searcher, queries, 1);
   }
 
-  // Merged: compaction concatenates blobs, skip rows and filters without
-  // decoding. Each merged segment must equal, byte for byte, the segment
-  // the decode-derived reference (oracle/segment_blocks.hpp) writes from
-  // the same blobs.
+  // Merged: compaction decodes each term's parts and re-blocks the union
+  // list. Each merged segment must equal, byte for byte, add_postings of
+  // the union the pre-merge snapshot serves over the same doc range.
   stack.writer->compact_now();
   const auto merged = stack.writer->snapshot();
   ASSERT_LT(merged->segments().size(), multi->segments().size());
@@ -369,11 +368,11 @@ TEST(BlockMaxEquivalence, LiveThenMerged) {
     const SegmentReader& reader = seg->reader();
     const std::string derived_path = scratch.path() + "/" + std::to_string(seg->id()) + ".seg";
     SegmentWriter derived(derived_path, reader.codec());
-    reader.for_each_term([&](std::string_view term, std::uint64_t ordinal) {
-      const auto [blob, bytes] = reader.raw_blob(reader.meta(ordinal));
-      oracle::add_term_from_blob(derived, term, std::span<const std::uint8_t>(blob, bytes));
-      return true;
-    });
+    const std::uint32_t last = seg->doc_base() + seg->doc_count() - 1;
+    for (const auto& term : stack.vocab) {
+      const auto lists = multi->lookup_range(term, seg->doc_base(), last);
+      if (lists && !lists->doc_ids.empty()) derived.add_postings(term, lists->doc_ids, lists->tfs);
+    }
     ASSERT_TRUE(derived.finalize().has_value());
     EXPECT_EQ(read_file(reader.path()), read_file(derived_path)) << "segment " << seg->id();
   }

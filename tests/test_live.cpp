@@ -1,8 +1,10 @@
 // Live indexing tests (docs/LIVE_INDEXING.md): incremental-vs-batch
 // equivalence (random flush points must produce exactly the index a
-// one-shot IndexBuilder builds, term for term), tiered compaction
-// correctness (merges fold segments without re-encoding and answers never
-// change), snapshot-isolated readers racing flushes and compaction (the
+// one-shot IndexBuilder builds, term for term, and a live index folded to
+// one segment is the batch fold's index.seg), tiered compaction
+// correctness (merges re-block every term, fold mixed positional windows,
+// and answers never change), snapshot-isolated readers racing flushes and
+// compaction (the
 // TSan tier-1 leg runs this), crash recovery (uncommitted segment files
 // and a stale MANIFEST.tmp must not survive reopen), and the DocMap
 // offset/rebase API live segments rely on.
@@ -15,8 +17,10 @@
 #include <fstream>
 #include <iterator>
 #include <map>
+#include <numeric>
 #include <optional>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -169,12 +173,73 @@ TEST(LiveEquivalence, PositionalPostingsSurviveFlushAndMerge) {
   opts.background_compaction = false;
   opts.parser.record_positions = true;
   // Flush every 10 documents, then fold everything back together: the
-  // §III.F byte-concatenation merge must preserve positions bit-exactly.
+  // merge must carry positions through its decode and re-blocking
+  // bit-exactly.
   std::vector<std::size_t> flush_after;
   for (std::size_t i = 9; i < corpus.docs.size(); i += 10) flush_after.push_back(i);
   auto w = ingest(corpus, live_dir.path(), opts, flush_after);
   w.compact_now();
   expect_equivalent(*w.snapshot(), batch, /*positions=*/true);
+}
+
+TEST(LiveEquivalence, FoldedLiveSegmentEqualsBatchFold) {
+  // A live index folded to one segment holds the batch fold's postings,
+  // cut into the same blocks: both write every term through add_postings
+  // from its whole list. So the two files are the same bytes.
+  for (const bool positional : {false, true}) {
+    SCOPED_TRACE(positional ? "positional" : "plain");
+    TempDir corpus_dir("fcorpus");
+    TempDir batch_dir("fbatch");
+    TempDir live_dir("flive");
+    const auto corpus = make_corpus(corpus_dir.path(), 128 << 10, /*seed=*/0xF01D);
+
+    IndexBuilder builder;
+    builder.emit_segment(true);
+    builder.config().parser.record_positions = positional;
+    builder.build(corpus.files, batch_dir.path());
+
+    IndexWriterOptions opts;
+    opts.flush_threshold_bytes = 0;
+    opts.background_compaction = false;
+    opts.merge_factor = 2;
+    opts.tier_base_bytes = 1ull << 30;  // every window is tier 0: fold to one
+    opts.parser.record_positions = positional;
+    std::vector<std::size_t> flush_after;
+    for (std::size_t i = 99; i < corpus.docs.size(); i += 100) flush_after.push_back(i);
+    auto w = ingest(corpus, live_dir.path(), opts, flush_after);
+    ASSERT_GT(w.snapshot()->segment_count(), 2u);
+    ASSERT_TRUE(w.compact_now().has_value());
+    const auto snap = w.snapshot();
+    ASSERT_EQ(snap->segment_count(), 1u);
+
+    const auto batch = SegmentReader::try_open(IndexLayout::segment_path(batch_dir.path())).value();
+    const SegmentReader& live = snap->segments().front()->reader();
+    ASSERT_EQ(live.term_count(), batch.term_count());
+    SegmentReader::TermCursor b(batch);
+    for (SegmentReader::TermCursor l(live); l.valid(); l.next(), b.next()) {
+      ASSERT_TRUE(b.valid());
+      ASSERT_EQ(l.term(), b.term());
+      QueryPostings lp, bp;
+      live.decode(l.meta(), lp.doc_ids, lp.tfs, &lp.positions);
+      batch.decode(b.meta(), bp.doc_ids, bp.tfs, &bp.positions);
+      EXPECT_EQ(lp.doc_ids, bp.doc_ids) << l.term();
+      EXPECT_EQ(lp.tfs, bp.tfs) << l.term();
+      EXPECT_EQ(lp.positions, bp.positions) << l.term();
+      EXPECT_EQ(lp.positions.empty(), !positional) << l.term();
+      const auto lr = live.skip_rows(l.ordinal());
+      const auto br = batch.skip_rows(b.ordinal());
+      ASSERT_EQ(lr.size(), br.size()) << l.term();
+      for (std::size_t i = 0; i < lr.size(); ++i) {
+        EXPECT_EQ(lr[i].offset, br[i].offset) << l.term();
+        EXPECT_EQ(lr[i].bytes, br[i].bytes) << l.term();
+        EXPECT_EQ(lr[i].last_doc, br[i].last_doc) << l.term();
+        EXPECT_EQ(lr[i].count, br[i].count) << l.term();
+        EXPECT_EQ(lr[i].max_tf, br[i].max_tf) << l.term();
+      }
+    }
+    EXPECT_TRUE(read_file(live.path()) == read_file(IndexLayout::segment_path(batch_dir.path())))
+        << "live fold and batch fold differ";
+  }
 }
 
 // -------------------------------------------------- add path == batch parser
@@ -477,10 +542,10 @@ TEST(LiveCompaction, TieredMergeFoldsAdjacentSegments) {
   EXPECT_EQ(seg_files, snap->segment_count());
 }
 
-TEST(LiveCompaction, OneFilePerSegmentThroughFlushConcatAndRewrite) {
+TEST(LiveCompaction, OneFilePerSegmentThroughFlushAndMerge) {
   // Skip rows and Bloom filters live inside the segment file, so a flush,
-  // a concatenation merge (no deletes) and a reclaiming rewrite leave only
-  // segments, their doc maps, the MANIFEST and tombstone generations.
+  // a merge with no deletes and a reclaiming merge leave only segments,
+  // their doc maps, the MANIFEST and tombstone generations.
   TempDir dir("onefile");
   IndexWriterOptions opts;
   opts.background_compaction = false;
@@ -493,11 +558,11 @@ TEST(LiveCompaction, OneFilePerSegmentThroughFlushConcatAndRewrite) {
     ASSERT_TRUE(w.flush().has_value());
   };
   for (std::uint32_t i = 0; i < 4; ++i) add_and_flush(i);
-  ASSERT_TRUE(w.compact_now().has_value());  // concatenation only
+  ASSERT_TRUE(w.compact_now().has_value());  // nothing dead yet
   EXPECT_EQ(w.metrics().snapshot().counter("compaction_reclaimed_docs_total"), 0u);
   ASSERT_TRUE(w.delete_document(1).has_value());
   for (std::uint32_t i = 4; i < 6; ++i) add_and_flush(i);
-  ASSERT_TRUE(w.compact_now().has_value());  // reclaims doc 1: a rewrite
+  ASSERT_TRUE(w.compact_now().has_value());  // reclaims doc 1
   EXPECT_EQ(w.metrics().snapshot().counter("compaction_reclaimed_docs_total"), 1u);
 
   const auto snap = w.snapshot();
@@ -510,6 +575,110 @@ TEST(LiveCompaction, OneFilePerSegmentThroughFlushConcatAndRewrite) {
   const auto hits = snap->lookup(normalize_term("common"));
   ASSERT_TRUE(hits.has_value());
   EXPECT_EQ(hits->doc_ids, (std::vector<std::uint32_t>{0, 2, 3, 4, 5}));
+}
+
+TEST(LiveCompaction, PositionalDirReopenedPlainCompactsAfterDeletes) {
+  // Segments flushed with positions, then more flushed without them into
+  // the same directory: one window holds positional and plain parts of a
+  // term. The merge keeps a term's positions only where every part has
+  // them, and answers stay what they were.
+  TempDir corpus_dir("mcorpus");
+  TempDir dir("mixedpos");
+  const auto corpus = make_corpus(corpus_dir.path(), 128 << 10, /*seed=*/0x9051);
+  ASSERT_GT(corpus.docs.size(), 20u);
+  IndexWriterOptions opts;
+  opts.flush_threshold_bytes = 0;
+  opts.background_compaction = false;
+  opts.merge_factor = 2;
+  opts.tier_base_bytes = 1ull << 30;  // every window is tier 0
+  const std::size_t half = corpus.docs.size() / 2;
+  const auto add_range = [&](IndexWriter& w, std::size_t from, std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) {
+      w.add_document(corpus.docs[i].url, corpus.docs[i].body);
+      if (i % 128 == 127) {
+        ASSERT_TRUE(w.flush().has_value());
+      }
+    }
+    ASSERT_TRUE(w.flush().has_value());
+  };
+  {
+    opts.parser.record_positions = true;
+    auto w = IndexWriter::open(dir.path(), opts).value();
+    add_range(w, 0, half);
+  }
+  opts.parser.record_positions = false;
+  auto w = IndexWriter::open(dir.path(), opts).value();
+  add_range(w, half, corpus.docs.size());
+  for (std::uint32_t id = 4; id < corpus.docs.size(); id += 5) {
+    ASSERT_TRUE(w.delete_document(id).has_value());
+  }
+
+  const auto before = w.snapshot();
+  std::vector<std::string> terms;
+  before->for_each_term([&](std::string_view term) {
+    terms.emplace_back(term);
+    return true;
+  });
+  /// Live (non-tombstoned) docs and tfs of `term` in `snap`.
+  const auto live_postings = [](const LiveSnapshot& snap, const std::string& term) {
+    QueryPostings out;
+    const auto raw = snap.lookup(term);
+    if (!raw) return out;
+    for (std::size_t i = 0; i < raw->doc_ids.size(); ++i) {
+      if (snap.is_deleted(raw->doc_ids[i])) continue;
+      out.doc_ids.push_back(raw->doc_ids[i]);
+      out.tfs.push_back(raw->tfs[i]);
+    }
+    return out;
+  };
+  const auto searcher_before = Searcher::open(SearchSource::snapshot(before)).value();
+  std::mt19937 rng(0xA4D);
+  std::vector<Query> conjunctions;
+  for (int q = 0; q < 20; ++q) {
+    conjunctions.push_back(
+        Query::conjunction({terms[rng() % terms.size()], terms[rng() % terms.size()]}));
+  }
+  const auto and_hits = [](const Searcher& searcher, const Query& query) {
+    QueryRequest req;
+    req.query = query;
+    req.k = 1000;
+    const auto resp = searcher.search(req);
+    EXPECT_TRUE(resp.has_value());
+    std::set<std::uint32_t> docs;
+    if (resp.has_value()) {
+      for (const auto& hit : resp.value().hits) docs.insert(hit.doc_id);
+    }
+    return docs;
+  };
+
+  ASSERT_TRUE(w.compact_now().has_value());
+  const auto after = w.snapshot();
+  EXPECT_EQ(after->segment_count(), 1u);
+  EXPECT_EQ(w.metrics().snapshot().counter("compaction_failures_total"), 0u);
+  std::size_t positional_terms = 0;
+  for (const auto& term : terms) {
+    const auto want = live_postings(*before, term);
+    const auto got = after->lookup(term);
+    if (want.doc_ids.empty()) {
+      EXPECT_FALSE(got.has_value()) << term;  // every posting was dead
+      continue;
+    }
+    ASSERT_TRUE(got.has_value()) << term;
+    EXPECT_EQ(got->doc_ids, want.doc_ids) << term;
+    EXPECT_EQ(got->tfs, want.tfs) << term;
+    if (!got->positions.empty()) {
+      ++positional_terms;
+      EXPECT_EQ(got->positions.size(),
+                std::accumulate(got->tfs.begin(), got->tfs.end(), std::size_t{0}))
+          << term;
+      EXPECT_LT(got->doc_ids.back(), half) << term;  // only positional parts
+    }
+  }
+  EXPECT_GT(positional_terms, 0u);
+  const auto searcher_after = Searcher::open(SearchSource::snapshot(after)).value();
+  for (const auto& query : conjunctions) {
+    EXPECT_EQ(and_hits(*searcher_after, query), and_hits(*searcher_before, query));
+  }
 }
 
 TEST(LiveCompaction, RangeLookupSkipsNonOverlappingSegments) {

@@ -212,7 +212,7 @@ TEST(LiveServe, MaxScoreMatchesExhaustiveAcrossFlushAndCompaction) {
     expect_identical_rankings(searcher, sample_queries(vocab, 25, 4), 10);
   }
 
-  w.compact_now();  // merged segments: skip rows carried without decode
+  w.compact_now();  // merged segments: every term re-blocked with fresh skip rows
   {
     const auto snap = w.snapshot();
     collect(*snap);

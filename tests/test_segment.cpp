@@ -3,9 +3,9 @@
 // test-side run-file reader, oracle/run_index.hpp), corruption detection
 // (truncation, bit flips, bad footers and tampered sections come back from
 // SegmentReader::try_open as structured errors, never decode garbage and
-// never abort), the section-by-section
-// concatenation merge (byte-identical to the decode-derived reference in
-// oracle/segment_blocks.hpp, structured errors on bad inputs), the
+// never abort), the live merge (byte-identical to add_postings of the
+// decoded union lists, dead documents dropped, mixed codecs and mixed
+// positional parts folded, structured errors on bad inputs), the
 // range-parallel run fold (byte-identical to a serial oracle fold and to
 // the same lists cut into other runs; a term without postings is kCorrupt),
 // per-block Bloom filters, and lock-free concurrent readers sharing one
@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <numeric>
 #include <random>
 #include <set>
@@ -28,7 +29,6 @@
 #include "corpus/container.hpp"
 #include "io/mmap_file.hpp"
 #include "oracle/run_index.hpp"
-#include "oracle/segment_blocks.hpp"
 #include "util/binary_io.hpp"
 #include "util/crc32.hpp"
 
@@ -146,7 +146,7 @@ TEST(SegmentWriterReader, WriterRejectsUnsortedAndEmptyTerms) {
 // ------------------------------------------------ fold equivalence
 
 /// Corpus across several container files → several run files, with shared
-/// vocabulary so the segment fold concatenates partial lists across runs.
+/// vocabulary so the segment fold joins partial lists across runs.
 class SegmentEquivalenceFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -468,46 +468,123 @@ void write_input_segment(const std::string& path, std::mt19937& rng, std::uint32
 TEST(SegmentMerge, OutputEqualsDecodeDerivedWriteByteForByte) {
   TempDir dir("merge");
   std::mt19937 rng(0x5E6);
+  // Mixed codecs: the vbyte inputs are positional, the others plain, so a
+  // term keeps positions only where no plain input holds it.
+  const PostingCodec codecs[] = {PostingCodec::kVByte, PostingCodec::kGamma,
+                                 PostingCodec::kVByte, PostingCodec::kGolomb};
   std::vector<SegmentReader> readers;
   for (std::uint32_t i = 0; i < 4; ++i) {
     const std::string path = dir.path() + "/in" + std::to_string(i) + ".seg";
-    write_input_segment(path, rng, i * 5000, 4000);
+    write_input_segment(path, rng, i * 5000, 4000, codecs[i]);
     readers.push_back(SegmentReader::try_open(path).value());
   }
   std::vector<const SegmentReader*> inputs;
   for (const auto& r : readers) inputs.push_back(&r);
-  const std::string merged_path = dir.path() + "/merged.seg";
-  const auto stats = merge_segments(inputs, merged_path);
-  ASSERT_TRUE(stats.has_value()) << stats.error().to_string();
 
-  // The same concatenated blobs, written through the reference that
-  // decodes each blob to derive its skip rows and filters
-  // (oracle/segment_blocks.hpp), must produce the identical file.
-  const auto merged = SegmentReader::try_open(merged_path).value();
-  const std::string derived_path = dir.path() + "/derived.seg";
-  SegmentWriter derived(derived_path, PostingCodec::kVByte);
-  merged.for_each_term([&](std::string_view term, std::uint64_t ordinal) {
-    const auto [blob, bytes] = merged.raw_blob(merged.meta(ordinal));
-    oracle::add_term_from_blob(derived, term, std::span<const std::uint8_t>(blob, bytes));
-    return true;
-  });
-  ASSERT_TRUE(derived.finalize().has_value());
-  EXPECT_EQ(read_file(merged_path), read_file(derived_path));
-  EXPECT_GT(stats.value().terms, 0u);
+  // The reference: every input's lists decoded and appended per term in
+  // input order, each part's positions kept only if every part has them.
+  std::map<std::string, std::vector<QueryPostings>> parts;
+  for (const auto& r : readers) {
+    r.for_each_term([&](std::string_view term, std::uint64_t ordinal) {
+      QueryPostings p;
+      r.decode(r.meta(ordinal), p.doc_ids, p.tfs, &p.positions);
+      parts[std::string(term)].push_back(std::move(p));
+      return true;
+    });
+  }
+  std::vector<std::uint32_t> dead_ids;
+  for (std::uint32_t doc = 0; doc < 20000; doc += 3) dead_ids.push_back(doc);
+  const auto dead = TombstoneSet::with(nullptr, dead_ids);
+
+  // Bit-packed output holds no positions: every term goes out plain.
+  const std::vector<std::pair<const TombstoneSet*, PostingCodec>> cases = {
+      {nullptr, PostingCodec::kVByte},
+      {dead.get(), PostingCodec::kVByte},
+      {dead.get(), PostingCodec::kBitPacked}};
+  for (const auto& [filter, codec] : cases) {
+    SCOPED_TRACE(std::string(filter == nullptr ? "no deletes" : "every third doc dead") +
+                 ", codec " + std::to_string(static_cast<int>(codec)));
+    const std::string merged_path = dir.path() + "/merged.seg";
+    const auto stats = merge_segments(inputs, filter, codec, merged_path);
+    ASSERT_TRUE(stats.has_value()) << stats.error().to_string();
+
+    const std::string derived_path = dir.path() + "/derived.seg";
+    SegmentWriter derived(derived_path, codec);
+    bool mixed = false;
+    for (const auto& [term, lists] : parts) {
+      const auto has_positions = [](const QueryPostings& p) { return !p.positions.empty(); };
+      const bool positional = codec != PostingCodec::kBitPacked &&
+                              std::all_of(lists.begin(), lists.end(), has_positions);
+      mixed = mixed || (!positional && std::any_of(lists.begin(), lists.end(), has_positions));
+      std::vector<std::uint32_t> docs, tfs, positions;
+      for (const auto& p : lists) {
+        std::size_t at = 0;
+        for (std::size_t i = 0; i < p.doc_ids.size(); ++i) {
+          if (filter == nullptr || !filter->contains(p.doc_ids[i])) {
+            docs.push_back(p.doc_ids[i]);
+            tfs.push_back(p.tfs[i]);
+            if (positional) {
+              positions.insert(positions.end(), p.positions.begin() + static_cast<std::ptrdiff_t>(at),
+                               p.positions.begin() + static_cast<std::ptrdiff_t>(at + p.tfs[i]));
+            }
+          }
+          at += p.tfs[i];
+        }
+      }
+      if (!docs.empty()) derived.add_postings(term, docs, tfs, positions);
+    }
+    EXPECT_TRUE(mixed) << "no term mixes positional and plain parts";
+    EXPECT_EQ(stats.value().terms, derived.term_count());
+    EXPECT_GT(stats.value().terms, 0u);
+    ASSERT_TRUE(derived.finalize().has_value());
+    EXPECT_EQ(read_file(merged_path), read_file(derived_path));
+  }
 }
 
-TEST(SegmentMerge, CodecMismatchIsInvalidArgument) {
+TEST(SegmentMerge, MixedCodecWindowFolds) {
+  // A live directory reopened with another codec holds a window of mixed
+  // codecs; it must fold into the writer's codec with the same answers.
   TempDir dir("merge_codec");
-  std::mt19937 rng(7);
-  write_input_segment(dir.path() + "/a.seg", rng, 0, 1000);
-  write_input_segment(dir.path() + "/b.seg", rng, 2000, 1000, PostingCodec::kGamma);
-  const auto a = SegmentReader::try_open(dir.path() + "/a.seg").value();
-  const auto b = SegmentReader::try_open(dir.path() + "/b.seg").value();
-  const std::string out = dir.path() + "/out.seg";
-  const auto merged = merge_segments({&a, &b}, out);
-  ASSERT_FALSE(merged.has_value());
-  EXPECT_EQ(merged.error().code, ErrorCode::kInvalidArgument);
-  EXPECT_FALSE(std::filesystem::exists(out));
+  IndexWriterOptions opts;
+  opts.flush_threshold_bytes = 0;
+  opts.background_compaction = false;
+  opts.merge_factor = 2;
+  opts.tier_base_bytes = 1 << 20;  // everything lands in tier 0
+  const auto add_and_flush = [](IndexWriter& w, std::uint32_t from, std::uint32_t to) {
+    for (std::uint32_t i = from; i < to; ++i) {
+      w.add_document("u://" + std::to_string(i), "common term" + std::to_string(i % 5) +
+                                                     (i % 2 == 0 ? " even" : " odd"));
+    }
+    ASSERT_TRUE(w.flush().has_value());
+  };
+  {
+    auto w = IndexWriter::open(dir.path(), opts).value();
+    add_and_flush(w, 0, 40);
+  }
+  opts.codec = PostingCodec::kGamma;
+  auto w = IndexWriter::open(dir.path(), opts).value();
+  add_and_flush(w, 40, 90);
+  const auto before = w.snapshot();
+  ASSERT_EQ(before->segment_count(), 2u);
+  std::vector<std::string> terms;
+  before->for_each_term([&](std::string_view term) {
+    terms.emplace_back(term);
+    return true;
+  });
+
+  ASSERT_TRUE(w.compact_now().has_value());
+  const auto after = w.snapshot();
+  ASSERT_EQ(after->segment_count(), 1u);
+  EXPECT_EQ(after->segments().front()->reader().codec(), PostingCodec::kGamma);
+  EXPECT_EQ(w.metrics().snapshot().counter("compaction_failures_total"), 0u);
+  EXPECT_EQ(after->term_count(), terms.size());
+  for (const auto& term : terms) {
+    const auto want = before->lookup(term);
+    const auto got = after->lookup(term);
+    ASSERT_TRUE(want.has_value() && got.has_value()) << term;
+    EXPECT_EQ(got->doc_ids, want->doc_ids) << term;
+    EXPECT_EQ(got->tfs, want->tfs) << term;
+  }
 }
 
 TEST(SegmentMerge, OverlappingDocRangesAreCorrupt) {
@@ -519,12 +596,15 @@ TEST(SegmentMerge, OverlappingDocRangesAreCorrupt) {
   }
   const auto a = SegmentReader::try_open(dir.path() + "/a.seg").value();
   const auto b = SegmentReader::try_open(dir.path() + "/b.seg").value();
-  const std::string out = dir.path() + "/out.seg";
-  write_file(out, {1, 2, 3});  // a stale leftover under the output name
-  const auto merged = merge_segments({&a, &b}, out);
-  ASSERT_FALSE(merged.has_value());
-  EXPECT_EQ(merged.error().code, ErrorCode::kCorrupt);
-  EXPECT_FALSE(std::filesystem::exists(out));
+  const auto dead = TombstoneSet::with(nullptr, {5});
+  for (const TombstoneSet* filter : {static_cast<const TombstoneSet*>(nullptr), dead.get()}) {
+    const std::string out = dir.path() + "/out.seg";
+    write_file(out, {1, 2, 3});  // a stale leftover under the output name
+    const auto merged = merge_segments({&a, &b}, filter, PostingCodec::kVByte, out);
+    ASSERT_FALSE(merged.has_value());
+    EXPECT_EQ(merged.error().code, ErrorCode::kCorrupt);
+    EXPECT_FALSE(std::filesystem::exists(out));
+  }
 }
 
 TEST(SegmentBloom, PerBlockFiltersHaveNoFalseNegativesAndReject) {
